@@ -1,0 +1,64 @@
+"""Golden pins for a short Cassandra stress run under five collectors.
+
+A scaled-down §4.1 stress server (8g heap, 1.5g young, one million
+preloaded records, 1800 simulated seconds) covers the cohort kernels
+end to end: ParallelOld and CMS full GCs, G1 mixed evacuations with
+remark, cleanup and to-space-exhausted full pauses, and ZGC and
+Shenandoah cycles over an explicit remembered set. Each run's GC log
+and execution time are pinned to committed values, so a change to the
+heap or collector mechanics that moves any simulated byte fails here,
+not only in a run-against-run comparison.
+
+The pins were recorded with CPython 3.11. CPython 3.12 made builtin
+``sum()`` over floats compensated, and the heap's byte accounting sums
+cohort residents with it, so on later interpreters the same run may
+round differently; the pins are checked only where they were recorded.
+"""
+
+import hashlib
+import json
+import sys
+
+import pytest
+
+from repro import GB, JVM, JVMConfig
+from repro.campaign import encode_run
+from repro.cassandra import CassandraServer, stress_config
+
+#: collector -> (sha256 of the canonical JSON gc_log, execution_time)
+GOLDEN = {
+    "ParallelOld": (
+        "010cba075cdf4fd92f26f355d8c8ac3b72f1a5fe742ef92e113b3b135883e00b",
+        1818.5918492314138),
+    "CMS": (
+        "a73066d32ba76fb4f82fcba6bafdd0c701402c59ab7c21afc2cf68233b834337",
+        1813.293302943284),
+    "G1": (
+        "b681c2db4bab873ebac0f160123053475f996d8cc5beca89501b536b14f1f66d",
+        1822.6655204911383),
+    "ZGC": (
+        "4f2c234ac47416acfba3e5fab7a4377cd21de0259232ebe063cb97e190c9cda2",
+        1807.860799919632),
+    "Shenandoah": (
+        "869593a3d24ce179fda6fd66c0952e5f77159fc95d1f0f9d595e7c8991c3308d",
+        1811.9187734979457),
+}
+
+
+def gc_log_digest(result) -> str:
+    text = json.dumps(encode_run(result)["gc_log"], sort_keys=True,
+                      separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12),
+                    reason="pins recorded with CPython 3.11 float sum()")
+@pytest.mark.parametrize("gc", sorted(GOLDEN))
+def test_stress_run_matches_golden(gc):
+    jvm = JVM(JVMConfig(gc=gc, heap=8 * GB, young=1.5 * GB, seed=3))
+    server = CassandraServer(stress_config(8 * GB, preload_records=1_000_000))
+    result = jvm.run(server, duration=1800.0, ops_per_second=1350.0)
+    digest, execution_time = GOLDEN[gc]
+    assert not result.crashed
+    assert gc_log_digest(result) == digest
+    assert result.execution_time == execution_time

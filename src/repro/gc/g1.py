@@ -23,8 +23,10 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from ..heap.cards import RememberedSet
-from ..heap.heap import CollectionVolumes
+from ..heap.heap import CollectionVolumes, batch_live_bytes, collect_rows
 from ..heap.regions import RegionTable
 from .base import Collector, Outcome, STWPause
 from .stats import ConcurrentRecord
@@ -216,32 +218,33 @@ class G1GC(Collector):
         dead bytes, and charges the copying of their live bytes. Returns the
         extra pause seconds.
         """
-        from ..heap.heap import batch_live_bytes
-
         budget = self.pause_target * 0.3 * self.costs.copy_bw * self.costs.effective_threads(
             self._young_threads()
         )
         # Placement: old-region evacuation rides the young pause, so the
         # young class's rate bounds how much fits in the pause budget.
         budget *= self.costs.young_gc_rate
-        lives = batch_live_bytes(self.heap.old_cohorts, now)
-        scored = []
-        for c, live in zip(self.heap.old_cohorts, lives):
-            garbage = c.resident - live
-            if garbage > 0:
-                scored.append((garbage / max(c.resident, 1.0), c, live, garbage))
-        scored.sort(key=lambda item: -item[0])
+        old = self.heap.old_cohorts
+        lives = batch_live_bytes(old, now)
+        resident = old.resident
+        garbage = resident - lives
+        rows = np.flatnonzero(garbage > 0)
+        # Garbage first: highest garbage fraction first, ties in row order.
+        score = garbage[rows] / np.maximum(resident[rows], 1.0)
+        rows = rows[np.argsort(-score, kind="stable")]
+        # The budget prefix: rows are taken while their live bytes fit.
         copied = 0.0
-        freed = 0.0
-        for _score, c, live, garbage in scored:
+        taken = 0
+        for live in lives[rows].tolist():
             if copied + live > budget:
                 break
-            # Use the bytes the cohort actually dropped, not the estimate:
-            # collect() applies the tail cutoff and can free slightly more
-            # than `garbage`, and old.used must track cohort residents
-            # exactly or the drift surfaces at the next full GC.
-            freed += c.collect(now)
             copied += live
+            taken += 1
+        # Use the bytes the rows actually dropped, not the estimate: the
+        # tail cutoff can free slightly more than `garbage`, and old.used
+        # must track cohort residents exactly or the drift surfaces at
+        # the next full GC.
+        freed = collect_rows(old, lives, rows[:taken])
         if freed > 0:
             self.heap.old.remove(min(freed, self.heap.old.used))
         vol.old_freed += freed

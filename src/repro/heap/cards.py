@@ -30,7 +30,7 @@ when a collector opts in via ``remset_fidelity`` (see
 
 from __future__ import annotations
 
-from typing import List, Optional
+import numpy as np
 
 from ..errors import ConfigError
 from .regions import RegionTable
@@ -105,25 +105,39 @@ class RememberedSet:
 
     def __init__(self, regions: RegionTable) -> None:
         self.regions = regions
-        self.per_region: List[int] = [0] * regions.total_regions
+        self.per_region = np.zeros(regions.total_regions, dtype=np.int64)
         self._cursor = 0
 
     def record(self, n_cards: int, occupied_regions: int) -> None:
         """Distribute *n_cards* new remembered cards over the occupied
-        region prefix (round-robin from a persistent cursor)."""
+        region prefix (round-robin from a persistent cursor).
+
+        Dealing ``n`` cards round-robin over ``span`` regions gives every
+        region ``n // span`` of them, plus one more to each of the
+        ``n % span`` regions that follow the cursor (wrapping), so a call
+        costs a few slice adds however many cards it deals.
+        """
         if n_cards <= 0:
             return
-        span = max(1, min(occupied_regions, len(self.per_region)))
-        for _ in range(n_cards):
-            self.per_region[self._cursor % span] += 1
-            self._cursor += 1
+        per_region = self.per_region
+        span = max(1, min(occupied_regions, len(per_region)))
+        rounds, extra = divmod(n_cards, span)
+        if rounds:
+            per_region[:span] += rounds
+        if extra:
+            start = self._cursor % span
+            end = start + extra
+            per_region[start:min(end, span)] += 1
+            if end > span:
+                per_region[:end - span] += 1
+        self._cursor += n_cards
 
     def evacuate_region(self, src: int, dst: int) -> int:
         """Move every remembered card from region *src* to *dst*
         (references into an evacuated region now point at its copy);
         returns the number of cards moved.  Conserves total cardinality.
         """
-        moved = self.per_region[src]
+        moved = int(self.per_region[src])
         if src == dst:
             return moved
         self.per_region[src] = 0
@@ -132,7 +146,7 @@ class RememberedSet:
 
     @property
     def total_cards(self) -> int:
-        return sum(self.per_region)
+        return int(self.per_region.sum())
 
     @property
     def total_bytes(self) -> float:
@@ -143,8 +157,8 @@ class RememberedSet:
 
     def occupied(self) -> int:
         """Number of regions with at least one remembered card."""
-        return sum(1 for c in self.per_region if c)
+        return int(np.count_nonzero(self.per_region))
 
     def clear(self) -> None:
-        self.per_region = [0] * self.regions.total_regions
+        self.per_region.fill(0)
         self._cursor = 0

@@ -20,14 +20,14 @@ Space accounting invariants (exercised by the property tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from ..errors import AllocationFailure, ConfigError, HeapError, PromotionFailure
 from ..units import MB, fmt_bytes
 from .cards import CardTable, RememberedSet
-from .cohort import Cohort
+from .cohort import TAIL_CUTOFF, Cohort, CohortColumns, CohortStore
 from .lifetime import LifetimeDistribution
 from .object_model import ObjectGraph
 from .spaces import Space, SpaceKind
@@ -75,70 +75,100 @@ class HeapConfig:
         return self.heap_bytes - self.young_bytes
 
 
-def batch_live_bytes(cohorts: Sequence[Cohort], now: float) -> np.ndarray:
-    """Expected live bytes of every cohort at *now*, vectorized.
+def _window_live(dist: LifetimeDistribution, t0: np.ndarray, t1: np.ndarray,
+                 allocated: np.ndarray, resident: np.ndarray,
+                 now: float) -> np.ndarray:
+    """Live bytes at *now* of rows allocated uniformly on ``[t0, t1]``
+    under *dist* (the array form of ``dist.window_live_fraction``)."""
+    eff_now = np.maximum(now, t1)
+    width = t1 - t0
+    age = eff_now - t0
+    # Ages are already 1-d arrays, so skip the scalar-preserving public
+    # wrappers and hit the vectorized kernels directly.
+    hi = dist._integrated_survival(age)
+    lo = dist._integrated_survival(np.maximum(eff_now - t1, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = (hi - lo) / np.where(width > 0, width, 1.0)
+        # Degenerate windows cancel catastrophically; fall back to the
+        # point survival (see window_live_fraction). Such rows are rare,
+        # so the fallback runs on them alone.
+        tiny = width <= 1e-9 * np.maximum(1.0, age)
+        if tiny.any():
+            frac[tiny] = dist._survival(age[tiny])
+    np.clip(frac, 0.0, 1.0, out=frac)
+    return np.minimum(resident, allocated * frac)
 
-    Cohorts are grouped by their (shared) lifetime-distribution object so
-    the scipy survival integrals run once per distribution on an array of
-    ages rather than once per cohort — the hot loop of every collection
-    (see the HPC guide: vectorize the bottleneck).
+
+def batch_live_bytes(cohorts: CohortColumns, now: float) -> np.ndarray:
+    """Expected live bytes of every row of *cohorts* at *now*, vectorized.
+
+    Pinned rows are fully live until released. Every other row with bytes
+    is gathered with the rows that share its lifetime distribution (the
+    ``group`` column), so the scipy survival integrals run once per
+    distribution on an array of ages rather than once per cohort — the
+    hot loop of every collection (see the HPC guide: vectorize the
+    bottleneck).
     """
-    n = len(cohorts)
-    out = np.zeros(n, dtype=float)
-    groups: dict = {}
-    for i, c in enumerate(cohorts):
-        if c.pinned:
-            out[i] = 0.0 if c.released else c.resident
-        elif c.allocated > 0.0:
-            entry = groups.get(id(c.dist))
-            if entry is None:
-                entry = groups[id(c.dist)] = (c.dist, [], [])
-            entry[1].append(i)
-            entry[2].append(c)
-    for dist, idx, cs in groups.values():
-        k = len(cs)
-        t0 = np.fromiter((c.t0 for c in cs), dtype=float, count=k)
-        t1 = np.fromiter((c.t1 for c in cs), dtype=float, count=k)
-        alloc = np.fromiter((c.allocated for c in cs), dtype=float, count=k)
-        resident = np.fromiter((c.resident for c in cs), dtype=float, count=k)
-        eff_now = np.maximum(now, t1)
-        width = t1 - t0
-        # Ages are already 1-d arrays, so skip the scalar-preserving
-        # public wrappers and hit the vectorized kernels directly.
-        hi = dist._integrated_survival(eff_now - t0)
-        lo = dist._integrated_survival(np.maximum(eff_now - t1, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # Degenerate windows cancel catastrophically; fall back to the
-            # point survival and clamp into [0, 1] (see window_live_fraction).
-            tiny = width <= 1e-9 * np.maximum(1.0, eff_now - t0)
-            frac = np.where(~tiny, (hi - lo) / np.where(width > 0, width, 1.0),
-                            dist._survival(eff_now - t0))
-            frac = np.clip(frac, 0.0, 1.0)
-        out[idx] = np.minimum(resident, alloc * frac)
+    resident = cohorts.resident
+    out = np.where(cohorts.pinned & ~cohorts.released, resident, 0.0)
+    group = cohorts.group
+    dists = cohorts.store.dists
+    # Bin 0 counts the rows that need no kernel (group -1).
+    for g in np.flatnonzero(np.bincount(group + 1)[1:]).tolist():
+        rows = np.flatnonzero(group == g)
+        out[rows] = _window_live(dists[g], cohorts.t0[rows], cohorts.t1[rows],
+                                 cohorts.allocated[rows], resident[rows], now)
     return out
 
 
-def batch_collect(cohorts: Sequence[Cohort], now: float) -> Tuple[float, List[Cohort]]:
-    """Collect every cohort in *cohorts* (age + drop dead bytes), vectorized.
+def _running_total(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...``, added left to right.
 
-    Semantics match calling :meth:`Cohort.collect` on each cohort (including
-    the tail cutoff); returns ``(freed_bytes, surviving_cohorts)``.
+    This is the sum a ``total += value`` loop computes; ``np.sum`` adds
+    pairwise and rounds differently. ``np.add.accumulate`` adds in
+    order, and adding 0.0 turns a -0.0 total into the loop's 0.0.
     """
-    lives = batch_live_bytes(cohorts, now)
-    freed = 0.0
-    survivors: List[Cohort] = []
-    cutoff = Cohort.TAIL_CUTOFF
-    # tolist() gives plain floats (bit-identical); iterating np scalars is
-    # several times slower in this loop.
-    for c, live in zip(cohorts, lives.tolist()):
-        if not c.pinned and live <= max(cutoff * c.allocated, 0.5):
-            live = 0.0
-        freed += c.resident - live
-        c.resident = live
-        c.age += 1
-        if not c.is_dead:
-            survivors.append(c)
-    return freed, survivors
+    if not len(values):
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
+
+
+def collect_rows(cohorts: CohortColumns, lives: np.ndarray,
+                 rows: Optional[np.ndarray] = None) -> float:
+    """Shrink rows of *cohorts* to their live bytes and age them.
+
+    *lives* holds every row's live bytes (:func:`batch_live_bytes`);
+    *rows* picks the rows to collect, every row when None. A live
+    fraction under :data:`~repro.heap.cohort.TAIL_CUTOFF` of an unpinned
+    row counts as dead. Rows stay in place, however little they keep.
+    Returns the bytes freed, summed in the order of *rows*.
+    """
+    resident, allocated, pinned, age = (cohorts.resident, cohorts.allocated,
+                                        cohorts.pinned, cohorts.age)
+    before = resident
+    if rows is not None:
+        lives, allocated, pinned, before = (lives[rows], allocated[rows],
+                                            pinned[rows], resident[rows])
+    live = np.where(~pinned & (lives <= np.maximum(TAIL_CUTOFF * allocated, 0.5)),
+                    0.0, lives)
+    freed = _running_total(before - live)
+    if rows is None:
+        resident[:] = live
+        age += 1
+    else:
+        resident[rows] = live
+        age[rows] += 1
+    return freed
+
+
+def batch_collect(cohorts: CohortColumns, now: float) -> float:
+    """Collect every row of *cohorts*, vectorized: age it, drop its dead
+    bytes (tail cutoff included) and remove the rows left holding
+    nothing, keeping the others in order. Returns the bytes freed."""
+    freed = collect_rows(cohorts, batch_live_bytes(cohorts, now))
+    cohorts.keep(~((cohorts.resident <= 0.5)
+                   | (cohorts.pinned & cohorts.released)))
+    return freed
 
 
 @dataclass
@@ -175,9 +205,11 @@ class GenerationalHeap:
         self.eden = Space("eden", SpaceKind.EDEN, config.eden_bytes)
         self.survivor = Space("survivor", SpaceKind.SURVIVOR, config.survivor_bytes)
         self.old = Space("old", SpaceKind.OLD, config.old_bytes)
-        self.eden_cohorts: List[Cohort] = []
-        self.survivor_cohorts: List[Cohort] = []
-        self.old_cohorts: List[Cohort] = []
+        #: Each space's cohorts as columns, sharing one distribution table.
+        store = CohortStore()
+        self.eden_cohorts = CohortColumns(store)
+        self.survivor_cohorts = CohortColumns(store)
+        self.old_cohorts = CohortColumns(store)
         self.graph = ObjectGraph()
         self.tlabs = TLABManager(config.tlab, config.eden_bytes, n_mutator_threads)
         #: Nominal young geometry (updated by :meth:`resize_young`); the
@@ -235,8 +267,8 @@ class GenerationalHeap:
     def live_estimate(self, now: float) -> float:
         """Expected live bytes across the whole heap at *now*."""
         total = self.graph.total_bytes
-        for coll in (self.eden_cohorts, self.survivor_cohorts, self.old_cohorts):
-            total += float(batch_live_bytes(coll, now).sum())
+        for cohorts in (self.eden_cohorts, self.survivor_cohorts, self.old_cohorts):
+            total += float(batch_live_bytes(cohorts, now).sum())
         return total
 
     # ------------------------------------------------------------------
@@ -264,27 +296,26 @@ class GenerationalHeap:
             raise ConfigError("cannot allocate negative bytes")
         if n_bytes > self.eden_free + 1e-6:
             raise AllocationFailure(n_bytes)
-        cohort = Cohort(
-            now - window, now, n_bytes, dist,
-            n_objects=n_objects, pinned=pinned, label=label,
-        )
-        self.eden.add(n_bytes)
-        self.eden_cohorts.append(cohort)
+        cohort = self.eden_cohorts.add(now - window, now, n_bytes, dist,
+                                       n_objects, pinned, label)
+        # Space.add without its checks: the eden_free test above is the
+        # stricter one (it also reserves the TLAB waste).
+        eden = self.eden
+        eden.used = min(eden.used + n_bytes, eden.capacity)
         return cohort
 
     def allocate_bump(self, now: float, n_bytes: float, dist, *,
-                      n_objects: float, label: str, window: float) -> Cohort:
-        """:meth:`allocate` minus the feasibility re-checks, for the batched
-        bump path — the span's pass 1 already proved the piece fits eden
-        (against the stricter TLAB-waste-reserved bound, which implies
-        :meth:`~repro.heap.spaces.Space.add`'s own check). State effects
-        are identical to :meth:`allocate`.
+                      n_objects: float, window: float) -> None:
+        """:meth:`allocate` minus the feasibility re-checks and the handle,
+        for the batched bump path — the span's pass 1 already proved the
+        piece fits eden (against the stricter TLAB-waste-reserved bound,
+        which implies :meth:`~repro.heap.spaces.Space.add`'s own check)
+        and validated *dist*. Heap state effects are identical to
+        :meth:`allocate`.
         """
-        cohort = Cohort.bump(now - window, now, n_bytes, dist, n_objects, label)
+        self.eden_cohorts.append_row(now - window, now, n_bytes, dist, n_objects)
         eden = self.eden
         eden.used = min(eden.used + n_bytes, eden.capacity)
-        self.eden_cohorts.append(cohort)
-        return cohort
 
     def allocate_old(
         self,
@@ -305,11 +336,10 @@ class GenerationalHeap:
             raise PromotionFailure(
                 f"old gen cannot fit humongous {fmt_bytes(n_bytes)}"
             )
-        cohort = Cohort(now, now, n_bytes, dist, n_objects=n_objects,
-                        pinned=pinned, label=label)
-        cohort.age = 10 ** 6  # never "tenured" again
+        cohort = self.old_cohorts.add(now, now, n_bytes, dist, n_objects,
+                                      pinned, label,
+                                      age=10 ** 6)  # never "tenured" again
         self.old.add(n_bytes)
-        self.old_cohorts.append(cohort)
         return cohort
 
     def allocate_object(self, size: float, refs=(), root: bool = False):
@@ -395,12 +425,14 @@ class GenerationalHeap:
         else:
             vol.cards_scanned = self.dirty_card_bytes
 
-        # 1. Age cohorts and find survivors (vectorized over cohorts).
-        eden_freed, eden_survivors = batch_collect(self.eden_cohorts, now)
-        surv_freed, surv_survivors = batch_collect(self.survivor_cohorts, now)
-        vol.eden_freed += eden_freed
-        vol.survivor_freed += surv_freed
-        candidates: List[Cohort] = eden_survivors + surv_survivors
+        # 1. Age cohorts and find survivors (vectorized over cohorts). The
+        # candidates gather in eden: its survivors, then the survivor
+        # space's.
+        eden = self.eden_cohorts
+        vol.eden_freed += batch_collect(eden, now)
+        vol.survivor_freed += batch_collect(self.survivor_cohorts, now)
+        eden.extend(self.survivor_cohorts)
+        self.survivor_cohorts.clear()
 
         # 2. Object graph young collection.
         g = self.graph.minor_collect(tenuring_threshold)
@@ -411,49 +443,55 @@ class GenerationalHeap:
         graph_survivor_bytes = g.copied_bytes
 
         # 3. Tenuring + survivor-space packing (oldest promoted first).
+        # Rows are candidate indices; sums run over plain floats in the
+        # order the rows are listed.
         survivor_cap = max(
             0.0, self.survivor.capacity * survivor_target_fraction - graph_survivor_bytes
         )
-        tenured = [c for c in candidates if c.age > tenuring_threshold]
-        keep = [c for c in candidates if c.age <= tenuring_threshold]
-        keep.sort(key=lambda c: c.age)  # youngest first: oldest overflow first
-        packed: List[Cohort] = []
+        ages = eden.age
+        resident = eden.resident.tolist()
+        tenured = np.flatnonzero(ages > tenuring_threshold).tolist()
+        keep = np.flatnonzero(ages <= tenuring_threshold)
+        # Youngest first (stable): the oldest overflow first.
+        keep = keep[np.argsort(ages[keep], kind="stable")]
+        packed: List[int] = []
         packed_bytes = 0.0
-        for c in keep:
-            if packed_bytes + c.resident <= survivor_cap:
-                packed.append(c)
-                packed_bytes += c.resident
+        for i in keep.tolist():
+            if packed_bytes + resident[i] <= survivor_cap:
+                packed.append(i)
+                packed_bytes += resident[i]
             else:
-                tenured.append(c)
+                tenured.append(i)
         vol.copied_to_survivor += packed_bytes
 
         # 4. Promote tenured cohorts into the old generation.
-        promoted_bytes = sum(c.resident for c in tenured)
+        promoted_bytes = sum([resident[i] for i in tenured])
         vol.promoted += promoted_bytes
+        small = (eden.mean_object_size() < 256 * 1024).tolist()
         vol.promoted_small += g.promoted_bytes + sum(
-            c.resident for c in tenured if c.mean_object_size() < 256 * 1024
+            [resident[i] for i in tenured if small[i]]
         )
         total_promoted = vol.promoted
         if total_promoted > self.old_free_effective + 1e-6:
             vol.promotion_failed = True
             # Promote what fits; the caller must follow with a full GC.
-            fits: List[Cohort] = []
+            fits: List[int] = []
             room = self.old_free_effective
-            for c in sorted(tenured, key=lambda c: -c.age):
-                if c.resident <= room:
-                    fits.append(c)
-                    room -= c.resident
+            age_of = ages.tolist()
+            for i in sorted(tenured, key=lambda i: -age_of[i]):
+                if resident[i] <= room:
+                    fits.append(i)
+                    room -= resident[i]
                 else:
-                    packed.append(c)  # stranded in survivor bookkeeping
-                    packed_bytes += c.resident
+                    packed.append(i)  # stranded in survivor bookkeeping
+                    packed_bytes += resident[i]
             tenured = fits
-            promoted_bytes = sum(c.resident for c in tenured)
+            promoted_bytes = sum([resident[i] for i in tenured])
 
         # 5. Commit the move.
-        self.eden_cohorts = []
-        self.survivor_cohorts = packed
-        for c in tenured:
-            self.old_cohorts.append(c)
+        self.survivor_cohorts.extend(eden, np.array(packed, dtype=np.intp))
+        self.old_cohorts.extend(eden, np.array(tenured, dtype=np.intp))
+        eden.clear()
         self.eden.reset()
         self.survivor.used = 0.0
         self._commit_survivor(packed_bytes + graph_survivor_bytes)
@@ -480,19 +518,19 @@ class GenerationalHeap:
         vol = CollectionVolumes(kind="full")
         vol.old_occupancy_before = self.old.occupancy
 
-        eden_freed, eden_survivors = batch_collect(self.eden_cohorts, now)
-        surv_freed, surv_survivors = batch_collect(self.survivor_cohorts, now)
-        old_freed, old_live = batch_collect(self.old_cohorts, now)
-        vol.eden_freed += eden_freed
-        vol.survivor_freed += surv_freed
-        vol.old_freed += old_freed
-        survivors: List[Cohort] = eden_survivors + surv_survivors
+        # Young survivors gather in eden: its own, then the survivor space's.
+        eden, old = self.eden_cohorts, self.old_cohorts
+        vol.eden_freed += batch_collect(eden, now)
+        vol.survivor_freed += batch_collect(self.survivor_cohorts, now)
+        vol.old_freed += batch_collect(old, now)
+        eden.extend(self.survivor_cohorts)
+        self.survivor_cohorts.clear()
 
         g = self.graph.full_collect()
         vol.eden_freed += g.freed_bytes  # graph doesn't split young/old freed
-        cohort_live = sum(c.resident for c in survivors) + sum(
-            c.resident for c in old_live
-        )
+        young = eden.resident.tolist()
+        old_resident = sum(old.resident.tolist())
+        cohort_live = sum(young) + old_resident
         live = cohort_live + self.graph.total_bytes
         vol.marked = live
         vol.swept = self.old.used + self.young_used
@@ -508,28 +546,27 @@ class GenerationalHeap:
         # Promote young survivors into the compacted old gen, oldest first;
         # whatever does not fit stays in the young generation (HotSpot keeps
         # live young data in place when the old gen is tight).
-        room = self.old.capacity - (
-            sum(c.resident for c in old_live) + self.graph.old_bytes
-        )
-        promoted_cohorts: List[Cohort] = []
-        stranded: List[Cohort] = []
-        for c in sorted(survivors, key=lambda c: -c.age):
-            if c.resident <= room:
-                promoted_cohorts.append(c)
-                room -= c.resident
+        room = self.old.capacity - (old_resident + self.graph.old_bytes)
+        promoted: List[int] = []
+        stranded: List[int] = []
+        # Oldest first; the stable sort keeps equal ages in row order.
+        for i in np.argsort(-eden.age, kind="stable").tolist():
+            if young[i] <= room:
+                promoted.append(i)
+                room -= young[i]
             else:
-                stranded.append(c)
-        vol.promoted = sum(c.resident for c in promoted_cohorts) + g.promoted_bytes
+                stranded.append(i)
+        vol.promoted = sum([young[i] for i in promoted]) + g.promoted_bytes
 
-        self.eden_cohorts = []
-        self.survivor_cohorts = stranded
-        self.old_cohorts = old_live + promoted_cohorts
+        old.extend(eden, np.array(promoted, dtype=np.intp))
+        self.survivor_cohorts.extend(eden, np.array(stranded, dtype=np.intp))
+        eden.clear()
         self.eden.reset()
-        stranded_bytes = sum(c.resident for c in stranded)
+        stranded_bytes = sum([young[i] for i in stranded])
         self.survivor.used = 0.0
         self._commit_survivor(stranded_bytes)
         self.old.used = min(
-            sum(c.resident for c in self.old_cohorts) + self.graph.old_bytes,
+            sum(old.resident.tolist()) + self.graph.old_bytes,
             self.old.capacity,
         )
         self.dirty_card_bytes = 0.0
@@ -559,7 +596,7 @@ class GenerationalHeap:
         vol = CollectionVolumes(kind="sweep")
         vol.old_occupancy_before = self.old.occupancy
         vol.swept = self.old.used
-        vol.old_freed, self.old_cohorts = batch_collect(self.old_cohorts, now)
+        vol.old_freed = batch_collect(self.old_cohorts, now)
         self.old.remove(min(vol.old_freed, self.old.used))
         if vol.old_freed > 0:
             self.fragmentation = min(
@@ -609,18 +646,19 @@ class GenerationalHeap:
         per comparison (the old-gen check used to apply it on both sides,
         doubling the tolerance relative to eden's).
         """
-        eden_resident = sum(c.resident for c in self.eden_cohorts)
+        eden_resident = sum(self.eden_cohorts.resident.tolist())
         if eden_resident > self.eden.used + _EPSILON:
             raise HeapError(
                 f"eden cohorts {eden_resident} exceed eden.used {self.eden.used}"
             )
-        surv_resident = sum(c.resident for c in self.survivor_cohorts)
+        surv_resident = sum(self.survivor_cohorts.resident.tolist())
         if surv_resident > self.survivor.used + _EPSILON:
             raise HeapError(
                 f"survivor cohorts {surv_resident} exceed "
                 f"survivor.used {self.survivor.used}"
             )
-        old_resident = sum(c.resident for c in self.old_cohorts) + self.graph.old_bytes
+        old_resident = (sum(self.old_cohorts.resident.tolist())
+                        + self.graph.old_bytes)
         if old_resident > self.old.used + _EPSILON:
             raise HeapError(
                 f"old cohorts {old_resident} exceed old.used {self.old.used}"

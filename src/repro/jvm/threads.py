@@ -527,8 +527,7 @@ class MutatorContext:
             if fastpath.ENABLED:
                 remaining = yield from self._allocate_span(
                     remaining, dist, mean_object_size=mean_object_size,
-                    max_piece=max_piece, window=window, label=label,
-                    accumulate=accumulate,
+                    max_piece=max_piece, window=window, accumulate=accumulate,
                 )
                 if remaining <= 0:
                     return
@@ -552,7 +551,6 @@ class MutatorContext:
         mean_object_size: float,
         max_piece: float,
         window: float,
-        label: str,
         accumulate: Optional[list],
     ):
         """Generator: commit as many consecutive eden pieces as provably
@@ -636,8 +634,7 @@ class MutatorContext:
             if cost > 0:
                 self.alloc_overhead_time += cost
             allocate_bump(
-                t_alloc, piece, dist,
-                n_objects=n_objects, label=label, window=window,
+                t_alloc, piece, dist, n_objects=n_objects, window=window,
             )
             self.allocated_bytes += piece
             if accumulate is not None:

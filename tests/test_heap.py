@@ -85,7 +85,7 @@ class TestMinorCollection:
         h.allocate(0.0, 30 * MB, Exponential(0.001))
         h.minor_collection(10.0, tenuring_threshold=6)
         assert h.eden.used == 0.0
-        assert h.eden_cohorts == []
+        assert len(h.eden_cohorts) == 0
 
     def test_dead_bytes_freed(self):
         h = make_heap()

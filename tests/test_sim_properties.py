@@ -98,8 +98,8 @@ class TestHeapLongHorizon:
             vol = heap.minor_collection(t + 0.1, threshold)
             freed += vol.eden_freed + vol.survivor_freed
         resident = (
-            sum(c.resident for c in heap.survivor_cohorts)
-            + sum(c.resident for c in heap.old_cohorts)
+            sum(heap.survivor_cohorts.resident.tolist())
+            + sum(heap.old_cohorts.resident.tolist())
         )
         assert freed + resident == pytest.approx(allocated, rel=1e-6)
 

@@ -40,7 +40,8 @@ class Engine:
     """
 
     __slots__ = ("now", "_queue", "_seq", "_running", "_run_until",
-                 "_run_max_events", "_credit", "tracer", "step_hook")
+                 "_run_max_events", "_credit", "_waking", "tracer",
+                 "step_hook")
 
     def __init__(self, start_time: float = 0.0):
         if not math.isfinite(start_time):
@@ -57,6 +58,9 @@ class Engine:
         #: beyond the entries actually popped. Keeps the event count
         #: reported by :meth:`run` independent of batching.
         self._credit = 0
+        #: Events part-way through waking several waiters (see
+        #: :meth:`batch_horizon`).
+        self._waking = 0
         #: Telemetry sink; :data:`~repro.telemetry.tracer.NULL_TRACER`
         #: unless a live tracer is attached (every hook call is then a
         #: no-op method — the disabled path allocates nothing).
@@ -107,11 +111,13 @@ class Engine:
         a running process can collapse a run of its own consecutive events
         ending before ``h`` into one :meth:`schedule_span` entry without
         any other process observing the difference. Returns ``None`` when
-        batching is not permitted (not inside :meth:`run`, or an event
-        budget is active — ``max_events`` counts real pops, which batching
-        would skew).
+        batching is not permitted: not inside :meth:`run`; an event budget
+        is active (``max_events`` counts real pops, which batching would
+        skew); or the event being dispatched still has waiters to wake,
+        whose next events are not in the queue yet.
         """
-        if not self._running or self._run_max_events is not None:
+        if (not self._running or self._run_max_events is not None
+                or self._waking):
             return None
         h = math.inf
         if self._run_until is not None:

@@ -101,8 +101,25 @@ class Event:
             raise SimulationError("event processed twice")
         self._state = PROCESSED
         callbacks, self.callbacks = self.callbacks, None
+        if len(callbacks) > 1:
+            self._run_shared(callbacks)
+            return
         for callback in callbacks:
             callback(self)
+
+    def _run_shared(self, callbacks: List) -> None:
+        """Wake several waiters. Until the last one has run, the engine
+        allows no batching: a waiter resumed early cannot see the events
+        the later ones are about to queue (a safepoint, say), so a span it
+        committed could be interleaved by them."""
+        engine = self.engine
+        engine._waking += 1
+        try:
+            for callback in callbacks[:-1]:
+                callback(self)
+        finally:
+            engine._waking -= 1
+        callbacks[-1](self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} state={self._state}>"

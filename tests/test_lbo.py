@@ -14,7 +14,7 @@ from repro.analysis.lbo import (IDEAL_GC, LBOConfig, LBOStudyResult,
                                 nearest_rank, run_lbo_study)
 from repro.campaign.store import ResultStore
 from repro.errors import ConfigError
-from repro.units import GB
+from repro.units import GB, MB
 
 
 MICRO = dict(benchmarks=("xalan",), gcs=("ParallelOld", "ZGC"),
@@ -132,16 +132,17 @@ class TestStudy:
 
 class TestCrashedCells:
     def test_crashes_cached_and_reported(self, tmp_path):
-        """xalan at 1g crashes ZGC deterministically; the crash is cached
-        (a crash at these coordinates is deterministic) and the 1g rung
-        is excluded from the min-over-heaps."""
+        """xalan's live set does not fit 64m, so ZGC dies of
+        OutOfMemoryError; the crash is cached (a crash at these
+        coordinates is deterministic) and the 64m rung is excluded from
+        the min-over-heaps."""
         config = LBOConfig(benchmarks=("xalan",), gcs=("ZGC",),
-                           heaps=("1g", "16g"), seeds=(1,), iterations=3)
+                           heaps=("64m", "16g"), seeds=(1,), iterations=3)
         store = ResultStore(str(tmp_path))
         cold = run_lbo_study(config, store=store)
         d = cold.distillates[0]
         assert d.crashed_cells > 0
-        assert d.overheads["%.0f" % (1 * GB)] is None
+        assert d.overheads["%.0f" % (64 * MB)] is None
         assert d.lbo_heap == 16 * GB
         warm = run_lbo_study(config, store=store)
         assert warm.cache_hits == warm.cells_total

@@ -1,8 +1,12 @@
-"""The six OpenJDK 8 garbage collectors (paper Table 1).
+"""The six OpenJDK 8 garbage collectors (paper Table 1), and beyond.
 
 Every collector really traces the simulated heap (cohorts + object graph)
 and converts the work it performed into stop-the-world pause durations via
-the machine cost model. Structural properties match HotSpot in OpenJDK 8:
+the machine cost model. Structural properties of the paper's six match
+HotSpot in OpenJDK 8. The extensions are the concurrent-copying family
+(one cycle in :mod:`repro.gc.concurrent`: ZGC and Shenandoah from the
+"Distilling the Real Cost" study, and the HTM collector the paper
+proposes in §6) and Epsilon, the zero-cost baseline:
 
 =============  ===========================  =================================
 Collector      Young collection             Old collection
@@ -16,6 +20,14 @@ CMS            parallel copying (ParNew)    concurrent mark-sweep (STW
                                             compaction, serial fallback
 G1             parallel evacuation          concurrent marking + mixed
                                             evacuations; **serial** full GC
+ZGC            concurrent copy after a      concurrent mark + relocation;
+               STW flip; allocation stalls  serial exhaustion fallback
+Shenandoah     concurrent copy after a      concurrent mark + evacuation;
+               STW flip; degenerated pause  serial exhaustion fallback
+HTM            concurrent (transactional)   concurrent compaction, no mark
+               copy after a STW flip        pass; serial exhaustion fallback
+Epsilon        free, instant reclamation    free, instant reclamation;
+               (zero pauses)                crashes when live > heap
 =============  ===========================  =================================
 """
 

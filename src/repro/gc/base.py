@@ -70,11 +70,13 @@ class Outcome:
 
 
 class Collector(ABC):
-    """Common mechanics shared by the six collectors.
+    """Common mechanics shared by every collector.
 
-    Subclasses configure the class attributes below (matching paper
-    Table 1) and may override :meth:`after_minor` (concurrent-cycle
-    policy) and :meth:`explicit_gc` (System.gc() behaviour).
+    Subclasses configure the class attributes below (for the paper's six,
+    matching its Table 1) and may override :meth:`after_minor`
+    (concurrent-cycle policy) and :meth:`explicit_gc` (System.gc()
+    behaviour). The concurrent-copying collectors replace both entry
+    points with the cycle in :mod:`repro.gc.concurrent`.
     """
 
     #: Collector name as it appears in the paper's figures.
@@ -194,8 +196,9 @@ class Collector(ABC):
     @property
     def mutator_overhead(self) -> float:
         """Fractional mutator slowdown imposed by the collector's barriers
-        (0 for the stock collectors; the HTM collector taxes every heap
-        access while a concurrent evacuation is in flight)."""
+        (0 for the stock collectors; the concurrent-copying collectors tax
+        every heap access, and more while a concurrent copy is in
+        flight)."""
         return 0.0
 
     # ------------------------------------------------------------------
@@ -220,7 +223,12 @@ class Collector(ABC):
 
     def _minor(self, now: float, cause: str) -> Tuple[STWPause, CollectionVolumes]:
         """Perform the young collection and price it."""
-        used_before = self.heap.used
+        vol = self._young_collection(now)
+        duration = self.young_pause_duration(vol) * self._jitter()
+        return STWPause("young", cause, duration, vol), vol
+
+    def _young_collection(self, now: float) -> CollectionVolumes:
+        """Collect the young generation and adapt the tenuring threshold."""
         vol = self.heap.minor_collection(
             now,
             self._tenuring,
@@ -239,12 +247,7 @@ class Collector(ABC):
             self.tracer.tenuring_adapt(now, tenuring_before, self._tenuring)
         if vol.promoted > 0:
             self.tracer.promotion(now, vol.promoted, vol.promoted_small)
-        duration = self.young_pause_duration(vol) * self._jitter()
-        pause = STWPause("young", cause, duration, vol)
-        vol_after = self.heap.used
-        pause.volumes = vol
-        _ = used_before, vol_after  # recorded by the JVM in the log
-        return pause, vol
+        return vol
 
     def young_pause_duration(self, vol: CollectionVolumes) -> float:
         """Price a young collection from its work volumes."""

@@ -1,10 +1,10 @@
 """Shenandoah-style fully-concurrent copying collector.
 
 The second modern collector of the "Distilling the Real Cost of
-Production Garbage Collectors" study. Structurally close to
-:class:`~repro.gc.zgc.ZGC` — concurrent marking and concurrent
-evacuation bracketed by tiny STW synchronisation points — with the
-differences the Distilling paper highlights:
+Production Garbage Collectors" study. It runs the same cycle as
+:class:`~repro.gc.zgc.ZGC` (:mod:`repro.gc.concurrent`) — concurrent
+marking and concurrent evacuation bracketed by tiny STW synchronisation
+points — with the differences the Distilling paper highlights:
 
 * **Brooks forwarding pointers.** Every object carries an indirection
   word; reads and writes go through it whether or not a collection is
@@ -26,247 +26,49 @@ per-region remembered set).
 
 from __future__ import annotations
 
-from ..heap.cards import RememberedSet
-from ..heap.heap import CollectionVolumes
-from ..heap.regions import RegionTable
-from .base import Collector, Outcome, STWPause
-from .stats import ConcurrentRecord, RELOCATION_PHASE
+from .base import Outcome, STWPause
+from .concurrent import ConcurrentCopyingCollector
 
 
-class ShenandoahGC(Collector):
+class ShenandoahGC(ConcurrentCopyingCollector):
     """``-XX:+UseShenandoahGC``-style concurrent copying collector."""
 
     name = "ShenandoahGC"
-    parallel_young = True
-    parallel_full = False          # full-GC fallback is (mostly) serial
-    tenuring_threshold = 4
-    survivor_target_fraction = 0.5
-    card_scan_weight = 1.0
-    young_fixed_cost = 0.002
-    full_fixed_cost = 0.015
     full_overhead_factor = 1.3     # fallback chases Brooks pointers
 
     #: STW synchronisation points (seconds, before jitter).
-    flip_pause: float = 0.0015
-    initial_mark_pause: float = 0.0012
-    remark_pause: float = 0.0018
+    flip_pause = 0.0015
+    mark_start_kind = "initial-mark"
+    mark_start_pause = 0.0012
+    mark_end_kind = "remark"
+    mark_end_pause = 0.0018
+    cycle_cause = "Shenandoah Cycle"
+    exhaustion_cause = "Shenandoah Full GC"
     #: Always-on Brooks-pointer indirection tax (higher than ZGC's
     #: colored-pointer load barrier — the Distilling paper's headline
     #: Shenandoah finding).
-    base_tax: float = 0.08
+    base_tax = 0.08
     #: Additional write-barrier/SATB traffic while evacuating.
-    evacuation_tax: float = 0.05
-    #: Concurrent copying bandwidth relative to STW copying.
-    conc_copy_factor: float = 0.7
+    cycle_tax = 0.05
+    conc_copy_factor = 0.7
     #: Degenerated work finishes at STW speed: remaining concurrent
     #: seconds convert at the concurrent/STW bandwidth ratio.
     degen_speedup: float = 0.7
-    #: Old-gen occupancy triggering a concurrent mark + evacuation.
-    old_trigger: float = 0.6
+    old_trigger = 0.6
 
     def __init__(self, *args, **kwargs):
-        # Forced, not defaulted: the JVM passes the config flag
-        # explicitly, and Brooks-pointer Shenandoah has no coarse mode.
-        kwargs["remset_fidelity"] = True
         super().__init__(*args, **kwargs)
-        self.regions = RegionTable.for_heap(self.heap.config.heap_bytes)
-        if self.heap.remset is None:
-            self.heap.attach_remset(RememberedSet(self.regions))
-        self.conc_threads = max(1, self.costs.default_gc_threads() // 2)
-        self._evacuating = False
-        self._old_cycle = False
-        self._evac_end = 0.0
-        self._young_gen = 0
-        self._old_gen = 0
         self.degenerated_count = 0
 
-    # ------------------------------------------------------------------
-
-    @property
-    def concurrent_threads_active(self) -> int:
-        return self.conc_threads if (self._evacuating or self._old_cycle) else 0
-
-    @property
-    def mutator_overhead(self) -> float:
-        if self._evacuating or self._old_cycle:
-            return self.base_tax + self.evacuation_tax
-        return self.base_tax
-
-    # ------------------------------------------------------------------
-
-    def allocation_failure(self, now: float) -> Outcome:
-        outcome = Outcome()
-        if self._evacuating and now < self._evac_end:
-            # Allocation outran evacuation: degenerate — stop the world
-            # and finish the remaining copying at STW speed.
-            outcome.pauses.append(self._degenerate(now))
-        pause, vol = self._flip_collection(now, "Allocation Failure")
-        outcome.pauses.append(pause)
-        if vol.promotion_failed:
-            outcome.pauses.append(self._exhaustion_fallback(now))
-            return outcome
-        self._schedule_evacuation(now, vol, outcome)
-        self._maybe_old_cycle(now, outcome)
-        return outcome
-
-    def _degenerate(self, now: float) -> STWPause:
-        """Finish the in-flight evacuation stop-the-world."""
-        remaining = max(self._evac_end - now, 0.0)
-        self._evacuating = False
-        self._evac_end = 0.0
+    def _overrun(self, now: float, explicit: bool, outcome: Outcome) -> None:
+        """Allocation (or ``System.gc()``) outran the evacuation:
+        degenerate — stop the world and finish the remaining copying at
+        STW speed."""
+        remaining = max(self._copy_end - now, 0.0)
+        self._copying = False
+        self._copy_end = 0.0
         self._young_gen += 1  # invalidate the scheduled concurrent finish
         self.degenerated_count += 1
         duration = max(remaining * self.degen_speedup, 0.001) * self._jitter()
-        return STWPause("degenerated", "Shenandoah Degenerated GC", duration)
-
-    def _flip_collection(self, now: float, cause: str):
-        """Young collection decided at the final-mark flip; copying time
-        is paid concurrently by :meth:`_schedule_evacuation`."""
-        vol = self.heap.minor_collection(
-            now,
-            self._tenuring,
-            survivor_target_fraction=self.survivor_target_fraction,
-        )
-        target = self.target_survivor_ratio * self.heap.survivor.capacity
-        if vol.copied_to_survivor > target:
-            self._tenuring = max(1, self._tenuring - 2)
-        elif self._tenuring < self.tenuring_threshold:
-            self._tenuring += 1
-        duration = self.flip_pause * self._jitter()
-        return STWPause("young", cause, duration, vol), vol
-
-    def _schedule_evacuation(self, now: float, vol: CollectionVolumes,
-                             outcome: Outcome) -> None:
-        copy_work = vol.copied_to_survivor + vol.promoted
-        if copy_work <= 0:
-            self._evacuating = False
-            return
-        duration = max(
-            self.costs.concurrent_duration(
-                marked=copy_work / self.conc_copy_factor,
-                n_threads=self.conc_threads,
-                rate_factor=self._locality(),
-            ),
-            0.002,
-        )
-        self._evacuating = True
-        self._evac_end = now + duration
-        self._young_gen += 1
-        gen = self._young_gen
-        outcome.concurrent.append(
-            ConcurrentRecord(now, duration, RELOCATION_PHASE, self.name)
-        )
-        outcome.schedule.append((duration, lambda t, g=gen: self._finish_young(t, g)))
-
-    def _maybe_old_cycle(self, now: float, outcome: Outcome) -> None:
-        if self._old_cycle or self.heap.old.occupancy < self.old_trigger:
-            return
-        self._old_cycle = True
-        self._old_gen += 1
-        gen = self._old_gen
         outcome.pauses.append(
-            STWPause("initial-mark", "Shenandoah Cycle",
-                     self.initial_mark_pause * self._jitter())
-        )
-        mark_work = self.heap.old_live_bytes(now)
-        duration = max(
-            self.costs.concurrent_duration(
-                marked=mark_work,
-                n_threads=self.conc_threads,
-                rate_factor=self._locality(),
-            ),
-            0.005,
-        )
-        outcome.concurrent.append(
-            ConcurrentRecord(now, duration, "concurrent-mark", self.name)
-        )
-        outcome.schedule.append((duration, lambda t, g=gen: self._finish_mark(t, g)))
-
-    def _finish_mark(self, now: float, gen: int) -> Outcome:
-        """Marking terminated: remark pause, then evacuate the old
-        generation concurrently."""
-        if gen != self._old_gen or not self._old_cycle:
-            return Outcome()
-        outcome = Outcome()
-        outcome.pauses.append(
-            STWPause("remark", "Shenandoah Cycle",
-                     self.remark_pause * self._jitter())
-        )
-        live = self.heap.old_live_bytes(now)
-        self.heap.sweep_old(now, fragmentation_increment=0.0)
-        remset = self.heap.remset
-        if remset is not None and remset.regions.total_regions > 1:
-            remset.evacuate_region(0, remset.regions.total_regions - 1)
-        duration = max(
-            self.costs.concurrent_duration(
-                marked=live / self.conc_copy_factor,
-                n_threads=self.conc_threads,
-                rate_factor=self._locality(),
-            ),
-            0.005,
-        )
-        self._old_gen += 1
-        g2 = self._old_gen
-        outcome.concurrent.append(
-            ConcurrentRecord(now, duration, RELOCATION_PHASE, self.name)
-        )
-        outcome.schedule.append((duration, lambda t, g=g2: self._finish_old(t, g)))
-        return outcome
-
-    def _finish_young(self, now: float, gen: int) -> Outcome:
-        if gen == self._young_gen:
-            self._evacuating = False
-        return Outcome()
-
-    def _finish_old(self, now: float, gen: int) -> Outcome:
-        if gen == self._old_gen:
-            self._old_cycle = False
-            self.heap.fragmentation = 0.0  # evacuation compacts
-        return Outcome()
-
-    # ------------------------------------------------------------------
-
-    def _exhaustion_fallback(self, now: float) -> STWPause:
-        """Repeated degeneration's end state: serial STW full GC."""
-        self._evacuating = False
-        self._old_cycle = False
-        self._evac_end = 0.0
-        self._young_gen += 1
-        self._old_gen += 1
-        return self._full(now, "Shenandoah Full GC")
-
-    def explicit_gc(self, now: float) -> Outcome:
-        """``System.gc()``: run a full concurrent cycle."""
-        outcome = Outcome()
-        if self._evacuating and now < self._evac_end:
-            outcome.pauses.append(self._degenerate(now))
-        pause, vol = self._flip_collection(now, "System.gc()")
-        outcome.pauses.append(pause)
-        if vol.promotion_failed:
-            outcome.pauses.append(self._exhaustion_fallback(now))
-            return outcome
-        self._schedule_evacuation(now, vol, outcome)
-        if not self._old_cycle:
-            self._old_cycle = True
-            self._old_gen += 1
-            gen = self._old_gen
-            outcome.pauses.append(
-                STWPause("initial-mark", "System.gc()",
-                         self.initial_mark_pause * self._jitter())
-            )
-            mark_work = self.heap.old_live_bytes(now)
-            duration = max(
-                self.costs.concurrent_duration(
-                    marked=mark_work,
-                    n_threads=self.conc_threads,
-                    rate_factor=self._locality(),
-                ),
-                0.005,
-            )
-            outcome.concurrent.append(
-                ConcurrentRecord(now, duration, "concurrent-mark", self.name)
-            )
-            outcome.schedule.append(
-                (duration, lambda t, g=gen: self._finish_mark(t, g))
-            )
-        return outcome
+            STWPause("degenerated", "Shenandoah Degenerated GC", duration))

@@ -1,7 +1,8 @@
 """ZGC-style fully-concurrent copying collector.
 
 Models the structure the "Distilling the Real Cost of Production
-Garbage Collectors" paper measures for ZGC:
+Garbage Collectors" paper measures for ZGC, on the cycle in
+:mod:`repro.gc.concurrent`:
 
 * **Tiny bounded STW pauses.** The only stop-the-world work is three
   sub-millisecond synchronisation points per cycle — ``mark-start``
@@ -14,7 +15,7 @@ Garbage Collectors" paper measures for ZGC:
   (:attr:`conc_copy_factor`).
 * **Load-barrier tax.** The colored-pointer load barrier is always
   armed (:attr:`base_tax`); self-healing remap traffic adds more while
-  a relocation is in flight (:attr:`relocation_tax`).
+  a relocation is in flight (:attr:`cycle_tax`).
 * **Allocation stalls.** When allocation outruns reclamation — eden
   fills again before the in-flight relocation finishes — the allocating
   thread *stalls* until the relocation completes instead of the world
@@ -31,241 +32,35 @@ references (evacuation candidates' remembered cards move with them).
 
 from __future__ import annotations
 
-from ..heap.cards import RememberedSet
-from ..heap.heap import CollectionVolumes
-from ..heap.regions import RegionTable
-from .base import Collector, Outcome, STWPause
-from .stats import ConcurrentRecord, RELOCATION_PHASE
+from .base import Outcome
+from .concurrent import ConcurrentCopyingCollector
 
 
-class ZGC(Collector):
+class ZGC(ConcurrentCopyingCollector):
     """``-XX:+UseZGC``-style concurrent copying collector."""
 
     name = "ZGC"
-    parallel_young = True
-    parallel_full = False          # exhaustion fallback is serial
-    tenuring_threshold = 4
-    survivor_target_fraction = 0.5
-    card_scan_weight = 1.0
-    young_fixed_cost = 0.002
-    full_fixed_cost = 0.015
     full_overhead_factor = 1.2     # fallback walks forwarding tables
 
     #: STW synchronisation points (seconds, before jitter): O(roots).
-    mark_start_pause: float = 0.0008
-    mark_end_pause: float = 0.0012
-    relocate_start_pause: float = 0.0010
+    flip_kind = "relocate-start"
+    flip_pause = 0.0010
+    mark_start_pause = 0.0008
+    mark_end_pause = 0.0012
+    cycle_cause = "ZGC Cycle"
+    exhaustion_cause = "ZGC Exhaustion"
     #: Permanent mutator slowdown from the always-armed colored-pointer
     #: load barrier (the Distilling paper's LBO floor for ZGC).
-    base_tax: float = 0.04
+    base_tax = 0.04
     #: Additional slowdown while a relocation is in flight (self-healing
     #: barrier remaps + remembered-set maintenance).
-    relocation_tax: float = 0.04
-    #: Concurrent copying bandwidth relative to STW copying.
-    conc_copy_factor: float = 0.75
-    #: Old-gen occupancy triggering a concurrent mark + old relocation.
-    old_trigger: float = 0.65
+    cycle_tax = 0.04
+    conc_copy_factor = 0.75
+    old_trigger = 0.65
 
-    def __init__(self, *args, **kwargs):
-        # Forced, not defaulted: the JVM passes the config flag
-        # explicitly, and colored-pointer ZGC has no coarse-scalar mode.
-        kwargs["remset_fidelity"] = True
-        super().__init__(*args, **kwargs)
-        self.regions = RegionTable.for_heap(self.heap.config.heap_bytes)
-        if self.heap.remset is None:
-            self.heap.attach_remset(RememberedSet(self.regions))
-        self.conc_threads = max(1, self.costs.default_gc_threads() // 2)
-        self._relocating = False       # young relocation in flight
-        self._old_cycle = False        # concurrent mark/old relocation
-        self._relocation_end = 0.0
-        self._young_gen = 0            # invalidates stale young finishes
-        self._old_gen = 0              # invalidates stale old-cycle finishes
-
-    # ------------------------------------------------------------------
-
-    @property
-    def concurrent_threads_active(self) -> int:
-        return self.conc_threads if (self._relocating or self._old_cycle) else 0
-
-    @property
-    def mutator_overhead(self) -> float:
-        if self._relocating or self._old_cycle:
-            return self.base_tax + self.relocation_tax
-        return self.base_tax
-
-    # ------------------------------------------------------------------
-
-    def allocation_failure(self, now: float) -> Outcome:
-        outcome = Outcome()
-        if self._relocating and now < self._relocation_end:
-            # Allocation outran reclamation: the allocating thread waits
-            # for the in-flight relocation instead of the world stopping.
-            outcome.stall_seconds = self._relocation_end - now
-        pause, vol = self._flip_collection(now, "Allocation Stall"
-                                           if outcome.stall_seconds > 0
-                                           else "Allocation Failure")
-        outcome.pauses.append(pause)
-        if vol.promotion_failed:
-            outcome.pauses.append(self._exhaustion_fallback(now))
-            outcome.stall_seconds = 0.0
-            return outcome
-        self._schedule_relocation(now, vol, outcome)
-        self._maybe_old_cycle(now, outcome)
-        return outcome
-
-    def _flip_collection(self, now: float, cause: str):
-        """Young collection decided at the relocate-start flip.
-
-        Heap mechanics run eagerly (the relocation outcome is known in
-        expectation at the flip); the copying *time* is paid concurrently
-        by :meth:`_schedule_relocation`.
-        """
-        vol = self.heap.minor_collection(
-            now,
-            self._tenuring,
-            survivor_target_fraction=self.survivor_target_fraction,
-        )
-        target = self.target_survivor_ratio * self.heap.survivor.capacity
-        if vol.copied_to_survivor > target:
-            self._tenuring = max(1, self._tenuring - 2)
-        elif self._tenuring < self.tenuring_threshold:
-            self._tenuring += 1
-        duration = self.relocate_start_pause * self._jitter()
-        return STWPause("relocate-start", cause, duration, vol), vol
-
-    def _schedule_relocation(self, now: float, vol: CollectionVolumes,
-                             outcome: Outcome) -> None:
-        copy_work = vol.copied_to_survivor + vol.promoted
-        if copy_work <= 0:
-            self._relocating = False
-            return
-        duration = max(
-            self.costs.concurrent_duration(
-                marked=copy_work / self.conc_copy_factor,
-                n_threads=self.conc_threads,
-                rate_factor=self._locality(),
-            ),
-            0.002,
-        )
-        self._relocating = True
-        self._relocation_end = now + duration
-        self._young_gen += 1
-        gen = self._young_gen
-        outcome.concurrent.append(
-            ConcurrentRecord(now, duration, RELOCATION_PHASE, self.name)
-        )
-        outcome.schedule.append((duration, lambda t, g=gen: self._finish_young(t, g)))
-
-    def _maybe_old_cycle(self, now: float, outcome: Outcome) -> None:
-        if self._old_cycle or self.heap.old.occupancy < self.old_trigger:
-            return
-        self._old_cycle = True
-        self._old_gen += 1
-        gen = self._old_gen
-        outcome.pauses.append(
-            STWPause("mark-start", "ZGC Cycle", self.mark_start_pause * self._jitter())
-        )
-        mark_work = self.heap.old_live_bytes(now)
-        duration = max(
-            self.costs.concurrent_duration(
-                marked=mark_work,
-                n_threads=self.conc_threads,
-                rate_factor=self._locality(),
-            ),
-            0.005,
-        )
-        outcome.concurrent.append(
-            ConcurrentRecord(now, duration, "concurrent-mark", self.name)
-        )
-        outcome.schedule.append((duration, lambda t, g=gen: self._finish_mark(t, g)))
-
-    def _finish_mark(self, now: float, gen: int) -> Outcome:
-        """Marking terminated: mark-end pause, then relocate the old
-        generation concurrently (dead regions are reclaimed in place,
-        remembered cards of evacuated regions move with their copies)."""
-        if gen != self._old_gen or not self._old_cycle:
-            return Outcome()
-        outcome = Outcome()
-        outcome.pauses.append(
-            STWPause("mark-end", "ZGC Cycle", self.mark_end_pause * self._jitter())
-        )
-        live = self.heap.old_live_bytes(now)
-        sweep = self.heap.sweep_old(now, fragmentation_increment=0.0)
-        remset = self.heap.remset
-        if remset is not None and remset.regions.total_regions > 1:
-            # Evacuating the most-fragmented region forwards its
-            # remembered cards to the relocation target.
-            remset.evacuate_region(0, remset.regions.total_regions - 1)
-        duration = max(
-            self.costs.concurrent_duration(
-                marked=live / self.conc_copy_factor,
-                n_threads=self.conc_threads,
-                rate_factor=self._locality(),
-            ),
-            0.005,
-        )
-        self._old_gen += 1
-        g2 = self._old_gen
-        outcome.concurrent.append(
-            ConcurrentRecord(now, duration, RELOCATION_PHASE, self.name)
-        )
-        outcome.schedule.append((duration, lambda t, g=g2: self._finish_old(t, g)))
-        _ = sweep
-        return outcome
-
-    def _finish_young(self, now: float, gen: int) -> Outcome:
-        if gen == self._young_gen:
-            self._relocating = False
-        return Outcome()
-
-    def _finish_old(self, now: float, gen: int) -> Outcome:
-        if gen == self._old_gen:
-            self._old_cycle = False
-            self.heap.fragmentation = 0.0  # relocation compacts
-        return Outcome()
-
-    # ------------------------------------------------------------------
-
-    def _exhaustion_fallback(self, now: float) -> STWPause:
-        """Heap exhausted mid-cycle: serial STW full collection."""
-        self._relocating = False
-        self._old_cycle = False
-        self._relocation_end = 0.0
-        self._young_gen += 1
-        self._old_gen += 1
-        return self._full(now, "ZGC Exhaustion")
-
-    def explicit_gc(self, now: float) -> Outcome:
-        """``System.gc()``: a full *concurrent* cycle (ZGC never runs a
-        STW full collection on request), honoured with the flip pauses."""
-        outcome = Outcome()
-        pause, vol = self._flip_collection(now, "System.gc()")
-        outcome.pauses.append(pause)
-        if vol.promotion_failed:
-            outcome.pauses.append(self._exhaustion_fallback(now))
-            return outcome
-        self._schedule_relocation(now, vol, outcome)
-        if not self._old_cycle:
-            self._old_cycle = True
-            self._old_gen += 1
-            gen = self._old_gen
-            outcome.pauses.append(
-                STWPause("mark-start", "System.gc()",
-                         self.mark_start_pause * self._jitter())
-            )
-            mark_work = self.heap.old_live_bytes(now)
-            duration = max(
-                self.costs.concurrent_duration(
-                    marked=mark_work,
-                    n_threads=self.conc_threads,
-                    rate_factor=self._locality(),
-                ),
-                0.005,
-            )
-            outcome.concurrent.append(
-                ConcurrentRecord(now, duration, "concurrent-mark", self.name)
-            )
-            outcome.schedule.append(
-                (duration, lambda t, g=gen: self._finish_mark(t, g))
-            )
-        return outcome
+    def _overrun(self, now: float, explicit: bool, outcome: Outcome) -> None:
+        """Allocation outran reclamation: the allocating thread waits for
+        the in-flight relocation instead of the world stopping.
+        ``System.gc()`` does not wait."""
+        if not explicit:
+            outcome.stall_seconds = self._copy_end - now

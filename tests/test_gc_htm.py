@@ -8,6 +8,7 @@ from repro.gc import GC_NAMES, HTMGC, GCType, create_collector
 from repro.gc.registry import resolve_gc
 from repro.heap.heap import GenerationalHeap, HeapConfig
 from repro.machine.costs import CostModel
+from repro.machine.topology import MachineTopology
 from repro.units import GB, MB
 from repro.workloads.dacapo import get_benchmark
 
@@ -66,6 +67,31 @@ class TestPauseBehaviour:
         for delay, fn in outcome.schedule:
             fn(1.0 + delay)
         assert c.mutator_overhead == idle_tax
+
+    def test_stale_finish_keeps_newer_evacuation_running(self):
+        """The first evacuation's finish must not end the second one,
+        which a flip 1 ms later started before the first could finish."""
+        c = make_htm()
+        c.heap.allocate(0.0, 40 * MB, None, pinned=True)
+        first = c.allocation_failure(1.0)
+        c.heap.allocate(1.0, 40 * MB, None, pinned=True)
+        second = c.allocation_failure(1.001)
+        assert first.schedule and second.schedule
+        for delay, fn in first.schedule:
+            fn(1.0 + delay)
+        assert c.concurrent_threads_active > 0
+        assert c.mutator_overhead == c.base_tax + c.cycle_tax
+
+    def test_one_core_machine_evacuates_on_one_thread(self):
+        one_core = MachineTopology(name="one-core", cores_per_numa_node=1)
+        heap = GenerationalHeap(HeapConfig(heap_bytes=256 * MB,
+                                           young_bytes=64 * MB))
+        c = create_collector("HTM", heap, CostModel(topology=one_core))
+        c.heap.allocate(0.0, 40 * MB, None, pinned=True)
+        outcome = c.allocation_failure(1.0)
+        assert c.conc_threads == 1
+        assert any(r.phase == "htm-evacuation" for r in outcome.concurrent)
+        assert c.concurrent_threads_active == 1
 
     def test_old_cycle_triggers_and_compacts(self):
         c = make_htm(heap_mb=512)

@@ -26,6 +26,7 @@ from typing import List, Optional
 
 from ..analysis.report import render_campaign_summary, render_table
 from ..errors import ReproError
+from ..gc.registry import GC_HELP
 from ..studies import GridSpec
 from .progress import ProgressReporter
 from .runner import CampaignResult, run_campaign
@@ -38,7 +39,7 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     grid.add_argument("--benchmarks", nargs="+", required=True,
                       help="DaCapo benchmark names")
     grid.add_argument("--gcs", nargs="+", default=["ParallelOld"],
-                      help="collectors (Serial|ParNew|Parallel|ParallelOld|CMS|G1)")
+                      help=f"collectors ({GC_HELP})")
     grid.add_argument("--heaps", nargs="+", default=["16g"],
                       help="heap sizes (-Xmx), e.g. 16g 64g")
     grid.add_argument("--youngs", nargs="+", default=None,

@@ -43,6 +43,7 @@ from .analysis.latency import latency_band_stats
 from .analysis.pauses import pause_stats
 from .analysis.report import render_table
 from .cassandra import CassandraServer, default_config, stress_config
+from .gc.registry import GC_HELP
 from .jvm import JVM, JVMConfig
 from .jvm.gclog import format_gc_log, parse_gc_log
 from .units import parse_size
@@ -52,7 +53,7 @@ from .ycsb import YCSBClient, WORKLOAD_A_LIKE, LOAD_PHASE
 
 def _jvm_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gc", default="ParallelOld",
-                        help="collector: Serial|ParNew|Parallel|ParallelOld|CMS|G1")
+                        help=f"collector: {GC_HELP}")
     parser.add_argument("--heap", default="16g", help="heap size (-Xmx/-Xms)")
     parser.add_argument("--young", default=None, help="young size (-Xmn)")
     parser.add_argument("--no-tlab", action="store_true", help="disable TLABs")

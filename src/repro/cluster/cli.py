@@ -30,6 +30,7 @@ from typing import List, Optional
 
 from ..analysis.report import render_table
 from ..errors import ConfigError, ProtocolError
+from ..gc.registry import GC_HELP
 from ..serve.client import ServiceClient
 from ..studies import GridSpec
 from .coordinator import ClusterConfig, ClusterCoordinator
@@ -88,7 +89,7 @@ def _grid_args(parser: argparse.ArgumentParser) -> None:
     grid.add_argument("--benchmarks", nargs="+", required=True,
                       help="DaCapo benchmark names")
     grid.add_argument("--gcs", nargs="+", default=["ParallelOld"],
-                      help="collectors (Serial|ParNew|Parallel|ParallelOld|CMS|G1)")
+                      help=f"collectors ({GC_HELP})")
     grid.add_argument("--heaps", nargs="+", default=["1g"],
                       help="heap sizes (-Xmx), e.g. 1g 16g")
     grid.add_argument("--youngs", nargs="+", default=None,

@@ -75,6 +75,10 @@ TABLE8_GC_NAMES = (
     *MODERN_GC_NAMES,
 )
 
+#: The short name of every collector, as ``--gc`` options take them (the
+#: help text of every CLI).
+GC_HELP = "Serial, ParNew, Parallel, ParallelOld, CMS, G1, ZGC, Shenandoah, HTM, Epsilon"
+
 _ALIASES = {
     "serial": GCType.SERIAL,
     "serialgc": GCType.SERIAL,

@@ -19,6 +19,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import ReproError
+from ..gc.registry import GC_HELP
 from ..jvm import JVMConfig
 from ..units import parse_size
 from ..workloads.dacapo import ALL_BENCHMARKS
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("benchmark", choices=ALL_BENCHMARKS)
     p.add_argument("-n", "--iterations", type=int, default=10)
     p.add_argument("--gc", default="ParallelOld",
-                   help="collector: Serial|ParNew|Parallel|ParallelOld|CMS|G1")
+                   help=f"collector: {GC_HELP}")
     p.add_argument("--heap", default="16g", help="heap size (-Xmx/-Xms)")
     p.add_argument("--young", default=None, help="young size (-Xmn)")
     p.add_argument("--no-tlab", action="store_true", help="disable TLABs")

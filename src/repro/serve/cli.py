@@ -24,6 +24,7 @@ from typing import List, Optional
 
 from ..analysis.report import render_table
 from ..errors import ConfigError, ProtocolError
+from ..gc.registry import GC_HELP
 from .client import ServiceClient
 from .loadgen import LoadConfig, run_load
 from .service import ExperimentService, ServiceConfig
@@ -43,7 +44,7 @@ def _check_conn(args) -> None:
 
 def _job_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--gc", default="ParallelOld",
-                        help="collector: Serial|ParNew|Parallel|ParallelOld|CMS|G1")
+                        help=f"collector: {GC_HELP}")
     parser.add_argument("--heap", default="1g", help="heap size (-Xmx/-Xms)")
     parser.add_argument("--young", default=None, help="young size (-Xmn)")
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")

@@ -23,6 +23,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import ReproError
+from ..gc.registry import GC_HELP
 from ..jvm import JVM, JVMConfig
 from ..units import parse_size
 from ..workloads.dacapo import ALL_BENCHMARKS, get_benchmark
@@ -119,7 +120,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_rec.add_argument("--no-system-gc", action="store_true",
                        help="disable the forced full GC between iterations")
     p_rec.add_argument("--gc", default="ParallelOld",
-                       help="collector: Serial|ParNew|Parallel|ParallelOld|CMS|G1")
+                       help=f"collector: {GC_HELP}")
     p_rec.add_argument("--heap", default="16g", help="heap size (-Xmx/-Xms)")
     p_rec.add_argument("--young", default=None, help="young size (-Xmn)")
     p_rec.add_argument("--no-tlab", action="store_true", help="disable TLABs")

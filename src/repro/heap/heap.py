@@ -20,7 +20,7 @@ Space accounting invariants (exercised by the property tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +75,22 @@ class HeapConfig:
         return self.heap_bytes - self.young_bytes
 
 
+def _collapse_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(distinct, inverse)`` with ``distinct[inverse] == values``, where
+    *distinct* keeps the first value of each run of equal neighbours.
+
+    Equal means equal bits, so -0.0 and 0.0 stay apart and an elementwise
+    kernel gives every row of a run the bits it would have given it alone.
+    """
+    starts = np.empty(len(values), dtype=bool)
+    starts[:1] = True
+    bits = values.view(np.int64)
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    inverse = np.cumsum(starts)
+    inverse -= 1
+    return values[starts], inverse
+
+
 def _window_live(dist: LifetimeDistribution, t0: np.ndarray, t1: np.ndarray,
                  allocated: np.ndarray, resident: np.ndarray,
                  now: float) -> np.ndarray:
@@ -83,10 +99,17 @@ def _window_live(dist: LifetimeDistribution, t0: np.ndarray, t1: np.ndarray,
     eff_now = np.maximum(now, t1)
     width = t1 - t0
     age = eff_now - t0
-    # Ages are already 1-d arrays, so skip the scalar-preserving public
-    # wrappers and hit the vectorized kernels directly.
-    hi = dist._integrated_survival(age)
-    lo = dist._integrated_survival(np.maximum(eff_now - t1, 0.0))
+    # Rows repeat their neighbours' ages: lockstep threads append equal
+    # windows, and each window starts where the last one ended. So the
+    # survival integral runs once, on the distinct ages of both window
+    # ends, and is gathered back to every row. Ages are already 1-d
+    # arrays, so skip the scalar-preserving public wrappers.
+    oldest, hi_at = _collapse_runs(age)
+    youngest, lo_at = _collapse_runs(np.maximum(eff_now - t1, 0.0))
+    lo_at += len(oldest)
+    integral = dist._integrated_survival(np.concatenate((oldest, youngest)))
+    hi = integral[hi_at]
+    lo = integral[lo_at]
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = (hi - lo) / np.where(width > 0, width, 1.0)
         # Degenerate windows cancel catastrophically; fall back to the
@@ -105,9 +128,9 @@ def batch_live_bytes(cohorts: CohortColumns, now: float) -> np.ndarray:
     Pinned rows are fully live until released. Every other row with bytes
     is gathered with the rows that share its lifetime distribution (the
     ``group`` column), so the scipy survival integrals run once per
-    distribution on an array of ages rather than once per cohort — the
-    hot loop of every collection (see the HPC guide: vectorize the
-    bottleneck).
+    distribution, on the distinct ages of its rows' window ends, rather
+    than once per cohort — the hot loop of every collection (see the HPC
+    guide: vectorize the bottleneck).
     """
     resident = cohorts.resident
     out = np.where(cohorts.pinned & ~cohorts.released, resident, 0.0)

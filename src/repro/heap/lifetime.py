@@ -39,11 +39,20 @@ class LifetimeDistribution(ABC):
 
     @abstractmethod
     def _survival(self, age: np.ndarray) -> np.ndarray:
-        """P(lifetime > age) on a 1-d float array."""
+        """P(lifetime > age) on a 1-d float array.
+
+        Elementwise: each output element depends only on its own age, bit
+        for bit. The heap kernels rely on it: they evaluate only the
+        distinct ages of their rows and gather the results back.
+        """
 
     @abstractmethod
     def _integrated_survival(self, age: np.ndarray) -> np.ndarray:
-        """:math:`\\int_0^{age} S(x) dx` on a 1-d float array."""
+        """:math:`\\int_0^{age} S(x) dx` on a 1-d float array.
+
+        Elementwise, like :meth:`_survival`: the heap kernels evaluate it
+        only on the distinct ages of both window ends.
+        """
 
     @abstractmethod
     def mean(self) -> float:

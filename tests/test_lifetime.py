@@ -207,3 +207,24 @@ class TestHypothesisProperties:
         d = LogNormal(median, sigma)
         frac = d.window_live_fraction(t0, t0 + width, t0 + width + gap)
         assert -1e-9 <= frac <= 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: repr(d)[:30])
+@pytest.mark.parametrize("kernel", ["_survival", "_integrated_survival"])
+class TestElementwise:
+    """Each output element depends on its own age alone, so evaluating
+    distinct ages and gathering (what the heap kernels do) gives every
+    row the bits a call over all rows would."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_gather_commutes_with_kernel(self, dist, kernel, data):
+        a = np.array(data.draw(st.lists(ages, min_size=1, max_size=100)))
+        picks = st.lists(st.integers(0, len(a) - 1), max_size=150)
+        repeated = np.array(data.draw(picks), dtype=np.intp)
+        permuted = np.array(data.draw(st.permutations(range(len(a)))),
+                            dtype=np.intp)
+        f = getattr(dist, kernel)
+        whole = f(a)
+        for idx in (repeated, permuted):
+            assert f(a[idx]).tobytes() == whole[idx].tobytes()

@@ -352,7 +352,7 @@ def merge_stores(sources: Sequence[Union[ResultStore, str]],
     Because records are content-addressed and cell execution is
     deterministic, a store merged from N shards is **byte-identical** to
     the compacted store of a serial run over the same cells — the
-    property the CI ``cluster-smoke`` job pins with ``cmp``.
+    property the CI ``service-smoke`` job pins with ``cmp``.
 
     Conflict policy (deterministic in source order): the first record
     for a digest wins, except that an ``ok`` record always supersedes a

@@ -29,28 +29,11 @@ import sys
 from typing import List, Optional
 
 from ..analysis.report import render_table
-from ..errors import ConfigError, ProtocolError
+from ..errors import ConfigError
 from ..gc.registry import GC_HELP
-from ..serve.client import ServiceClient
+from ..serve.cli import call, conn_args, run_cli
 from ..studies import GridSpec
 from .coordinator import ClusterConfig, ClusterCoordinator
-
-
-def _conn_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="coordinator Unix socket path")
-    parser.add_argument("--host", default="127.0.0.1", help="TCP host")
-    parser.add_argument("--port", type=int, default=0, help="TCP port")
-
-
-def _check_conn(args) -> None:
-    if not args.socket and not args.port:
-        raise ConfigError("need --socket PATH or --port N to reach "
-                          "the coordinator")
-
-
-def _connect(args) -> "ServiceClient":
-    return ServiceClient.connect(args.socket, args.host, args.port)
 
 
 # -- serve ---------------------------------------------------------------
@@ -124,52 +107,34 @@ def _grid_jobs(args) -> List[dict]:
 
 
 def submit_cmd(args) -> int:
-    _check_conn(args)
     jobs = _grid_jobs(args)
-
-    async def main() -> int:
-        client = await _connect(args)
-        try:
-            responses = await asyncio.gather(
-                *(client.submit(job, timeout=args.wait) for job in jobs))
-        finally:
-            await client.close()
-        simulated = cached = failed = 0
-        for job, resp in zip(jobs, responses):
-            kind = resp.get("type")
-            if kind == "result":
-                if resp.get("cached"):
-                    cached += 1
-                else:
-                    simulated += 1
-                continue
-            failed += 1
-            detail = resp.get("reason") or json.dumps(
-                resp.get("failure", {}), sort_keys=True)
-            print(f"{kind}: {job['benchmark']}/{job['gc']}"
-                  f"/seed{job['seed']}: {detail}", file=sys.stderr)
-        # Grep-stable summary (the CI cluster-smoke job asserts on it).
-        print(f"cluster: simulated {simulated}, "
-              f"cached {cached}/{len(jobs)}, failed {failed}")
-        return 1 if failed else 0
-
-    return asyncio.run(main())
+    responses = call(args, lambda client: asyncio.gather(
+        *(client.submit(job, timeout=args.wait) for job in jobs)))
+    simulated = cached = failed = 0
+    for job, resp in zip(jobs, responses):
+        kind = resp.get("type")
+        if kind == "result":
+            if resp.get("cached"):
+                cached += 1
+            else:
+                simulated += 1
+            continue
+        failed += 1
+        detail = resp.get("reason") or json.dumps(
+            resp.get("failure", {}), sort_keys=True)
+        print(f"{kind}: {job['benchmark']}/{job['gc']}"
+              f"/seed{job['seed']}: {detail}", file=sys.stderr)
+    # Grep-stable summary (the CI service-smoke job asserts on it).
+    print(f"cluster: simulated {simulated}, "
+          f"cached {cached}/{len(jobs)}, failed {failed}")
+    return 1 if failed else 0
 
 
 # -- status --------------------------------------------------------------
 
 
 def status_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> dict:
-        client = await _connect(args)
-        try:
-            return await client.status(timeout=60.0)
-        finally:
-            await client.close()
-
-    stats = asyncio.run(main())
+    stats = call(args, lambda client: client.status(timeout=60.0))
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -213,16 +178,7 @@ def status_cmd(args) -> int:
 
 
 def drain_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> dict:
-        client = await _connect(args)
-        try:
-            return await client.drain(timeout=args.wait)
-        finally:
-            await client.close()
-
-    msg = asyncio.run(main())
+    msg = call(args, lambda client: client.drain(timeout=args.wait))
     stats = msg.get("stats", {})
     cache = stats.get("totals", {}).get("cache", {})
     counters = stats.get("metrics", {}).get("counters", {})
@@ -292,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="run the cluster coordinator")
-    _conn_args(p)
+    conn_args(p, "coordinator Unix socket path")
     p.add_argument("--node", action="append", default=[],
                    metavar="ADDR",
                    help="worker address (unix:/path or host:port); "
@@ -308,20 +264,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=serve_cmd)
 
     p = sub.add_parser("submit", help="submit a campaign grid and wait")
-    _conn_args(p)
+    conn_args(p, "coordinator Unix socket path")
     _grid_args(p)
     p.add_argument("--wait", type=float, default=600.0,
                    help="per-cell client timeout (seconds)")
     p.set_defaults(fn=submit_cmd)
 
     p = sub.add_parser("status", help="aggregated cluster stats")
-    _conn_args(p)
+    conn_args(p, "coordinator Unix socket path")
     p.add_argument("--json", action="store_true",
                    help="machine-readable aggregate snapshot")
     p.set_defaults(fn=status_cmd)
 
     p = sub.add_parser("drain", help="drain coordinator and all workers")
-    _conn_args(p)
+    conn_args(p, "coordinator Unix socket path")
     p.add_argument("--wait", type=float, default=600.0,
                    help="how long to wait for the drain (seconds)")
     p.set_defaults(fn=drain_cmd)
@@ -347,19 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except (ConfigError, ProtocolError) as exc:
-        print(f"repro-cluster: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        return 0
-    except (ConnectionError, FileNotFoundError) as exc:
-        print(f"repro-cluster: cannot reach coordinator: {exc}",
-              file=sys.stderr)
-        return 2
+    return run_cli(build_parser(), argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,7 +10,9 @@ Architecture (DESIGN.md §16)::
 
 The coordinator speaks the same NDJSON protocol as a single worker —
 ``repro-serve submit`` against a coordinator socket works unchanged — and
-adds the cluster ops (``join``/``leave``). Placement is the
+adds the cluster ops (``join``/``leave``); both are
+:class:`~repro.serve.server.NdjsonServer` subclasses, so the listener,
+framing and lifecycle are one code path. Placement is the
 :class:`~repro.cluster.membership.Membership` ring over job content
 digests, so identical fabrics route identically and a node's departure
 re-homes only that node's digests.
@@ -38,9 +40,6 @@ and steal pacing; simulated results never see it) — same discipline as
 from __future__ import annotations
 
 import asyncio
-import contextlib
-import os
-import signal
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -50,8 +49,7 @@ from ..errors import ConfigError, ProtocolError
 from ..serve import protocol
 from ..serve.client import ServiceClient
 from ..serve.protocol import COORDINATOR_OPS, PROTOCOL_VERSION
-from ..serve.service import _Connection
-from ..telemetry.metrics import MetricsRegistry
+from ..serve.server import Connection, NdjsonServer
 from ..telemetry.tracer import NULL_TRACER
 from .membership import Membership, NodeSpec
 from .ring import DEFAULT_REPLICAS
@@ -93,6 +91,9 @@ class ClusterConfig:
             raise ConfigError("steal_interval must be > 0")
         if self.steal_threshold < 1:
             raise ConfigError("steal_threshold must be >= 1")
+        if self.forward_timeout is not None and self.forward_timeout <= 0:
+            raise ConfigError(
+                "forward_timeout must be > 0 (or None for no budget)")
 
 
 class _Forward:
@@ -104,7 +105,7 @@ class _Forward:
     def __init__(self, digest: str, job: Dict[str, object]):
         self.digest = digest
         self.job = job
-        self.waiters: List[Tuple[_Connection, object]] = []
+        self.waiters: List[Tuple[Connection, object]] = []
         self.node_id: Optional[str] = None
         self.route_seq = 0
         self.attempts = 0
@@ -113,126 +114,46 @@ class _Forward:
         self.unstealable = False              #: a victim answered ``busy``
 
 
-class ClusterCoordinator:
+class ClusterCoordinator(NdjsonServer):
     """Route, steal, aggregate: the fabric's single front door."""
+
+    OPS = COORDINATOR_OPS
+    FAILURE_COUNTER = "cluster.jobs.failed"
 
     def __init__(self, config: ClusterConfig, *,
                  clock: Optional[Callable[[], float]] = None,
                  tracer=NULL_TRACER):
-        self.config = config
-        self._clock = clock if clock is not None else _loop_clock
+        super().__init__(config, clock=clock or _loop_clock)
         self.tracer = tracer
-        self.metrics = MetricsRegistry()
         self.members = Membership(config.replicas)
         for address in config.nodes:
             self.members.join(NodeSpec.parse(address))
-        self.address: Optional[object] = None
-
         self._clients: Dict[str, ServiceClient] = {}
         self._connect_lock = asyncio.Lock()
         self._forwards: Dict[str, _Forward] = {}
         self._pending_by_node: Dict[str, Set[str]] = {}
         self._route_seq = 0
-        self._conns: Set[_Connection] = set()
-        self._tasks: Set[asyncio.Task] = set()
-        self._stealer: Optional[asyncio.Task] = None
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._draining = False
-        self._idle = asyncio.Event()
-        self._stopped = asyncio.Event()
-        self._t0 = self._clock()
 
     # -- lifecycle -------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listener and start the steal loop."""
-        loop = asyncio.get_running_loop()
-        self._stealer = loop.create_task(self._steal_loop())
-        limit = self.config.max_line_bytes + 1024
-        if self.config.socket_path:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.config.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=self.config.socket_path, limit=limit)
-            self.address = self.config.socket_path
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_conn, host=self.config.host,
-                port=self.config.port, limit=limit)
-            self.address = self._server.sockets[0].getsockname()[:2]
-        self._t0 = self._clock()
+    def _open(self) -> None:
+        self._spawn(self._steal_loop())
 
-    async def run(self, *, handle_signals: bool = True) -> int:
-        """Serve until drained; 0 on a clean drain, 1 when any forward
-        ended in a worker-side quarantine."""
-        await self.start()
-        if handle_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(
-                    sig, lambda: self._spawn(self.drain()))
-        await self._stopped.wait()
-        await self.close()
-        return 1 if self.metrics.counter("cluster.jobs.failed").value else 0
-
-    async def drain(self) -> Dict[str, object]:
-        """Stop admission, let forwards finish, drain every worker, then
-        stop. Idempotent; returns the final aggregated snapshot."""
-        if not self._draining:
-            self._draining = True
-            self._check_idle()
-        await self._idle.wait()
-        node_stats: Dict[str, Dict[str, object]] = {}
-
-        async def drain_node(node_id: str) -> None:
-            try:
-                client = await self._client_for(node_id)
-                msg = await client.drain(timeout=self.config.forward_timeout)
-                node_stats[node_id] = msg.get("stats", {})
-            except _NODE_ERRORS:
-                self._node_failed(node_id)
-
-        await asyncio.gather(*(drain_node(n)
-                               for n in self.members.live_ids()))
-        stats = self.stats(node_stats=node_stats)
-        self._stopped.set()
-        return stats
-
-    async def close(self) -> None:
-        """Tear everything down (no draining — see :meth:`drain`)."""
-        tasks = list(self._tasks)
-        if self._stealer is not None:
-            tasks.append(self._stealer)
-        for task in tasks:
-            task.cancel()
-        for task in tasks:
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._tasks, self._stealer = set(), None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for conn in list(self._conns):
-            conn.close()
-        self._conns.clear()
+    async def _release(self) -> None:
         for client in self._clients.values():
-            with contextlib.suppress(Exception):
-                await client.close()
+            await client.close()        # never raises
         self._clients.clear()
-        if self.config.socket_path:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.config.socket_path)
-        self._stopped.set()
 
-    def _spawn(self, coro) -> asyncio.Task:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
+    def _busy(self) -> bool:
+        return bool(self._forwards)
 
-    def _now(self) -> float:
-        return round(self._clock() - self._t0, 6)
+    async def _drained(self) -> Dict[str, object]:
+        """Drain every live worker, then take the aggregated snapshot."""
+        async def drain(client: ServiceClient) -> Dict[str, object]:
+            msg = await client.drain(timeout=self.config.forward_timeout)
+            return msg.get("stats", {})
+
+        return await self._scatter(drain)
 
     # -- worker connections ----------------------------------------------
 
@@ -261,54 +182,14 @@ class ClusterCoordinator:
         if client is not None:
             self._spawn(client.close())
 
-    # -- connection handling ----------------------------------------------
+    # -- ops -------------------------------------------------------------
 
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer)
-        self._conns.add(conn)
-        try:
-            while True:
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError:
-                    break
-                except asyncio.LimitOverrunError:
-                    await conn.send(protocol.error_msg(
-                        None, 413,
-                        f"line exceeds the {self.config.max_line_bytes}-byte "
-                        "limit"))
-                    break
-                except (ConnectionError, OSError):
-                    break
-                if not line.strip():
-                    continue
-                await self._dispatch(conn, line)
-        finally:
-            self._conns.discard(conn)
-            conn.close()
-
-    async def _dispatch(self, conn: _Connection, line: bytes) -> None:
-        rid: Optional[object] = None
-        try:
-            msg = protocol.decode(line, max_bytes=self.config.max_line_bytes)
-            rid = msg.get("id")
-            op, rid = protocol.parse_request(msg, ops=COORDINATOR_OPS)
-        except ProtocolError as exc:
-            self.metrics.counter("protocol.errors").inc()
-            await conn.send(protocol.error_msg(rid, exc.code, str(exc)))
-            return
-        if op == "ping":
-            await conn.send(protocol.pong_msg(rid))
-        elif op == "status":
-            await conn.send(protocol.stats_msg(rid, await self.stats_async()))
-        elif op == "drain":
-            await conn.send(protocol.draining_msg(rid))
-            self._spawn(self._drain_and_report(conn, rid))
-        elif op == "submit":
+    async def _handle(self, conn: Connection, rid, op: str,
+                      msg: Dict[str, object]) -> None:
+        if op == "submit":
             await self._handle_submit(conn, rid, msg.get("job"))
         elif op == "cancel":
-            await self._handle_cancel(conn, rid, msg)
+            await self._handle_cancel(conn, rid, protocol.parse_cancel(msg))
         elif op in ("join", "leave"):
             await self._handle_membership(conn, rid, op, msg)
         else:   # subscribe: workers stream events, the coordinator doesn't
@@ -316,11 +197,7 @@ class ClusterCoordinator:
                 rid, 501, "subscribe is not supported by the coordinator; "
                           "subscribe to a worker node directly"))
 
-    async def _drain_and_report(self, conn: _Connection, rid) -> None:
-        stats = await self.drain()
-        await conn.send(protocol.drained_msg(rid, stats))
-
-    async def _handle_membership(self, conn: _Connection, rid, op: str,
+    async def _handle_membership(self, conn: Connection, rid, op: str,
                                  msg: Dict[str, object]) -> None:
         address = msg.get("node")
         if not isinstance(address, str) or not address:
@@ -348,7 +225,7 @@ class ClusterCoordinator:
 
     # -- admission / routing ----------------------------------------------
 
-    async def _handle_submit(self, conn: _Connection, rid, job: object) -> None:
+    async def _handle_submit(self, conn: Connection, rid, job: object) -> None:
         m = self.metrics
         m.counter("cluster.jobs.submitted").inc()
         if self._draining:
@@ -356,13 +233,7 @@ class ClusterCoordinator:
             await conn.send(protocol.rejected_msg(
                 rid, 503, "coordinator is draining"))
             return
-        try:
-            cell = protocol.job_to_cell(job)
-        except ProtocolError as exc:
-            m.counter("protocol.errors").inc()
-            await conn.send(protocol.error_msg(rid, exc.code, str(exc)))
-            return
-        digest = cell.digest()
+        digest = protocol.job_to_cell(job).digest()
 
         existing = self._forwards.get(digest)
         if existing is not None and not existing.withdrawn:
@@ -389,14 +260,8 @@ class ClusterCoordinator:
             rid, digest, position=len(self._forwards)))
         self._spawn(self._dispatch_forward(fwd))
 
-    async def _handle_cancel(self, conn: _Connection, rid,
-                             msg: Dict[str, object]) -> None:
-        try:
-            digest = protocol.parse_cancel(msg)
-        except ProtocolError as exc:
-            self.metrics.counter("protocol.errors").inc()
-            await conn.send(protocol.error_msg(rid, exc.code, str(exc)))
-            return
+    async def _handle_cancel(self, conn: Connection, rid,
+                             digest: str) -> None:
         fwd = self._forwards.get(digest)
         if fwd is None:
             await conn.send(protocol.cancelled_msg(rid, digest, "unknown"))
@@ -498,10 +363,6 @@ class ClusterCoordinator:
         fwd.waiters = []
         self._check_idle()
 
-    def _check_idle(self) -> None:
-        if self._draining and not self._forwards:
-            self._idle.set()
-
     # -- work stealing -----------------------------------------------------
 
     async def _steal_loop(self) -> None:
@@ -560,14 +421,19 @@ class ClusterCoordinator:
     # -- scatter-gather status ---------------------------------------------
 
     async def stats_async(self) -> Dict[str, object]:
-        """Aggregate snapshot: per-node stats gathered concurrently, an
-        unreachable node is marked dead rather than failing the call."""
+        """Aggregate snapshot of every live node's stats."""
+        return await self._scatter(lambda client: client.status(timeout=30.0))
+
+    async def _scatter(self, ask) -> Dict[str, object]:
+        """Aggregate snapshot over ``ask(client)`` of every live node,
+        asked concurrently; an unreachable node is marked dead rather
+        than failing the call."""
         node_stats: Dict[str, Dict[str, object]] = {}
 
         async def one(node_id: str) -> None:
             try:
-                client = await self._client_for(node_id)
-                node_stats[node_id] = await client.status(timeout=30.0)
+                node_stats[node_id] = await ask(
+                    await self._client_for(node_id))
             except _NODE_ERRORS:
                 self._node_failed(node_id)
 

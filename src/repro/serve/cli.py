@@ -11,7 +11,9 @@ Subcommands::
 
 The service listens on a Unix socket (``--socket``) or TCP
 (``--host``/``--port``); every client subcommand takes the same
-connection flags.
+connection flags. ``repro-cluster`` reuses this module's connection
+flags (:func:`conn_args`), its one-connection client call (:func:`call`)
+and its mapping from errors to exit codes (:func:`run_cli`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import argparse
 import asyncio
 import json
 import sys
-from typing import List, Optional
+from typing import Awaitable, Callable, List, Optional, TypeVar
 
 from ..analysis.report import render_table
 from ..errors import ConfigError, ProtocolError
@@ -30,16 +32,58 @@ from .loadgen import LoadConfig, run_load
 from .service import ExperimentService, ServiceConfig
 
 
-def _conn_args(parser: argparse.ArgumentParser) -> None:
+T = TypeVar("T")
+
+
+def conn_args(parser: argparse.ArgumentParser,
+              socket_help: str = "Unix socket path (preferred locally)",
+              ) -> None:
+    """Add the flags that say where the server listens."""
     parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="Unix socket path (preferred locally)")
+                        help=socket_help)
     parser.add_argument("--host", default="127.0.0.1", help="TCP host")
     parser.add_argument("--port", type=int, default=0, help="TCP port")
 
 
 def _check_conn(args) -> None:
     if not args.socket and not args.port:
-        raise ConfigError("need --socket PATH or --port N to reach a service")
+        raise ConfigError("need --socket PATH or --port N to reach the server")
+
+
+def call(args, request: Callable[[ServiceClient], Awaitable[T]]) -> T:
+    """Run ``request(client)`` on one connection to the server that
+    *args*' connection flags name; returns what it returns."""
+    _check_conn(args)
+
+    async def main() -> T:
+        client = await ServiceClient.connect(args.socket, args.host,
+                                             args.port)
+        try:
+            return await request(client)
+        finally:
+            await client.close()
+
+    return asyncio.run(main())
+
+
+def run_cli(parser: argparse.ArgumentParser,
+            argv: Optional[List[str]]) -> int:
+    """Parse *argv* and run its subcommand. A bad request or an
+    unreachable server exits 2; stdout closed early exits 0."""
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except (ConfigError, ProtocolError) as exc:
+        print(f"{parser.prog}: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # stdout closed early (e.g. piped through `head`); not a
+        # server failure — mirror the conventional silent exit.
+        return 0
+    except (ConnectionError, FileNotFoundError) as exc:
+        print(f"{parser.prog}: cannot reach the server: {exc}",
+              file=sys.stderr)
+        return 2
 
 
 def _job_args(parser: argparse.ArgumentParser) -> None:
@@ -67,10 +111,6 @@ def _job_from_args(args, benchmark: str, seed: Optional[int] = None) -> dict:
     if args.young:
         job["young"] = args.young
     return job
-
-
-def _connect(args) -> "ServiceClient":
-    return ServiceClient.connect(args.socket, args.host, args.port)
 
 
 # -- serve ---------------------------------------------------------------
@@ -103,68 +143,50 @@ def serve_cmd(args) -> int:
 
 
 def submit_cmd(args) -> int:
-    _check_conn(args)
     job = _job_from_args(args, args.benchmark)
-
-    async def main() -> int:
-        client = await _connect(args)
-        try:
-            resp = await client.submit(job, timeout=args.wait)
-        finally:
-            await client.close()
-        kind = resp.get("type")
-        if kind == "result":
-            run = resp["run"]
-            meta = resp.get("meta", {})
-            source = "cache" if resp.get("cached") else (
-                f"simulated in {meta.get('exec_s', 0.0):.3f}s "
-                f"(attempt {meta.get('attempts')}, "
-                f"queued {meta.get('queued_s', 0.0):.3f}s)")
-            print(f"result {resp['digest'][:12]} [{source}]")
-            # encode_run pauses: [start, duration, kind, cause, ...]
-            pauses = run.get("gc_log", {}).get("pauses", [])
-            full = sum(1 for p in pauses if p[2] == "full")
-            print(render_table(
-                ["benchmark", "gc", "exec (s)", "#pauses(full)",
-                 "total pause (s)", "crashed"],
-                [[args.benchmark, args.gc,
-                  round(run.get("execution_time", 0.0), 3),
-                  f"{len(pauses)}({full})",
-                  round(sum(p[1] for p in pauses), 3),
-                  bool(run.get("crashed"))]],
-            ))
-            if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(run, fh, sort_keys=True, indent=2)
-                print(f"run written to {args.out}")
-            return 1 if run.get("crashed") else 0
-        if kind == "failed":
-            failure = resp.get("failure", {})
-            print(f"failed {resp.get('digest', '')[:12]}: "
-                  f"[{failure.get('kind')}] {failure.get('error')} "
-                  f"({failure.get('attempts')} attempts)", file=sys.stderr)
-            return 1
-        print(f"{kind} ({resp.get('code')}): {resp.get('reason')}",
-              file=sys.stderr)
+    resp = call(args, lambda client: client.submit(job, timeout=args.wait))
+    kind = resp.get("type")
+    if kind == "result":
+        run = resp["run"]
+        meta = resp.get("meta", {})
+        source = "cache" if resp.get("cached") else (
+            f"simulated in {meta.get('exec_s', 0.0):.3f}s "
+            f"(attempt {meta.get('attempts')}, "
+            f"queued {meta.get('queued_s', 0.0):.3f}s)")
+        print(f"result {resp['digest'][:12]} [{source}]")
+        # encode_run pauses: [start, duration, kind, cause, ...]
+        pauses = run.get("gc_log", {}).get("pauses", [])
+        full = sum(1 for p in pauses if p[2] == "full")
+        print(render_table(
+            ["benchmark", "gc", "exec (s)", "#pauses(full)",
+             "total pause (s)", "crashed"],
+            [[args.benchmark, args.gc,
+              round(run.get("execution_time", 0.0), 3),
+              f"{len(pauses)}({full})",
+              round(sum(p[1] for p in pauses), 3),
+              bool(run.get("crashed"))]],
+        ))
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(run, fh, sort_keys=True, indent=2)
+            print(f"run written to {args.out}")
+        return 1 if run.get("crashed") else 0
+    if kind == "failed":
+        failure = resp.get("failure", {})
+        print(f"failed {resp.get('digest', '')[:12]}: "
+              f"[{failure.get('kind')}] {failure.get('error')} "
+              f"({failure.get('attempts')} attempts)", file=sys.stderr)
         return 1
-
-    return asyncio.run(main())
+    print(f"{kind} ({resp.get('code')}): {resp.get('reason')}",
+          file=sys.stderr)
+    return 1
 
 
 # -- status --------------------------------------------------------------
 
 
 def status_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> dict:
-        client = await _connect(args)
-        try:
-            return await client.status(timeout=30.0)
-        finally:
-            await client.close()
-
-    stats = asyncio.run(main())
+    stats = call(args, lambda client: client.status(timeout=30.0))
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -206,16 +228,7 @@ def status_cmd(args) -> int:
 
 
 def drain_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> dict:
-        client = await _connect(args)
-        try:
-            return await client.drain(timeout=args.wait)
-        finally:
-            await client.close()
-
-    msg = asyncio.run(main())
+    msg = call(args, lambda client: client.drain(timeout=args.wait))
     stats = msg.get("stats", {})
     cache = stats.get("cache", {})
     quarantined = stats.get("metrics", {}).get(
@@ -229,26 +242,20 @@ def drain_cmd(args) -> int:
 
 
 def events_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> int:
-        client = await _connect(args)
-        try:
-            await client.subscribe()
-            count = 0
-            async for event in client.events():
-                print(json.dumps(event, sort_keys=True), flush=True)
-                count += 1
-                if args.count and count >= args.count:
-                    break
-                if event.get("kind") == "drained":
-                    break
-            return 0
-        finally:
-            await client.close()
+    async def stream(client: ServiceClient) -> int:
+        await client.subscribe()
+        count = 0
+        async for event in client.events():
+            print(json.dumps(event, sort_keys=True), flush=True)
+            count += 1
+            if args.count and count >= args.count:
+                break
+            if event.get("kind") == "drained":
+                break
+        return 0
 
     try:
-        return asyncio.run(main())
+        return call(args, stream)
     except KeyboardInterrupt:
         return 0
 
@@ -260,7 +267,7 @@ def load_cmd(args) -> int:
     _check_conn(args)
     templates = [
         _job_from_args(args, benchmark, seed=args.seed + d)
-        for benchmark in args.benchmark
+        for benchmark in args.benchmark or ["xalan", "lusearch"]
         for d in range(args.distinct)
     ]
     config = LoadConfig(
@@ -285,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="run the experiment service")
-    _conn_args(p)
+    conn_args(p)
     p.add_argument("--store", default=None, metavar="DIR",
                    help="ResultStore directory (shared with repro-campaign)")
     p.add_argument("--queue-limit", type=int, default=64,
@@ -303,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=serve_cmd)
 
     p = sub.add_parser("submit", help="submit one job and wait")
-    _conn_args(p)
+    conn_args(p)
     p.add_argument("benchmark")
     _job_args(p)
     p.add_argument("--wait", type=float, default=600.0,
@@ -313,25 +320,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=submit_cmd)
 
     p = sub.add_parser("status", help="show service stats")
-    _conn_args(p)
+    conn_args(p)
     p.add_argument("--json", action="store_true",
                    help="machine-readable stats snapshot")
     p.set_defaults(fn=status_cmd)
 
     p = sub.add_parser("drain", help="drain the service and wait")
-    _conn_args(p)
+    conn_args(p)
     p.add_argument("--wait", type=float, default=600.0,
                    help="how long to wait for the drain (seconds)")
     p.set_defaults(fn=drain_cmd)
 
     p = sub.add_parser("events", help="stream live service events")
-    _conn_args(p)
+    conn_args(p)
     p.add_argument("--count", type=int, default=0,
                    help="stop after N events (0 = until drained/^C)")
     p.set_defaults(fn=events_cmd)
 
     p = sub.add_parser("load", help="synthetic open-loop load generator")
-    _conn_args(p)
+    conn_args(p)
     p.add_argument("--benchmark", action="append", default=None,
                    help="benchmark(s) in the mix (repeatable; "
                         "default: xalan lusearch)")
@@ -350,22 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "load" and not args.benchmark:
-        args.benchmark = ["xalan", "lusearch"]
-    try:
-        return args.fn(args)
-    except (ConfigError, ProtocolError) as exc:
-        print(f"repro-serve: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # stdout closed early (e.g. piped through `head`); not a
-        # service failure — mirror the conventional silent exit.
-        return 0
-    except (ConnectionError, FileNotFoundError) as exc:
-        print(f"repro-serve: cannot reach service: {exc}", file=sys.stderr)
-        return 2
+    return run_cli(build_parser(), argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,6 +29,11 @@ Architecture (DESIGN.md §13)::
 * **Drain**: SIGTERM (or a ``drain`` request) stops admission, lets
   queued and in-flight jobs finish, then exits cleanly.
 
+The listener, line framing, the ``ping``/``status``/``drain`` ops, event
+fan-out and the lifecycle come from
+:class:`~repro.serve.server.NdjsonServer`; this module adds the
+``submit``, ``cancel`` and ``subscribe`` ops and the job machinery.
+
 Determinism: simulation happens in :func:`repro.campaign.cells.run_cell`
 exactly as on the campaign path; the service adds *no* configuration of
 its own to a cell, so a served ``run`` payload is byte-identical (under
@@ -40,23 +45,20 @@ come from an injected clock, keeping simulation paths SL001-clean.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import functools
-import os
-import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional
 
 from ..campaign.cells import CellSpec, encode_run, run_cell
 from ..campaign.executors import CellFailure, get_executor
 from ..campaign.store import ResultStore, store_status
 from ..energy.model import ENERGY_COUNTERS, energy_section
-from ..errors import ConfigError, ProtocolError
-from ..telemetry.metrics import MetricsRegistry
+from ..errors import ConfigError
 from . import protocol
 from .protocol import PROTOCOL_VERSION
+from .server import Connection, NdjsonServer
 
 #: Default clock (referenced, not called, at import time — the service is
 #: observational infrastructure; simulated results never see it).
@@ -86,39 +88,8 @@ class ServiceConfig:
             raise ConfigError("workers must be >= 1")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
-
-
-class _Connection:
-    """One client connection: serialized writes, tolerant of disconnects."""
-
-    __slots__ = ("writer", "_lock", "closed")
-
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self._lock = asyncio.Lock()
-        self.closed = False
-
-    async def send(self, msg: Dict[str, object]) -> bool:
-        """Write one message; False (never an exception) if the client
-        has gone away — a subscriber hanging up mid-stream must not take
-        a worker or the server loop down with it."""
-        if self.closed:
-            return False
-        async with self._lock:
-            if self.closed:
-                return False
-            try:
-                self.writer.write(protocol.encode(msg))
-                await self.writer.drain()
-                return True
-            except (ConnectionError, RuntimeError, OSError):
-                self.closed = True
-                return False
-
-    def close(self) -> None:
-        self.closed = True
-        with contextlib.suppress(Exception):
-            self.writer.close()
+        if self.timeout is not None and self.timeout <= 0:
+            raise ConfigError("timeout must be > 0 (or None for no budget)")
 
 
 class _Job:
@@ -137,7 +108,7 @@ class _Job:
         self.cancelled = False
 
 
-class ExperimentService:
+class ExperimentService(NdjsonServer):
     """Async experiment service: admission, dedup, cache, supervision.
 
     *cell_fn* defaults to the campaign's :func:`run_cell`; tests inject
@@ -145,114 +116,43 @@ class ExperimentService:
     robustness paths without faking simulator behaviour.
     """
 
+    FAILURE_COUNTER = "jobs.quarantined"
+
     def __init__(self, config: ServiceConfig, *,
                  cell_fn: Callable[[CellSpec], object] = run_cell,
                  clock: Optional[Callable[[], float]] = None):
-        self.config = config
+        super().__init__(config, clock=clock or WALL_CLOCK)
         self._cell_fn = cell_fn
-        self._clock = clock if clock is not None else WALL_CLOCK
         self.store = ResultStore(config.store) if config.store else None
         self.executor = get_executor(config.executor,
                                      workers=config.pool_workers)
-        self.metrics = MetricsRegistry()
-        self.address: Optional[object] = None
-
         self._queue: "asyncio.Queue[_Job]" = asyncio.Queue()
         self._inflight: Dict[str, _Job] = {}
-        self._conns: Set[_Connection] = set()
-        self._subscribers: Set[_Connection] = set()
         self._workers: List[asyncio.Task] = []
-        self._tasks: Set[asyncio.Task] = set()
-        self._server: Optional[asyncio.AbstractServer] = None
         self._offload: Optional[ThreadPoolExecutor] = None
-        self._draining = False
-        self._idle = asyncio.Event()
-        self._stopped = asyncio.Event()
-        self._t0 = self._clock()
 
     # -- lifecycle -------------------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the listener and spawn the worker tasks."""
-        loop = asyncio.get_running_loop()
+    def _open(self) -> None:
+        """Open the executor and offload pool; spawn the worker tasks."""
         if hasattr(self.executor, "open"):
             self.executor.open()
         self._offload = ThreadPoolExecutor(
             max_workers=self.config.workers, thread_name_prefix="serve-exec")
-        self._workers = [loop.create_task(self._worker_loop())
+        self._workers = [self._spawn(self._worker_loop())
                          for _ in range(self.config.workers)]
-        limit = self.config.max_line_bytes + 1024
-        if self.config.socket_path:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.config.socket_path)
-            self._server = await asyncio.start_unix_server(
-                self._handle_conn, path=self.config.socket_path, limit=limit)
-            self.address = self.config.socket_path
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_conn, host=self.config.host,
-                port=self.config.port, limit=limit)
-            self.address = self._server.sockets[0].getsockname()[:2]
-        self._t0 = self._clock()
 
-    async def run(self, *, handle_signals: bool = True) -> int:
-        """Serve until drained (SIGTERM/SIGINT or a ``drain`` request).
-
-        Returns a process exit code: 0 for a clean drain, 1 when any
-        cell was quarantined while serving.
-        """
-        await self.start()
-        if handle_signals:
-            loop = asyncio.get_running_loop()
-            for sig in (signal.SIGTERM, signal.SIGINT):
-                loop.add_signal_handler(
-                    sig, lambda: self._spawn(self.drain()))
-        await self._stopped.wait()
-        await self.close()
-        return 1 if self.metrics.counter("jobs.quarantined").value else 0
-
-    async def drain(self) -> Dict[str, object]:
-        """Stop admission, wait for queued + in-flight jobs, then stop.
-
-        Idempotent; returns the final stats snapshot.
-        """
-        if not self._draining:
-            self._draining = True
-            self._publish("draining")
-            self._check_idle()
-        await self._idle.wait()
-        stats = await self.stats_async()
-        self._publish("drained")
-        self._stopped.set()
-        return stats
-
-    async def close(self) -> None:
-        """Tear everything down (no draining — see :meth:`drain`)."""
-        for task in self._workers + list(self._tasks):
-            task.cancel()
-        for task in self._workers + list(self._tasks):
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
-        self._workers, self._tasks = [], set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for conn in list(self._conns):
-            conn.close()
-        self._conns.clear()
-        self._subscribers.clear()
+    async def _release(self) -> None:
         if self._offload is not None:
             self._offload.shutdown(wait=False)
             self._offload = None
         if hasattr(self.executor, "close"):
             self.executor.close()
-        if self.config.socket_path:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(self.config.socket_path)
-        self._stopped.set()
 
-    # -- stats / events ----------------------------------------------------
+    def _busy(self) -> bool:
+        return bool(self._inflight) or self._queue.qsize() > 0
+
+    # -- stats -------------------------------------------------------------
 
     async def stats_async(self) -> Dict[str, object]:
         """The status endpoint's snapshot (also the drain report).
@@ -294,7 +194,7 @@ class ExperimentService:
         return {
             "protocol": PROTOCOL_VERSION,
             "draining": self._draining,
-            "uptime_s": round(self._clock() - self._t0, 6),
+            "uptime_s": self._now(),
             "queue": {
                 "depth": self._queue.qsize(),
                 "limit": self.config.queue_limit,
@@ -313,102 +213,28 @@ class ExperimentService:
             },
             "pauses": pause_summary,
             "energy": energy,
-            "subscribers": len(self._subscribers),
+            "subscribers": sum(c.subscribed for c in self._conns),
             "metrics": m.to_dict(),
             "store": store,
         }
 
-    def _publish(self, kind: str, **fields) -> None:
-        """Fan one lifecycle/GC event out to every subscriber."""
-        if not self._subscribers:
-            return
-        event: Dict[str, object] = {
-            "kind": kind, "t": round(self._clock() - self._t0, 6)}
-        event.update(fields)
-        msg = protocol.event_msg(event)
-        for conn in list(self._subscribers):
-            if conn.closed:
-                self._subscribers.discard(conn)
-            else:
-                self._spawn(conn.send(msg))
+    # -- ops -------------------------------------------------------------
 
-    def _spawn(self, coro) -> asyncio.Task:
-        task = asyncio.get_running_loop().create_task(coro)
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return task
-
-    # -- connection handling ----------------------------------------------
-
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer)
-        self._conns.add(conn)
-        self.metrics.counter("connections.opened").inc()
-        try:
-            while True:
-                try:
-                    line = await reader.readuntil(b"\n")
-                except asyncio.IncompleteReadError:
-                    break           # client hung up (possibly mid-line)
-                except asyncio.LimitOverrunError:
-                    self.metrics.counter("protocol.errors").inc()
-                    await conn.send(protocol.error_msg(
-                        None, 413,
-                        f"line exceeds the {self.config.max_line_bytes}-byte "
-                        "limit"))
-                    break           # framing is lost; drop the connection
-                except (ConnectionError, OSError):
-                    break
-                if not line.strip():
-                    continue
-                await self._dispatch(conn, line)
-        finally:
-            self._conns.discard(conn)
-            self._subscribers.discard(conn)
-            conn.close()
-            self.metrics.counter("connections.closed").inc()
-
-    async def _dispatch(self, conn: _Connection, line: bytes) -> None:
-        rid: Optional[object] = None
-        try:
-            msg = protocol.decode(line,
-                                  max_bytes=self.config.max_line_bytes)
-            rid = msg.get("id")
-            op, rid = protocol.parse_request(msg)
-        except ProtocolError as exc:
-            self.metrics.counter("protocol.errors").inc()
-            await conn.send(protocol.error_msg(rid, exc.code, str(exc)))
-            return
-        if op == "ping":
-            await conn.send(protocol.pong_msg(rid))
-        elif op == "status":
-            await conn.send(protocol.stats_msg(rid, await self.stats_async()))
-        elif op == "subscribe":
-            self._subscribers.add(conn)
+    async def _handle(self, conn: Connection, rid, op: str,
+                      msg: Dict[str, object]) -> None:
+        if op == "subscribe":
+            conn.subscribed = True
             await conn.send(protocol.subscribed_msg(rid))
-        elif op == "drain":
-            await conn.send(protocol.draining_msg(rid))
-            self._spawn(self._drain_and_report(conn, rid))
         elif op == "cancel":
-            try:
-                digest = protocol.parse_cancel(msg)
-            except ProtocolError as exc:
-                self.metrics.counter("protocol.errors").inc()
-                await conn.send(protocol.error_msg(rid, exc.code, str(exc)))
-                return
+            digest = protocol.parse_cancel(msg)
             await conn.send(protocol.cancelled_msg(
                 rid, digest, self._cancel(digest)))
         elif op == "submit":
             await self._handle_submit(conn, rid, msg.get("job"))
 
-    async def _drain_and_report(self, conn: _Connection, rid) -> None:
-        stats = await self.drain()
-        await conn.send(protocol.drained_msg(rid, stats))
-
     # -- admission ----------------------------------------------------------
 
-    async def _handle_submit(self, conn: _Connection, rid, job: object) -> None:
+    async def _handle_submit(self, conn: Connection, rid, job: object) -> None:
         m = self.metrics
         m.counter("jobs.submitted").inc()
         if self._draining:
@@ -416,12 +242,7 @@ class ExperimentService:
             await conn.send(protocol.rejected_msg(
                 rid, 503, "service is draining"))
             return
-        try:
-            cell = protocol.job_to_cell(job)
-        except ProtocolError as exc:
-            m.counter("protocol.errors").inc()
-            await conn.send(protocol.error_msg(rid, exc.code, str(exc)))
-            return
+        cell = protocol.job_to_cell(job)
         digest = cell.digest()
 
         hit = self.store.get_run(digest) if self.store is not None else None
@@ -467,7 +288,7 @@ class ExperimentService:
             rid, digest, position=self._queue.qsize()))
         self._spawn(self._await_result(conn, rid, future))
 
-    async def _await_result(self, conn: _Connection, rid,
+    async def _await_result(self, conn: Connection, rid,
                             future: asyncio.Future) -> None:
         kind, digest, payload, meta = await future
         if kind == "result":
@@ -628,8 +449,3 @@ class ExperimentService:
         account = EnergyModel.for_config(result.config).account_run(result)
         for phase, _core_class, uj in account.items():
             self.metrics.counter(f"energy.{phase}_uj").inc(uj)
-
-    def _check_idle(self) -> None:
-        if (self._draining and not self._inflight
-                and self._queue.qsize() == 0):
-            self._idle.set()

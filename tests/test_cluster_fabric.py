@@ -3,7 +3,7 @@
 Everything runs in-process: N real ``ExperimentService`` workers on Unix
 sockets, one ``ClusterCoordinator`` fronting them, and real
 ``ServiceClient`` connections — the same moving parts the CI
-``cluster-smoke`` job exercises across processes. Injected ``cell_fn``s
+``service-smoke`` job exercises across processes. Injected ``cell_fn``s
 count executions per digest (the at-most-once proof) and gate workers
 (to force stealing and node death) without faking simulator output.
 """
@@ -13,10 +13,13 @@ import contextlib
 import json
 import threading
 
+import pytest
+
 from repro.campaign import CellSpec, run_campaign, run_cell
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.store import ResultStore, merge_stores
 from repro.cluster import ClusterConfig, ClusterCoordinator, NodeSpec
+from repro.errors import ConfigError
 from repro.serve import ExperimentService, ServiceConfig, ServiceClient
 from repro.serve import protocol
 from repro.studies import GridSpec
@@ -405,3 +408,21 @@ class TestAggregation:
         assert msg["stats"]["totals"]["cache"]["misses"] == 1
         assert msg["stats"]["draining"] is True
         assert late["type"] == "rejected" and late["code"] == 503
+
+
+# ----------------------------------------------------------------------
+# Config validation
+# ----------------------------------------------------------------------
+
+
+class TestConfig:
+    @pytest.mark.parametrize("kw", [
+        {"queue_limit": 0}, {"steal_interval": 0}, {"steal_threshold": 0},
+        {"forward_timeout": 0}, {"forward_timeout": -1.0},
+    ])
+    def test_bad_config_rejected(self, kw):
+        with pytest.raises(ConfigError):
+            ClusterConfig(**kw)
+
+    def test_no_forward_timeout_means_no_budget(self):
+        assert ClusterConfig(forward_timeout=None).forward_timeout is None

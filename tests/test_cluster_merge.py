@@ -2,7 +2,7 @@
 
 The fabric's correctness claim is that a store merged from N shards is
 *byte-identical* to the compacted store of a serial run over the same
-cells — the property CI's ``cluster-smoke`` job pins with ``cmp``. These
+cells — the property CI's ``service-smoke`` job pins with ``cmp``. These
 tests pin it in-process, plus the conflict policy (ok supersedes
 failed), duplicate handling, and manifest merging.
 """

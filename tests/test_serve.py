@@ -20,8 +20,10 @@ import pytest
 
 from repro.campaign import CellSpec, ResultStore, encode_run, run_campaign, run_cell
 from repro.campaign.spec import CampaignSpec
+from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.errors import ConfigError
 from repro.serve import ExperimentService, ServiceConfig, ServiceClient
+from repro.serve import protocol
 from repro.studies import GridSpec
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -49,6 +51,29 @@ async def service(tmp_path, **kw):
         yield svc
     finally:
         await svc.close()
+
+
+@contextlib.asynccontextmanager
+async def coordinated(tmp_path, max_line_bytes=protocol.MAX_LINE_BYTES,
+                      **kw):
+    """A coordinator in front of one service; yields both. The line
+    limit is the coordinator's, the other keywords the service's."""
+    async with service(tmp_path, **kw) as worker:
+        coord = ClusterCoordinator(ClusterConfig(
+            nodes=[f"unix:{worker.config.socket_path}"],
+            socket_path=str(tmp_path / "coord.sock"),
+            max_line_bytes=max_line_bytes))
+        await coord.start()
+        try:
+            yield coord, worker
+        finally:
+            await coord.close()
+
+
+def live_tasks(qualname):
+    """How many unfinished tasks run a coroutine named *qualname*."""
+    return sum(1 for t in asyncio.all_tasks()
+               if not t.done() and t.get_coro().__qualname__ == qualname)
 
 
 async def wait_until(cond, timeout=10.0, what="condition"):
@@ -361,40 +386,59 @@ class TestDrain:
 
 
 class TestWireRobustness:
+    """Line framing over a live socket, against the service itself.
+    :class:`TestCoordinatorWireRobustness` runs the same cases against a
+    coordinator in front of it."""
+
+    #: The front server's counter of jobs it answered with a result.
+    COMPLETED = "jobs.simulated"
+
+    @staticmethod
+    @contextlib.asynccontextmanager
+    async def servers(tmp_path, **kw):
+        """Yields the server a client talks to and the service that runs
+        its jobs (here one and the same)."""
+        async with service(tmp_path, **kw) as svc:
+            yield svc, svc
+
     def test_disconnect_mid_line_does_not_kill_service(self, tmp_path):
         async def main():
-            async with service(tmp_path) as svc:
+            async with self.servers(tmp_path) as (front, _):
                 reader, writer = await asyncio.open_unix_connection(
-                    svc.config.socket_path)
+                    front.config.socket_path)
                 writer.write(b'{"op": "submit", "job": {"bench')  # no \n
                 await writer.drain()
                 writer.close()
                 await writer.wait_closed()
                 await wait_until(
-                    lambda: svc.metrics.counter("connections.closed").value
+                    lambda: front.metrics.counter("connections.closed").value
                     == 1, what="server-side cleanup")
-                client = await ServiceClient.connect(svc.config.socket_path)
+                client = await ServiceClient.connect(front.config.socket_path)
                 pong = await client.ping(timeout=10)
                 await client.close()
-                return pong
+                return pong, front.metrics.counter("protocol.errors").value
 
-        assert asyncio.run(main())["type"] == "pong"
+        pong, errors = asyncio.run(main())
+        assert pong["type"] == "pong"
+        assert errors == 0                       # half a line is no request
 
     def test_disconnect_with_job_in_flight(self, tmp_path):
         gate = threading.Event()
 
         async def main():
-            async with service(tmp_path, cell_fn=gated(gate)) as svc:
-                client = await ServiceClient.connect(svc.config.socket_path)
+            async with self.servers(tmp_path, cell_fn=gated(gate)) as (
+                    front, worker):
+                client = await ServiceClient.connect(front.config.socket_path)
                 task = asyncio.ensure_future(client.submit(JOB, timeout=60))
-                await wait_until(lambda: svc._inflight, what="job admitted")
+                await wait_until(lambda: worker._inflight,
+                                 what="job admitted")
                 task.cancel()
                 await client.close()             # client gives up and leaves
                 gate.set()
                 await wait_until(
-                    lambda: svc.metrics.counter("jobs.simulated").value == 1,
+                    lambda: front.metrics.counter(self.COMPLETED).value == 1,
                     what="job still completed")
-                other = await ServiceClient.connect(svc.config.socket_path)
+                other = await ServiceClient.connect(front.config.socket_path)
                 resp = await other.submit(JOB, timeout=60)
                 await other.close()
                 return resp
@@ -405,43 +449,60 @@ class TestWireRobustness:
 
     def test_oversized_line_gets_413_and_drops_connection(self, tmp_path):
         async def main():
-            async with service(tmp_path, max_line_bytes=2048) as svc:
+            async with self.servers(tmp_path, max_line_bytes=2048) as (
+                    front, _):
                 reader, writer = await asyncio.open_unix_connection(
-                    svc.config.socket_path)
+                    front.config.socket_path)
                 writer.write(b'{"op":"ping","pad":"' + b"x" * 8192 + b'"}\n')
                 await writer.drain()
                 line = await asyncio.wait_for(reader.readline(), timeout=10)
                 msg = json.loads(line)
                 eof = await asyncio.wait_for(reader.read(), timeout=10)
+                counters = {name: front.metrics.counter(name).value
+                            for name in ("protocol.errors",
+                                         "connections.closed")}
                 writer.close()
                 await writer.wait_closed()
-                client = await ServiceClient.connect(svc.config.socket_path)
+                client = await ServiceClient.connect(front.config.socket_path)
                 pong = await client.ping(timeout=10)
                 await client.close()
-                return msg, eof, pong
+                return msg, eof, pong, counters
 
-        msg, eof, pong = asyncio.run(main())
+        msg, eof, pong, counters = asyncio.run(main())
         assert msg["type"] == "error" and msg["code"] == 413
         assert eof == b""                        # framing lost: conn dropped
         assert pong["type"] == "pong"
+        assert counters == {"protocol.errors": 1, "connections.closed": 1}
 
     def test_malformed_line_gets_400_and_connection_survives(self, tmp_path):
         async def main():
-            async with service(tmp_path) as svc:
+            async with self.servers(tmp_path) as (front, _):
                 reader, writer = await asyncio.open_unix_connection(
-                    svc.config.socket_path)
+                    front.config.socket_path)
                 writer.write(b"this is not json\n")
                 writer.write(b'{"op":"ping","id":1}\n')
                 await writer.drain()
                 err = json.loads(await reader.readline())
                 pong = json.loads(await reader.readline())
+                counters = {name: front.metrics.counter(name).value
+                            for name in ("protocol.errors",
+                                         "connections.closed")}
                 writer.close()
                 await writer.wait_closed()
-                return err, pong
+                return err, pong, counters
 
-        err, pong = asyncio.run(main())
+        err, pong, counters = asyncio.run(main())
         assert err["type"] == "error" and err["code"] == 400
         assert pong["type"] == "pong" and pong["id"] == 1
+        assert counters == {"protocol.errors": 1, "connections.closed": 0}
+
+
+class TestCoordinatorWireRobustness(TestWireRobustness):
+    """The same framing cases against a cluster coordinator, which runs
+    the same connection handler as the service."""
+
+    COMPLETED = "cluster.jobs.completed"
+    servers = staticmethod(coordinated)
 
 
 # ----------------------------------------------------------------------
@@ -480,10 +541,113 @@ class TestEvents:
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"queue_limit": 0}, {"workers": 0}, {"retries": -1},
+        {"timeout": 0}, {"timeout": -1.0},
     ])
     def test_bad_config_rejected(self, kw):
         with pytest.raises(ConfigError):
             ServiceConfig(**kw)
+
+
+# ----------------------------------------------------------------------
+# Lifecycle: start, run, close
+# ----------------------------------------------------------------------
+
+
+class TestLifecycle:
+    def test_run_serves_the_started_service(self, tmp_path):
+        """``run()`` after ``start()`` must not start the service again:
+        a second start spawned a second worker loop, so a queued job
+        started beside the first and could no longer be cancelled."""
+        gate = threading.Event()
+        queued = dict(JOB, seed=7)
+        queued_digest = protocol.job_to_cell(queued).digest()
+
+        async def main():
+            async with service(tmp_path, workers=1,
+                               cell_fn=gated(gate)) as svc:
+                runner = asyncio.ensure_future(
+                    svc.run(handle_signals=False))
+                client = await ServiceClient.connect(svc.config.socket_path)
+                first = asyncio.ensure_future(client.submit(JOB, timeout=60))
+                await wait_until(lambda: svc.metrics.counter(
+                    "jobs.accepted").value == 1, what="the first job")
+                second = asyncio.ensure_future(
+                    client.submit(queued, timeout=60))
+                await wait_until(lambda: svc.metrics.counter(
+                    "jobs.accepted").value == 2, what="the second job")
+                await client.ping(timeout=10)
+                loops = live_tasks("ExperimentService._worker_loop")
+                started = sum(job.started is not None
+                              for job in svc._inflight.values())
+                verdict = await client.cancel(queued_digest, timeout=10)
+                gate.set()
+                results = [await first, await second]
+                await client.drain(timeout=60)
+                await client.close()
+                code = await asyncio.wait_for(runner, 10)
+                left = live_tasks("ExperimentService._worker_loop")
+                return loops, started, verdict, results, code, left
+
+        loops, started, verdict, results, code, left = asyncio.run(main())
+        assert loops == 1 and started == 1
+        assert verdict["outcome"] == "cancelled"
+        assert [r["type"] for r in results] == ["result", "cancelled"]
+        assert code == 0 and left == 0           # close() ended the loop
+
+    def test_run_serves_the_started_coordinator(self, tmp_path):
+        async def main():
+            async with coordinated(tmp_path) as (coord, _):
+                runner = asyncio.ensure_future(
+                    coord.run(handle_signals=False))
+                client = await ServiceClient.connect(
+                    coord.config.socket_path)
+                await client.ping(timeout=10)
+                loops = live_tasks("ClusterCoordinator._steal_loop")
+                drained = await client.drain(timeout=60)
+                await client.close()
+                code = await asyncio.wait_for(runner, 10)
+                left = live_tasks("ClusterCoordinator._steal_loop")
+                return loops, drained, code, left
+
+        loops, drained, code, left = asyncio.run(main())
+        assert loops == 1
+        assert drained["type"] == "drained"
+        assert code == 0 and left == 0
+
+    def test_run_requires_start(self, tmp_path):
+        async def main():
+            svc = ExperimentService(ServiceConfig(
+                socket_path=str(tmp_path / "serve.sock")))
+            with pytest.raises(RuntimeError, match="start"):
+                await asyncio.wait_for(svc.run(handle_signals=False), 5)
+
+        asyncio.run(main())
+
+    def test_close_returns_while_clients_stay_connected(self, tmp_path):
+        """Since Python 3.12.1 ``wait_closed()`` waits for every open
+        connection, so ``close()`` must drop its clients first."""
+        async def main():
+            async with coordinated(tmp_path) as (coord, worker):
+                raw = []
+                for front in (worker, coord):
+                    reader, writer = await asyncio.open_unix_connection(
+                        front.config.socket_path)
+                    writer.write(b'{"op":"status","id":1}\n')
+                    await writer.drain()
+                    assert json.loads(await reader.readline())["type"] == \
+                        "stats"
+                    raw.append(writer)
+                # The coordinator's status call left it connected to the
+                # worker, as a live fabric would be.
+                await asyncio.wait_for(worker.close(), 5)
+                await asyncio.wait_for(coord.close(), 5)
+                for writer in raw:
+                    writer.close()
+            return worker.address, coord.address
+
+        worker_sock, coord_sock = asyncio.run(main())
+        assert not os.path.exists(worker_sock)
+        assert not os.path.exists(coord_sock)
 
 
 # ----------------------------------------------------------------------

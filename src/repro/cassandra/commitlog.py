@@ -59,6 +59,11 @@ class CommitLog:
             self.segments.append(cohort)
             self._segment_bytes += cohort.resident
             self.pending_bytes -= seg
+        self.recycle()
+
+    def recycle(self) -> None:
+        """Release the oldest segments while the log is over its cap (the
+        newest one always stays)."""
         while self.heap_bytes > self.config.commitlog_cap_bytes and len(self.segments) > 1:
             oldest = self.segments.popleft()
             self._segment_bytes -= oldest.resident

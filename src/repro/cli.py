@@ -171,6 +171,9 @@ def cassandra_main(argv: Optional[List[str]] = None) -> int:
                         help="serving time in simulated seconds")
     parser.add_argument("--ops", type=float, default=1350.0,
                         help="offered operations per second")
+    parser.add_argument("--gc-log", default=None, metavar="PATH",
+                        help="write the server's GC log file (the "
+                             "repro-dacapo --gc-log format)")
     _jvm_args(parser)
     parser.set_defaults(heap="64g", young="12g")
     args = parser.parse_args(argv)
@@ -185,6 +188,10 @@ def cassandra_main(argv: Optional[List[str]] = None) -> int:
     trace = client.run(config, cass, duration=args.duration)
     server = trace.server_result
     print(server.summary())
+    if args.gc_log:
+        with open(args.gc_log, "w") as fh:
+            fh.write(format_gc_log(server.gc_log, heap_bytes))
+        print(f"GC log written to {args.gc_log}")
     stats = pause_stats(server.gc_log, server.execution_time)
     print(render_table(
         ["#pauses(full)", "avg pause (s)", "total pause (s)", "exec (s)"],

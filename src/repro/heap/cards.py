@@ -64,18 +64,21 @@ class CardTable:
         self.total_cards = cards_for(covered_bytes)
         self.dirty_cards_count = 0
 
-    def dirty(self, n_bytes: float, used_bytes: float) -> int:
+    def dirty(self, n_bytes: float, used_bytes: float, repeat: int = 1) -> int:
         """Dirty the cards covering *n_bytes* of writes into a space
-        currently holding *used_bytes*; returns the newly-dirtied count.
+        currently holding *used_bytes*, *repeat* times over; returns the
+        newly-dirtied count.
 
         Saturates at the number of cards the *used* portion of the
         covered space occupies — mirroring the scalar model's
-        ``min(dirty + n, old.used)`` clamp, card-quantised.
+        ``min(dirty + n, old.used)`` clamp, card-quantised. Saturation
+        is monotone, so *repeat* writes add ``repeat`` times the cards
+        of one before the same clamp.
         """
         if n_bytes < 0.0:
             raise ConfigError(f"cannot dirty a negative span: {n_bytes}")
         cap = min(cards_for(used_bytes), self.total_cards)
-        new_count = min(self.dirty_cards_count + cards_for(n_bytes), cap)
+        new_count = min(self.dirty_cards_count + repeat * cards_for(n_bytes), cap)
         added = new_count - self.dirty_cards_count
         if added > 0:
             self.dirty_cards_count = new_count

@@ -377,19 +377,28 @@ class GenerationalHeap:
         self.eden.add(size)
         return obj
 
-    def dirty_cards(self, n_bytes: float) -> None:
-        """Record *n_bytes* of old-generation data written by mutators.
+    def dirty_cards(self, n_bytes: float, repeat: int = 1) -> None:
+        """Record *n_bytes* of old-generation data written by mutators,
+        *repeat* times over.
 
         Young collections of CMS/ParNew (and G1 via remembered sets) must
         scan this volume; it is the physical source of the paper's
         young-generation-size anomaly (DESIGN.md §6.3).
+
+        A repeated write leaves the state *repeat* single calls would:
+        the scalar is clamped after every write and the card table
+        saturates write by write. Old occupancy cannot change between the
+        writes, so the remembered set deals all their new cards over one
+        region span, in one call.
         """
         if n_bytes < 0:
             raise ConfigError("dirty_cards takes non-negative bytes")
-        self.dirty_card_bytes = min(
-            self.dirty_card_bytes + n_bytes, self.old.used
-        )
-        added = self.card_table.dirty(n_bytes, self.old.used)
+        used = self.old.used
+        dirty = self.dirty_card_bytes
+        for _ in range(repeat):
+            dirty = min(dirty + n_bytes, used)
+        self.dirty_card_bytes = dirty
+        added = self.card_table.dirty(n_bytes, used, repeat)
         if self.remset is not None and added:
             self.remset.record(added, self._occupied_old_regions())
 

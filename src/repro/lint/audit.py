@@ -347,6 +347,12 @@ class InvariantAuditor:
             record_mutator_allocation(now)
             return orig_alloc_old(now, n_bytes, *args, **kwargs)
 
+        orig_alloc_bump = heap.allocate_bump
+
+        def audited_alloc_bump(now, n_bytes, *args, **kwargs):
+            record_mutator_allocation(now)
+            return orig_alloc_bump(now, n_bytes, *args, **kwargs)
+
         orig_alloc_obj = heap.allocate_object
 
         def audited_alloc_obj(size, *args, **kwargs):
@@ -355,19 +361,20 @@ class InvariantAuditor:
 
         orig_dirty = heap.dirty_cards
 
-        def audited_dirty(n_bytes):
+        def audited_dirty(n_bytes, *args, **kwargs):
             if world.stw:
                 self._violate(
                     "stw-exclusivity", jvm.engine.now,
                     "mutator dirtied cards during a stop-the-world pause",
                 )
-            return orig_dirty(n_bytes)
+            return orig_dirty(n_bytes, *args, **kwargs)
 
         self._patch(heap, "minor_collection", audited_minor)
         self._patch(heap, "full_collection", audited_full)
         self._patch(heap, "sweep_old", audited_sweep)
         self._patch(heap, "allocate", audited_alloc)
         self._patch(heap, "allocate_old", audited_alloc_old)
+        self._patch(heap, "allocate_bump", audited_alloc_bump)
         self._patch(heap, "allocate_object", audited_alloc_obj)
         self._patch(heap, "dirty_cards", audited_dirty)
 

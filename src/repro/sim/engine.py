@@ -6,18 +6,20 @@ a deterministic FIFO order (sequence numbers break ties). Nothing here
 depends on wall-clock time — runs are reproducible.
 
 Fast path (see DESIGN.md §12): the main loop inlines the pop/dispatch of
-:meth:`step` to shave a function call per event, and
-:meth:`schedule_span` lets the batched allocation path collapse a run of
-consecutive mutator events into one heap entry while consuming the same
-sequence numbers and reporting the same logical event count — so the
-optimized engine is observationally identical to the plain one.
+:meth:`step` to shave a function call per event, and two kinds of span
+collapse a run of mutator events: :meth:`schedule_span` turns one
+process's consecutive allocation events into one heap entry, and
+:meth:`requeue_span` commits whole quanta of a group of lockstep
+processes. Both consume the same sequence numbers and report the same
+logical event count — so the optimized engine is observationally
+identical to the plain one.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..telemetry.tracer import NULL_TRACER
@@ -116,17 +118,79 @@ class Engine:
         skew); or the event being dispatched still has waiters to wake,
         whose next events are not in the queue yet.
         """
+        h = self._run_bound()
+        if h is not None and self._queue and self._queue[0][0] < h:
+            h = self._queue[0][0]
+        return h
+
+    def _run_bound(self) -> Optional[float]:
+        """The horizon the running :meth:`run` call sets, or None when
+        batching is not permitted (see :meth:`batch_horizon`)."""
         if (not self._running or self._run_max_events is not None
                 or self._waking):
             return None
-        h = math.inf
-        if self._run_until is not None:
-            # Events at exactly `until` still run, so the horizon is just
-            # past it; anything later would be cut off by the run bound.
-            h = math.nextafter(self._run_until, math.inf)
-        if self._queue and self._queue[0][0] < h:
-            h = self._queue[0][0]
-        return h
+        if self._run_until is None:
+            return math.inf
+        # Events at exactly `until` still run, so the horizon is just
+        # past it; anything later would be cut off by the run bound.
+        return math.nextafter(self._run_until, math.inf)
+
+    def span_horizon(self, events) -> Optional[Tuple[float, List[int]]]:
+        """:meth:`batch_horizon` for a span that takes *events*' queued
+        entries: their sequence numbers (aligned with *events*) and the
+        horizon set by every other entry.
+
+        Returns ``None`` when batching is not permitted (see
+        :meth:`batch_horizon`) or when any of *events* is not queued at
+        exactly ``now`` with normal priority.
+        """
+        h = self._run_bound()
+        if h is None:
+            return None
+        seqs = dict.fromkeys(events)
+        now = self.now
+        for when, prio, seq, event in self._queue:
+            if event in seqs:
+                # Nothing is queued before now.
+                if when > now or prio != NORMAL:
+                    return None
+                seqs[event] = seq
+            elif when < h:
+                h = when
+        if None in seqs.values():
+            return None
+        return h, list(seqs.values())
+
+    def requeue_span(self, taken, wakeups, n_seq: int, n_collapsed: int) -> None:
+        """Commit a span that took the queued entries of the events in
+        *taken* and replayed *n_seq* event creations.
+
+        Each ``(when, offset, event)`` in *wakeups* is queued with
+        sequence number ``seq + offset``, where ``seq`` is the counter
+        before the span, so ties break exactly as in the unbatched run;
+        the counter then advances by *n_seq*. *n_collapsed* logical
+        events were dispatched inside the span without a pop and are
+        credited to the running :meth:`run` count.
+        """
+        if n_seq < len(wakeups) or n_collapsed < 0:
+            raise SimulationError(
+                f"bad span: {len(wakeups)} wake-ups in {n_seq} events, "
+                f"{n_collapsed} collapsed")
+        now = self.now
+        entries = []
+        for when, offset, event in wakeups:
+            if not (now <= when < math.inf) or not 0 < offset <= n_seq:
+                raise SimulationError(
+                    f"bad span wake-up at {when} (seq offset {offset}) "
+                    f"for now {now}")
+            entries.append((when, NORMAL, self._seq + offset, event))
+        queue = self._queue
+        # In place: run() holds a reference to the list.
+        queue[:] = [entry for entry in queue if entry[3] not in taken]
+        queue.extend(entries)
+        heapq.heapify(queue)
+        self._seq += n_seq
+        self._credit += n_collapsed
 
     def schedule_span(self, when: float, event, n_logical: int) -> None:
         """Schedule *event* at absolute *when* as the collapse of

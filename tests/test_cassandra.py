@@ -217,6 +217,21 @@ class TestServerRuns:
         assert result.crashed
         assert "ConfigError" in result.crash_reason
 
+    @pytest.mark.parametrize("bad", [
+        {"quantum": 0.0}, {"quantum": -1.0}, {"duration": -1.0},
+        {"ops_per_second": -1.0}, {"read_fraction": -0.5},
+        {"update_fraction": 1.5}, {"n_client_threads": 0},
+        {"sim_thread_cap": 0},
+    ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+    def test_bad_drive_arguments_rejected_before_startup(self, tiny_topology, bad):
+        _jvm, server, result = self._run(tiny_topology, **bad)
+        assert result.crashed
+        assert "ConfigError" in result.crash_reason
+        # Nothing ran: no startup, no serving window.
+        assert result.execution_time == 0.0
+        assert "serve_start" not in result.extras
+        assert server.stats.ops_executed == 0.0
+
     def test_replay_happens_with_preload(self, tiny_topology):
         cfg = JVMConfig(gc="CMS", heap=2 * GB, young=256 * MB,
                         topology=tiny_topology, seed=9)

@@ -207,6 +207,37 @@ class TestHeapCardIntegration:
         heap.check_invariants(t + 1.0)
 
 
+    @given(st.floats(0.0, 2 * MB), st.integers(1, 40),
+           st.floats(0.0, 8 * MB), st.floats(4 * MB, 64 * MB),
+           st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_write_equals_single_writes(self, n_bytes, repeat,
+                                                 prior, old_used, remset):
+        """One write repeated k times leaves the scalar, the card table and
+        the remembered set (counts and cursor) where k calls leave them,
+        saturated or not."""
+        heaps = []
+        for _ in range(2):
+            heap = make_heap()
+            if remset:
+                heap.attach_remset(make_remset())
+            heap.allocate_old(0.0, old_used, pinned=True)
+            heap.dirty_cards(prior)
+            heaps.append(heap)
+        for _ in range(repeat):
+            heaps[0].dirty_cards(n_bytes)
+        heaps[1].dirty_cards(n_bytes, repeat=repeat)
+        single, repeated = heaps
+        assert repeated.dirty_card_bytes == single.dirty_card_bytes
+        assert (repeated.card_table.dirty_cards_count
+                == single.card_table.dirty_cards_count)
+        if remset:
+            assert (repeated.remset.per_region.tolist()
+                    == single.remset.per_region.tolist())
+            assert repeated.remset._cursor == single.remset._cursor
+            repeated.check_invariants(0.0)
+
+
 class TestFidelityPricing:
     def test_fidelity_prices_scans_off_card_table(self):
         """With card_fidelity on, the young scan volume comes from the

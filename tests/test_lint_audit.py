@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro import JVM
+from repro import GB, JVM, JVMConfig
 from repro.gc.registry import GC_NAMES
 from repro.gc.stats import PauseRecord
 from repro.lint import (
@@ -12,6 +12,7 @@ from repro.lint import (
     InvariantAuditor,
     validate_pause_record,
 )
+from repro.perf import fastpath
 from repro.units import MB
 from repro.workloads.dacapo import get_benchmark
 
@@ -72,6 +73,23 @@ class TestFullRunsAreClean:
         assert auditor.counters["pauses"] > 0
         assert auditor.counters["allocations"] > 0
         assert "clean" in auditor.summary()
+
+
+class TestFastPathAudited:
+    """Span commits allocate through ``heap.allocate_bump``; the auditor
+    checks those allocations like any other."""
+
+    @pytest.mark.parametrize("enabled", [False, True], ids=["off", "on"])
+    def test_bump_allocations_are_checked(self, enabled):
+        previous = fastpath.set_enabled(enabled)
+        try:
+            jvm = JVM(JVMConfig(gc="ParallelOld", heap=16 * GB, seed=0))
+            with InvariantAuditor().attached(jvm) as auditor:
+                jvm.run(get_benchmark("batik"), iterations=10, system_gc=True)
+        finally:
+            fastpath.set_enabled(previous)
+        auditor.assert_clean()
+        assert auditor.counters["allocations"] == 76
 
 
 class TestViolationDetection:

@@ -126,3 +126,71 @@ class TestHelpers:
         eng = Engine()
         ev = eng.event()
         assert not ev.triggered
+
+
+class TestLockstepSpanPrimitives:
+    """span_horizon / requeue_span: a span takes queued wake-ups and
+    re-queues them with the sequence numbers the unbatched run gives."""
+
+    def _group(self, eng, fired, on_lead, delay=1.0):
+        """A lead wake-up at 1.0 running *on_lead*, two sibling wake-ups
+        at *delay* queued after it and an unrelated event at 5.0."""
+        Timeout(eng, 1.0).callbacks.append(on_lead)
+        siblings = [Timeout(eng, delay, value=tag) for tag in ("b", "c")]
+        other = Timeout(eng, 5.0, value="other")
+        for ev in (*siblings, other):
+            ev.callbacks.append(lambda e: fired.append((eng.now, e.value)))
+        return siblings
+
+    def test_horizon_excludes_the_taken_wakeups(self):
+        eng = Engine()
+        seen = []
+        siblings = self._group(
+            eng, [], lambda e: seen.append(eng.span_horizon(siblings)))
+        assert eng.span_horizon(siblings) is None  # not inside run()
+        eng.run()
+        assert seen == [(5.0, [2, 3])]
+
+    def test_horizon_refuses_wakeups_not_due_now(self):
+        eng = Engine()
+        seen = []
+        siblings = self._group(
+            eng, [], lambda e: seen.append(eng.span_horizon(siblings)),
+            delay=2.0)
+        eng.run()
+        assert seen == [None]
+
+    def test_requeue_orders_by_exact_sequence_and_credits(self):
+        from repro.telemetry import Tracer
+        from repro.telemetry.events import ENGINE_RUN
+
+        eng = Engine()
+        eng.tracer = tracer = Tracer()
+        fired = []
+
+        def commit(_event):
+            # Replayed: 6 event creations; the siblings' next wake-ups
+            # were the 6th and 4th, both due at 3.0.
+            eng.requeue_span(set(siblings), [(3.0, 6, siblings[0]),
+                                             (3.0, 4, siblings[1])], 6, 5)
+            late = Timeout(eng, 2.0, value="later")  # due 3.0, seq after
+            late.callbacks.append(lambda e: fired.append((eng.now, e.value)))
+
+        siblings = self._group(eng, fired, commit)
+        eng.run()
+        assert fired == [(3.0, "c"), (3.0, "b"), (3.0, "later"), (5.0, "other")]
+        runs = [e.args["events"] for e in tracer.ring if e.name == ENGINE_RUN]
+        assert runs == [5 + 5]  # 5 pops plus 5 collapsed events
+
+    @pytest.mark.parametrize("wakeups,n_seq,n_collapsed", [
+        ([(3.0, 0, None)], 2, 0),      # offset must be >= 1
+        ([(3.0, 3, None)], 2, 0),      # offset beyond the span
+        ([(0.5, 1, None)], 2, 0),      # in the past
+        ([(3.0, 1, None)], 2, -1),     # negative credit
+    ])
+    def test_requeue_rejects_bad_spans(self, wakeups, n_seq, n_collapsed):
+        eng = Engine(start_time=1.0)
+        ev = Event(eng)
+        wakeups = [(t, off, ev) for t, off, _ in wakeups]
+        with pytest.raises(SimulationError):
+            eng.requeue_span(set(), wakeups, n_seq, n_collapsed)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import cassandra_main, dacapo_main, report_main
+from repro.jvm.gclog import parse_gc_log
 
 
 class TestDaCapoCLI:
@@ -58,6 +59,22 @@ class TestCassandraCLI:
         out = capsys.readouterr().out
         assert rc == 0
         assert "READ latency" not in out
+
+    def test_gc_log_round_trip(self, tmp_path, capsys):
+        logfile = tmp_path / "gc.log"
+        rc = cassandra_main(["--duration", "120", "--ops", "1500",
+                             "--phase", "run", "--heap", "8g", "--young", "1.5g",
+                             "--seed", "3", "--gc-log", str(logfile)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert f"GC log written to {logfile}" in out
+        log = parse_gc_log(logfile.read_text())
+        assert log.count > 0
+        # The pause table: header, rule, then "#pauses(full)" as "N(F)".
+        lines = out.splitlines()
+        header = next(i for i, line in enumerate(lines)
+                      if line.startswith("#pauses(full)"))
+        assert lines[header + 2].split()[0] == f"{log.count}({log.full_count})"
 
 
 class TestReportCLI:

@@ -13,6 +13,13 @@ is written in terms of:
   eden, paying the allocation-path cost and triggering a garbage
   collection on allocation failure, exactly like a JVM allocation site.
 
+Workloads whose mutator groups run in lockstep (the DaCapo harness, the
+Cassandra server) wait at their quantum boundaries in
+:meth:`~MutatorContext.work` or :meth:`~MutatorContext.idle`, which keep
+the queued wake-up on the context. That lets the group that wakes first
+replay whole rounds of every group's quanta as one *span*
+(:meth:`World.span_order`, :meth:`World.commit_span`; DESIGN.md §12.1).
+
 The stop-the-world protocol mirrors HotSpot's safepoints: the GC
 initiator flags the world stopped, interrupts all running mutators, waits
 time-to-safepoint, executes the collector's pauses, then releases
@@ -30,7 +37,6 @@ from ..errors import (AllocationFailure, OutOfMemoryError, PromotionFailure,
 from ..gc.base import Outcome
 from ..gc.stats import GCLog, PauseRecord, RELOCATION_PHASE
 from ..heap.lifetime import LifetimeDistribution
-from ..perf import fastpath
 from ..sim import Engine, Event, Interrupt
 from ..sim.process import TRIGGERED, Timeout
 from ..telemetry.tracer import NULL_TRACER
@@ -48,6 +54,16 @@ class AllocSite(NamedTuple):
     refills: Optional[float]   #: TLAB refills to trace; None without TLABs
     tlab_size: float
     old: bool                  #: routed straight to the old generation
+
+
+def pieces(n_bytes: float, max_piece: float, mean_object_size: float):
+    """The ``(bytes, objects)`` pieces :meth:`MutatorContext.allocate_all`
+    allocates *n_bytes* in: ``max_piece`` bytes each but the last."""
+    remaining = float(n_bytes)
+    while remaining > 0:
+        piece = min(remaining, max_piece)
+        yield piece, max(1.0, piece / mean_object_size)
+        remaining -= piece
 
 
 class World:
@@ -294,6 +310,15 @@ class World:
         return (n_bytes / max(n_objects, 1.0) >= self.collector.humongous_threshold()
                 or n_bytes > self.heap.eden.capacity * 0.8)
 
+    def tlab_refills(self, n_bytes: float) -> Optional[float]:
+        """TLAB refills an allocation of *n_bytes* traces, or None when
+        no refill is traced (TLABs off, or no TLAB size)."""
+        tlabs = self.heap.tlabs
+        tlab_size = tlabs.tlab_size
+        if tlabs.config.enabled and tlab_size:
+            return n_bytes / tlab_size
+        return None
+
     # ------------------------------------------------------------------
     # Lockstep spans (fast path)
     # ------------------------------------------------------------------
@@ -302,36 +327,39 @@ class World:
                    speed: float) -> AllocSite:
         """What :meth:`MutatorContext.allocate` of *n_bytes* does while
         the world state stands still, at mutator *speed*."""
-        tlabs = self.heap.tlabs
-        tlab_size = tlabs.tlab_size
         cost = self.alloc_cost(n_bytes, n_objects)
         return AllocSite(
             n_bytes, n_objects, cost,
             # Same float op as the inlined work(cost): timeout(cost / speed).
             cost / speed if cost > 1e-12 else None,
-            n_bytes / tlab_size if tlabs.config.enabled and tlab_size else None,
-            tlab_size,
+            self.tlab_refills(n_bytes),
+            self.heap.tlabs.tlab_size,
             self.routes_old(n_bytes, n_objects),
         )
 
-    def span_order(self, lead: "MutatorContext", contexts):
+    def span_order(self, lead: "MutatorContext", contexts, *,
+                   working: bool = False):
         """The first round of a lockstep span (DESIGN.md §12.1) led by
         *lead*, or None when no span may open.
 
         *lead* is running at a quantum boundary at ``now``; every other
-        context in *contexts* must wait in :meth:`MutatorContext.idle`
-        with its wake-up queued at exactly ``now``. Returns ``(order,
+        context in *contexts* must wait with its wake-up queued at
+        exactly ``now``: in :meth:`MutatorContext.work` when *working*,
+        else in :meth:`MutatorContext.idle`. Returns ``(order,
         horizon)``: the contexts in the order their first quanta start
         (the lead's wake-up popped first, the rest follow in queue order)
         and the time of the earliest event the span may not reach.
         """
         if self.stw or self.gc_in_progress:
             return None
-        others = [c for c in contexts if c is not lead]
-        taken = [c.wake for c in others]
-        if None in taken:
-            return None
-        found = self.engine.span_horizon(taken)
+        others = []
+        for c in contexts:
+            if c is not lead:
+                # A context waits in work() exactly while CPU remains.
+                if c.wake is None or (c.remaining > 0.0) is not working:
+                    return None
+                others.append(c)
+        found = self.engine.span_horizon([c.wake for c in others])
         if found is None:
             return None
         horizon, seqs = found
@@ -382,7 +410,8 @@ class World:
         span and *n_seq* counts the events the span created. The other
         contexts keep their wake-up events, re-queued; *lead* gets a
         fresh one in ``lead.wake`` and must wait on it through
-        :meth:`MutatorContext.idle`.
+        :meth:`MutatorContext.idle` or :meth:`MutatorContext.work`,
+        whichever the span's boundary is.
         """
         wake = Event(self.engine)
         wake._state = TRIGGERED
@@ -419,7 +448,7 @@ class MutatorContext:
 
     __slots__ = ("world", "name", "_parked", "_alive", "process",
                  "allocated_bytes", "alloc_overhead_time", "wake", "deadline",
-                 "clock")
+                 "remaining", "start", "speed", "clock")
 
     def __init__(self, world: World, name: str = "mutator"):
         self.world = world
@@ -429,10 +458,15 @@ class MutatorContext:
         self.process = None  # set by JVM.spawn_mutator
         self.allocated_bytes = 0.0
         self.alloc_overhead_time = 0.0
-        #: The queued event :meth:`idle` waits on (None while the context
-        #: runs), and the time the idle period ends.
+        #: The queued event :meth:`idle` or :meth:`work` waits on (None
+        #: while the context runs), and the time the idle period ends.
         self.wake: Optional[Event] = None
         self.deadline = 0.0
+        #: :meth:`work`'s CPU seconds still to run, and the time and speed
+        #: its pending wake-up was queued at.
+        self.remaining = 0.0
+        self.start = 0.0
+        self.speed = 1.0
         #: This context's simulated time while a lockstep span replays it
         #: (the engine clock stands still during the replay).
         self.clock = 0.0
@@ -471,26 +505,38 @@ class MutatorContext:
 
     # ------------------------------------------------------------------
 
-    def work(self, cpu_seconds: float):
+    def work(self, cpu_seconds: Optional[float] = None):
         """Generator: execute *cpu_seconds* of application work.
 
         Stretches under concurrent-GC CPU steal and transparently absorbs
         stop-the-world interruptions.
+
+        Like :meth:`idle`, keeps its queued wake-up in :attr:`wake`, and
+        the CPU still to run and the time and speed the wake-up was
+        queued at in :attr:`remaining`, :attr:`start` and :attr:`speed`,
+        so that a lockstep span can take the wake-up and leave a later
+        one. Without *cpu_seconds*, waits on the wake-up a span left.
         """
-        remaining = float(cpu_seconds)
         world = self.world
         engine = world.engine
-        while remaining > 1e-12:
-            if world.stw:
-                yield from world._park(self)
-            speed = world.mutator_speed()
-            start = engine.now
+        if cpu_seconds is not None:
+            self.remaining = float(cpu_seconds)
+        while self.wake is not None or self.remaining > 1e-12:
+            if self.wake is None:
+                if world.stw:
+                    yield from world._park(self)
+                self.speed = speed = world.mutator_speed()
+                self.start = engine.now
+                self.wake = Timeout(engine, self.remaining / speed)
             try:
-                yield Timeout(engine, remaining / speed)
-                remaining = 0.0
+                yield self.wake
             except Interrupt:
-                remaining -= (engine.now - start) * speed
+                self.wake = None
+                self.remaining -= (engine.now - self.start) * self.speed
                 yield from world._park(self)
+            else:
+                self.wake = None
+                self.remaining = 0.0
 
     def allocate_old(
         self,
@@ -609,15 +655,13 @@ class MutatorContext:
         """
         world = self.world
         heap = world.heap
-        tlabs = heap.tlabs
-        tlab_size = tlabs.tlab_size
         if n_objects is None:
             n_objects = max(1.0, n_bytes / self.DEFAULT_OBJECT_SIZE)
         cost = world.alloc_cost(n_bytes, n_objects)
-        if tlabs.config.enabled and tlab_size:
-            world.tracer.tlab_refill(
-                world.engine.now, n_bytes / tlab_size, tlab_size,
-            )
+        refills = world.tlab_refills(n_bytes)
+        if refills is not None:
+            world.tracer.tlab_refill(world.engine.now, refills,
+                                     heap.tlabs.tlab_size)
         if cost > 0:
             self.alloc_overhead_time += cost
             # work(cost) inlined: the delegated generator was measurable at
@@ -680,153 +724,19 @@ class MutatorContext:
         label: str = "",
         accumulate: Optional[list] = None,
     ):
-        """Generator: allocate *n_bytes* as a run of ``<= max_piece`` cohorts.
-
-        Semantically identical to the classic workload loop::
-
-            while remaining > 0:
-                piece = min(remaining, max_piece)
-                yield from ctx.allocate(piece, dist,
-                                        n_objects=max(1.0, piece / mean_object_size),
-                                        window=window, label=label)
-                remaining -= piece
-
-        but when the fast path is enabled (``REPRO_FASTPATH``, see
-        :mod:`repro.perf.fastpath`) consecutive TLAB bump allocations are
-        collapsed into one engine event per span (:meth:`_allocate_span`).
-        Pieces that leave the bump path — humongous routing, allocation
-        failure, an in-flight safepoint — always go through
-        :meth:`allocate`, so GC triggers fire at identical simulated times
-        either way.
+        """Generator: allocate *n_bytes* as a run of ``<= max_piece``
+        cohorts (see :func:`pieces`), one :meth:`allocate` each.
 
         *accumulate*, if given, is a one-element list whose head is
-        incremented by each committed piece — float-op order matches the
-        historical per-piece ``acc[0] += piece`` exactly.
+        incremented by each committed piece.
         """
-        engine = self.world.engine
-        remaining = float(n_bytes)
         if mean_object_size is None:
             mean_object_size = self.DEFAULT_OBJECT_SIZE
-        while remaining > 0:
-            if fastpath.ENABLED:
-                # With an event due now (a lockstep sibling, typically)
-                # no span can open: skip building one.
-                horizon = engine.batch_horizon()
-                if horizon is not None and horizon > engine.now:
-                    remaining = yield from self._allocate_span(
-                        remaining, dist, horizon,
-                        mean_object_size=mean_object_size,
-                        max_piece=max_piece, window=window,
-                        accumulate=accumulate,
-                    )
-                    if remaining <= 0:
-                        return
-            # Slow path: exactly one piece through the full allocation
-            # machinery (parking, humongous routing, GC on failure).
-            piece = min(remaining, max_piece)
-            yield from self.allocate(
-                piece, dist,
-                n_objects=max(1.0, piece / mean_object_size),
-                window=window, label=label,
-            )
+        for piece, n_objects in pieces(n_bytes, max_piece, mean_object_size):
+            yield from self.allocate(piece, dist, n_objects=n_objects,
+                                     window=window, label=label)
             if accumulate is not None:
                 accumulate[0] += piece
-            remaining -= piece
-
-    def _allocate_span(
-        self,
-        remaining: float,
-        dist: Optional[LifetimeDistribution],
-        horizon: float,
-        *,
-        mean_object_size: float,
-        max_piece: float,
-        window: float,
-        accumulate: Optional[list],
-    ):
-        """Generator: commit as many consecutive eden pieces as provably
-        take the bump-allocation path, under ONE engine event.
-
-        Byte-identity argument (DESIGN.md §12): while every simulated piece
-        ends strictly before *horizon*, the engine's
-        :meth:`~repro.sim.engine.Engine.batch_horizon` — i.e. before any
-        other queued event — an unbatched run would pop
-        exactly this process's timeout events back-to-back, with no other
-        process observing the intermediate heap states. World state
-        (speed, thread counts, TLAB geometry, STW flags) can therefore not
-        change mid-span, so it is read once and each piece's cost, event
-        time and feasibility are computed with the same float operations
-        the unbatched path performs. The single committed event consumes
-        the same number of engine sequence numbers and reports the same
-        logical event count, so tie-breaks and traces match exactly.
-
-        Returns the bytes still unallocated (``remaining`` unchanged when
-        nothing could be batched); the caller routes the next piece
-        through the slow path.
-        """
-        world = self.world
-        if world.stw or world.gc_in_progress or dist is None:
-            return remaining
-        engine = world.engine
-        heap = world.heap
-        tlabs = heap.tlabs
-        tlab_size = tlabs.tlab_size
-        eden = heap.eden
-        eden_cap = eden.capacity
-        waste = tlabs.expected_waste
-        used = eden.used
-        speed = world.mutator_speed()
-        routes_old = world.routes_old
-        alloc_cost = world.alloc_cost
-        t = engine.now
-
-        # Pass 1: simulate the per-piece cost/time/feasibility sequence.
-        pieces = []  # (piece, n_objects, cost, t_hook, t_alloc)
-        n_events = 0
-        while remaining > 0:
-            piece = min(remaining, max_piece)
-            n_objects = max(1.0, piece / mean_object_size)
-            if routes_old(piece, n_objects):
-                break  # humongous routing -> slow path
-            if piece > eden_cap - waste - used + 1e-6:
-                break  # would raise AllocationFailure -> slow path GCs
-            cost = alloc_cost(piece, n_objects)
-            t_hook = t
-            if cost > 1e-12:
-                # Same float op as work(): timeout(remaining / speed).
-                t_next = t + cost / speed
-                if not (t_next < horizon):
-                    break  # another event would interleave -> stop the span
-                t = t_next
-                n_events += 1
-            pieces.append((piece, n_objects, cost, t_hook, t))
-            used = min(used + piece, eden_cap)  # mirror Space.add
-            remaining -= piece
-        if not pieces:
-            return remaining
-
-        # Pass 2: commit — tracer hooks, costs and heap mutations in the
-        # exact order and at the exact timestamps of the unbatched run.
-        tracer = world.tracer
-        allocate_bump = heap.allocate_bump
-        hook = tlabs.config.enabled and tlab_size
-        for piece, n_objects, cost, t_hook, t_alloc in pieces:
-            if hook:
-                tracer.tlab_refill(t_hook, piece / tlab_size, tlab_size)
-            if cost > 0:
-                self.alloc_overhead_time += cost
-            allocate_bump(
-                t_alloc, piece, dist, n_objects=n_objects, window=window,
-            )
-            self.allocated_bytes += piece
-            if accumulate is not None:
-                accumulate[0] += piece
-        if n_events:
-            span_end = Event(engine)
-            span_end._state = TRIGGERED
-            engine.schedule_span(t, span_end, n_events)
-            yield span_end
-        return remaining
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "parked" if self.parked else ("alive" if self.alive else "done")

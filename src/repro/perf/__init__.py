@@ -3,9 +3,8 @@
 Two halves:
 
 * :mod:`repro.perf.fastpath` — the ``REPRO_FASTPATH`` kill switch for the
-  batched allocation fast path in
-  :meth:`~repro.jvm.threads.MutatorContext.allocate_all`. Import-light on
-  purpose: the hot path reads one module global.
+  lockstep group spans of the DaCapo harness and the Cassandra server.
+  Import-light on purpose: the hot path reads one module global.
 * :mod:`repro.perf.profile` / :mod:`repro.perf.report` — the ``repro-perf``
   CLI: cProfile a simulated run, fold in tracer-derived event-rate stats,
   and print a hot-spot report.

@@ -2,8 +2,8 @@
 
 ``profile`` runs one DaCapo cell under cProfile and prints where the
 host's wall-clock went, alongside engine event rates; ``fastpath``
-reports whether the batched-allocation fast path is active in this
-environment (the ``REPRO_FASTPATH`` gate).
+reports whether the fast path (the lockstep group spans) is active in
+this environment (the ``REPRO_FASTPATH`` gate).
 
 Examples::
 

@@ -1,12 +1,11 @@
-"""Kill switch for the batched allocation fast path.
+"""Kill switch for the lockstep group spans (DESIGN.md §12.1).
 
 ``REPRO_FASTPATH=0`` in the environment disables batching at import time;
 :func:`set_enabled` toggles it at runtime (used by the determinism pins in
 ``tests/test_perf.py`` to run the same cell both ways in one process).
 
-This module must stay import-light — ``repro.jvm.threads`` imports it on
-its hot path and anything heavier would recreate the per-call importlib
-cost this PR removes from the engine.
+This module must stay import-light — the span-opening workloads import
+it, and anything heavier would slow every simulator import.
 """
 
 from __future__ import annotations
@@ -16,13 +15,13 @@ import os
 #: Truthy spellings accepted for REPRO_FASTPATH (anything else disables).
 _FALSEY = frozenset({"0", "false", "no", "off"})
 
-#: Module-global read by the allocation hot path. Mutate only through
+#: Module-global read by the span-opening workloads. Mutate only through
 #: :func:`set_enabled` so the single source of truth stays obvious.
 ENABLED: bool = os.environ.get("REPRO_FASTPATH", "1").strip().lower() not in _FALSEY
 
 
 def enabled() -> bool:
-    """Whether the batched allocation fast path is active."""
+    """Whether the lockstep group spans are active."""
     return ENABLED
 
 

@@ -83,8 +83,8 @@ def event_kind_counts(tracer: Tracer) -> Dict[str, int]:
 def engine_event_count(tracer: Tracer) -> int:
     """Logical engine events reported by ``engine_run`` telemetry.
 
-    Batched allocation spans report every collapsed event, so this count
-    matches an unbatched run of the same cell exactly.
+    Group spans report every collapsed event, so this count matches an
+    unbatched run of the same cell exactly.
     """
     from ..telemetry.events import ENGINE_RUN
 

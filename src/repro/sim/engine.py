@@ -6,13 +6,12 @@ a deterministic FIFO order (sequence numbers break ties). Nothing here
 depends on wall-clock time — runs are reproducible.
 
 Fast path (see DESIGN.md §12): the main loop inlines the pop/dispatch of
-:meth:`step` to shave a function call per event, and two kinds of span
-collapse a run of mutator events: :meth:`schedule_span` turns one
-process's consecutive allocation events into one heap entry, and
-:meth:`requeue_span` commits whole quanta of a group of lockstep
-processes. Both consume the same sequence numbers and report the same
-logical event count — so the optimized engine is observationally
-identical to the plain one.
+:meth:`step` to shave a function call per event, and a *span* collapses
+whole quanta of a group of lockstep processes: :meth:`span_horizon`
+says how far the span may reach and :meth:`requeue_span` commits it. A
+span consumes the same sequence numbers and reports the same logical
+event count as the events it replays — so the optimized engine is
+observationally identical to the plain one.
 """
 
 from __future__ import annotations
@@ -52,8 +51,8 @@ class Engine:
         self._queue: list = []  # heap of (time, priority, seq, event)
         self._seq = 0
         self._running = False
-        #: Bounds of the active :meth:`run` call (None outside one); the
-        #: batched allocation fast path must not advance past them.
+        #: Bounds of the active :meth:`run` call (None outside one); a
+        #: span must not advance past them.
         self._run_until: Optional[float] = None
         self._run_max_events: Optional[int] = None
         #: Logical events represented by batched (collapsed) heap entries,
@@ -61,7 +60,7 @@ class Engine:
         #: reported by :meth:`run` independent of batching.
         self._credit = 0
         #: Events part-way through waking several waiters (see
-        #: :meth:`batch_horizon`).
+        #: :meth:`span_horizon`).
         self._waking = 0
         #: Telemetry sink; :data:`~repro.telemetry.tracer.NULL_TRACER`
         #: unless a live tracer is attached (every hook call is then a
@@ -104,49 +103,32 @@ class Engine:
         self._seq += 1
         heapq.heappush(self._queue, (when, priority, self._seq, _Callback(fn)))
 
-    # -- batched fast path --------------------------------------------
+    # -- lockstep spans (fast path) ------------------------------------
 
-    def batch_horizon(self) -> Optional[float]:
-        """Latest absolute time a process may privately advance to.
+    def span_horizon(self, events) -> Optional[Tuple[float, List[int]]]:
+        """Where a span that takes *events*' queued entries may reach:
+        ``(horizon, seqs)``, the sequence numbers of those entries
+        (aligned with *events*) and the time of the earliest other entry
+        or run bound. Every event the span replays must lie strictly
+        before the horizon, so that no other process can observe the
+        span's intermediate states.
 
-        While the queue holds no other event before time ``h`` (strictly),
-        a running process can collapse a run of its own consecutive events
-        ending before ``h`` into one :meth:`schedule_span` entry without
-        any other process observing the difference. Returns ``None`` when
-        batching is not permitted: not inside :meth:`run`; an event budget
-        is active (``max_events`` counts real pops, which batching would
-        skew); or the event being dispatched still has waiters to wake,
-        whose next events are not in the queue yet.
+        Returns ``None`` when any of *events* is not queued at exactly
+        ``now`` with normal priority, or when batching is not permitted:
+        outside :meth:`run`, under an event budget (``max_events`` counts
+        real pops, which batching would skew), or while the event being
+        dispatched still has waiters to wake, whose next events are not
+        in the queue yet.
         """
-        h = self._run_bound()
-        if h is not None and self._queue and self._queue[0][0] < h:
-            h = self._queue[0][0]
-        return h
-
-    def _run_bound(self) -> Optional[float]:
-        """The horizon the running :meth:`run` call sets, or None when
-        batching is not permitted (see :meth:`batch_horizon`)."""
         if (not self._running or self._run_max_events is not None
                 or self._waking):
             return None
         if self._run_until is None:
-            return math.inf
-        # Events at exactly `until` still run, so the horizon is just
-        # past it; anything later would be cut off by the run bound.
-        return math.nextafter(self._run_until, math.inf)
-
-    def span_horizon(self, events) -> Optional[Tuple[float, List[int]]]:
-        """:meth:`batch_horizon` for a span that takes *events*' queued
-        entries: their sequence numbers (aligned with *events*) and the
-        horizon set by every other entry.
-
-        Returns ``None`` when batching is not permitted (see
-        :meth:`batch_horizon`) or when any of *events* is not queued at
-        exactly ``now`` with normal priority.
-        """
-        h = self._run_bound()
-        if h is None:
-            return None
+            h = math.inf
+        else:
+            # Events at exactly `until` still run, so the horizon is just
+            # past it; anything later would be cut off by the run bound.
+            h = math.nextafter(self._run_until, math.inf)
         seqs = dict.fromkeys(events)
         now = self.now
         for when, prio, seq, event in self._queue:
@@ -192,24 +174,6 @@ class Engine:
         self._seq += n_seq
         self._credit += n_collapsed
 
-    def schedule_span(self, when: float, event, n_logical: int) -> None:
-        """Schedule *event* at absolute *when* as the collapse of
-        *n_logical* consecutive events.
-
-        Consumes *n_logical* sequence numbers (so later tie-breaks are
-        unchanged relative to the unbatched schedule) and credits
-        ``n_logical - 1`` logical events to the running :meth:`run` count.
-        """
-        if n_logical < 1:
-            raise SimulationError(f"schedule_span needs n_logical >= 1, got {n_logical}")
-        if not math.isfinite(when):
-            raise SimulationError(f"scheduled time must be finite, got {when}")
-        if when < self.now:
-            raise SimulationError(f"cannot schedule at {when} < now {self.now}")
-        self._seq += n_logical
-        self._credit += n_logical - 1
-        heapq.heappush(self._queue, (when, NORMAL, self._seq, event))
-
     def process(self, generator) -> "Process":
         """Wrap *generator* into a :class:`Process` and start it immediately."""
         return _process.Process(self, generator)
@@ -246,8 +210,8 @@ class Engine:
         *max_events* events have been processed. Returns the final clock.
 
         The reported event count (:meth:`~repro.telemetry.tracer.Tracer.engine_run`)
-        includes logical events collapsed by :meth:`schedule_span`, so it
-        is identical with the allocation fast path on or off.
+        includes logical events collapsed by :meth:`requeue_span`, so it
+        is identical with the fast path on or off.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run())")

@@ -92,6 +92,20 @@ class TestHarness:
         result = self._run(small_jvm_config(heap=2 * GB, young=256 * MB), name="h2")
         assert result.extras["live_set_bytes"] > 0
 
+    @pytest.mark.parametrize("bad", [
+        {"threads": 0}, {"threads": -4}, {"quanta_per_iteration": 0},
+        {"quanta_per_iteration": -1}, {"iterations": 0}, {"iterations": -3},
+        {"iterations": 2.5}, {"sim_thread_cap": 0},
+    ], ids=lambda bad: "{}={}".format(*next(iter(bad.items()))))
+    def test_bad_drive_arguments_rejected_before_setup(self, small_jvm_config, bad):
+        result = self._run(small_jvm_config(), name="h2", **bad)
+        assert result.crashed
+        assert "ConfigError" in result.crash_reason
+        # Nothing ran: no setup body, no iteration.
+        assert result.execution_time == 0.0
+        assert result.allocated_bytes == 0.0
+        assert result.iteration_times == []
+
 
 class TestStableSubsetSelection:
     def test_selection_marks_crashers_unstable(self, small_jvm_config):

@@ -1,7 +1,7 @@
 """repro.perf: fast-path byte-identity pins and the repro-perf CLI.
 
-The contract under test (DESIGN.md §12): the batched allocation fast
-path may change how fast the simulator runs, but never what it
+The contract under test (DESIGN.md §12): the fast path (the lockstep
+group spans) may change how fast the simulator runs, but never what it
 simulates. With the same seed, ``REPRO_FASTPATH=0`` and ``=1`` must
 produce identical GC logs and identical telemetry traces — timestamps,
 event order, logical event counts, everything — for every collector.
@@ -87,6 +87,121 @@ class TestFastpathByteIdentity:
             assert out.stdout.strip() == str(expect), value
 
 
+#: DaCapo cells at the edges of the group span (DESIGN.md §12.1): rounds
+#: that would not fit eden, a crash, one and two groups, quanta of
+#: several pieces, no TLABs, vm-op safepoints, no System.gc() and groups
+#: that fall out of lockstep after allocation stalls.
+DACAPO_EDGE_CELLS = [
+    pytest.param("h2", "CMS", 250 * MB, {}, {}, id="h2-CMS-250m"),
+    pytest.param("h2", "G1", 250 * MB, {}, {}, id="h2-G1-250m-crash"),
+    pytest.param("luindex", "ParallelOld", 16 * GB, {}, {}, id="luindex"),
+    pytest.param("batik", "CMS", 16 * GB, {}, {}, id="batik-16g"),
+    pytest.param("batik", "CMS", 250 * MB, {}, {}, id="batik-250m"),
+    pytest.param("xalan", "CMS", 16 * GB, {}, {"threads": 3}, id="xalan-3-threads"),
+    pytest.param("xalan", "G1", 16 * GB, {"tlab": TLABConfig(enabled=False)}, {},
+                 id="xalan-no-tlab"),
+    pytest.param("xalan", "ParallelOld", 16 * GB, {"misc_safepoints": True}, {},
+                 id="xalan-misc-safepoints"),
+    pytest.param("xalan", "Shenandoah", 16 * GB, {}, {"system_gc": False},
+                 id="xalan-Shenandoah-no-system-gc"),
+    pytest.param("xalan", "ZGC", 512 * MB, {}, {}, id="xalan-ZGC-512m"),
+]
+
+
+def _dacapo_jvm(gc: str, heap: float, config: dict, tracer=None) -> JVM:
+    return JVM(JVMConfig(**{"gc": gc, "heap": heap, "seed": 0, **config}),
+               tracer=tracer)
+
+
+def _run_dacapo(jvm: JVM, bench: str, drive: dict, iterations: int = 4):
+    return jvm.run(get_benchmark(bench),
+                   **{"iterations": iterations, "system_gc": True, **drive})
+
+
+class TestDaCapoSpan:
+    """The DaCapo harness's lockstep group span (DESIGN.md §12.1) under
+    the fast-path contract, at the edges of its admission rules."""
+
+    @pytest.mark.parametrize("bench,gc,heap,config,drive", DACAPO_EDGE_CELLS)
+    def test_edge_cells_identical(self, bench, gc, heap, config, drive, tmp_path):
+        outputs = []
+        for enabled in (False, True):
+            previous = fastpath.set_enabled(enabled)
+            try:
+                tracer = Tracer()
+                jvm = _dacapo_jvm(gc, heap, config, tracer)
+                result = _run_dacapo(jvm, bench, drive)
+            finally:
+                fastpath.set_enabled(previous)
+            trace_path = tmp_path / f"{enabled}.trace.jsonl"
+            write_trace(tracer, str(trace_path))
+            outputs.append((format_gc_log(result.gc_log, jvm.config.heap_bytes),
+                            trace_path.read_bytes(), result.crash_reason,
+                            result.iteration_times))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("bench,gc,heap,config,drive", DACAPO_EDGE_CELLS)
+    def test_edge_cells_audit_clean(self, bench, gc, heap, config, drive):
+        previous = fastpath.set_enabled(True)
+        try:
+            jvm = _dacapo_jvm(gc, heap, config)
+            with InvariantAuditor().attached(jvm) as auditor:
+                _run_dacapo(jvm, bench, drive)
+        finally:
+            fastpath.set_enabled(previous)
+        auditor.assert_clean()
+        assert auditor.counters["allocations"] > 0
+
+    def test_event_due_with_a_round_runs_first(self):
+        """The horizon rule: an event queued for the very instant a
+        round's allocations happen runs before them, as in the plain
+        loop, so it sees the same heap with the fast path on."""
+        jvm = _dacapo_jvm("CMS", 16 * GB, {})
+        times = []
+        allocate = jvm.heap.allocate
+
+        def record(now, *args, **kwargs):
+            times.append(now)
+            return allocate(now, *args, **kwargs)
+
+        jvm.heap.allocate = record
+        previous = fastpath.set_enabled(False)
+        try:
+            _run_dacapo(jvm, "xalan", {})
+        finally:
+            fastpath.set_enabled(previous)
+        probes = times[len(times) // 6::len(times) // 5]
+        seen = []
+        for enabled in (False, True):
+            previous = fastpath.set_enabled(enabled)
+            try:
+                jvm = _dacapo_jvm("CMS", 16 * GB, {})
+                for due in probes:
+                    jvm.engine.call_at(due, lambda jvm=jvm: seen.append(
+                        (jvm.heap.eden.used,
+                         sum(c.allocated_bytes for c in jvm._contexts))))
+                _run_dacapo(jvm, "xalan", {})
+            finally:
+                fastpath.set_enabled(previous)
+        assert len(seen) == 2 * len(probes) >= 8
+        assert seen[:len(probes)] == seen[len(probes):]
+
+    def test_span_opens(self):
+        """Lockstep groups collapse most of their events: the engine pops
+        about a third of what it reports (all of it without the span)."""
+        previous = fastpath.set_enabled(True)
+        try:
+            tracer = Tracer()
+            jvm = _dacapo_jvm("CMS", 16 * GB, {}, tracer)
+            pops = []
+            jvm.engine.step_hook = lambda before, after: pops.append(after)
+            _run_dacapo(jvm, "h2", {}, iterations=10)
+        finally:
+            fastpath.set_enabled(previous)
+        logical = sum(e.args["events"] for e in tracer.ring if e.name == ENGINE_RUN)
+        assert 0 < len(pops) < logical / 2
+
+
 #: A short stress server and a short YCSB server for every collector:
 #: 8g heap, 1.5g young, JVM seed 3, 600 simulated seconds.
 SERVER_CELLS = [pytest.param(t.value, kind, id=f"{t.value}-{kind}")
@@ -123,7 +238,7 @@ def _serve(jvm: JVM, kind: str):
 
 class TestServerSpan:
     """The lockstep worker-group span of the Cassandra server (DESIGN.md
-    §12.1) under the same contract as the allocation span."""
+    §12.1) under the same contract as the DaCapo span."""
 
     @pytest.mark.parametrize("gc,kind", SERVER_CELLS)
     def test_gc_log_and_trace_identical(self, gc, kind, tmp_path):

@@ -104,10 +104,16 @@ class CellSpec:
 
         Two cells with the same digest are guaranteed to simulate the
         same run, so the store can serve either's result for both.
+        Computed once per instance and kept beside the fields (not as
+        one), so equality, hashing and ``repr`` ignore it.
         """
-        payload = {"v": CELL_SCHEMA_VERSION, "cell": self.to_dict()}
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            payload = {"v": CELL_SCHEMA_VERSION, "cell": self.to_dict()}
+            blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(blob.encode()).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 def run_cell(cell: CellSpec, trace_dir: Optional[str] = None) -> RunResult:

@@ -46,9 +46,11 @@ class ResultStore:
     """Append-only, content-addressed store of cell results."""
 
     def __init__(self, root):
-        self.root = pathlib.Path(root)
+        self.root = pathlib.Path(os.fsdecode(root))
         self.root.mkdir(parents=True, exist_ok=True)
         self._records: Dict[str, dict] = {}
+        #: digest -> (the ``ok`` record, its decoded run), see :meth:`get_run`.
+        self._runs: Dict[str, Tuple[dict, RunResult]] = {}
         #: Digests deliberately removed here (``drop_failures``) — kept so
         #: a merging :meth:`compact` does not resurrect them from disk.
         self._dropped: set = set()
@@ -145,11 +147,24 @@ class ResultStore:
         return self._records.get(digest)
 
     def get_run(self, digest: str) -> Optional[RunResult]:
-        """The decoded :class:`RunResult` for an ``ok`` record, else None."""
+        """The decoded :class:`RunResult` for an ``ok`` record, else None.
+
+        Each record is decoded once per store instance: the run is kept
+        beside the record it came from and served again while that very
+        record is the one held for *digest*, so a record replaced by a
+        write, merge, compaction or :meth:`clear` is never served stale.
+        Every hit on a digest therefore returns one shared object, which
+        callers treat as a read-only value.
+        """
         rec = self._records.get(digest)
         if rec is None or rec["status"] != "ok":
             return None
-        return decode_run(rec["run"])
+        memo = self._runs.get(digest)
+        if memo is not None and memo[0] is rec:
+            return memo[1]
+        run = decode_run(rec["run"])
+        self._runs[digest] = (rec, run)
+        return run
 
     def ok_digests(self) -> List[str]:
         """Digests with a completed run (sorted for determinism)."""
@@ -160,10 +175,10 @@ class ResultStore:
         return sorted(d for d, r in self._records.items() if r["status"] != "ok")
 
     def iter_ok(self) -> Iterator[Tuple[CellSpec, RunResult]]:
-        """Iterate ``(cell, run)`` over completed records, sorted by cell."""
+        """Iterate ``(cell, run)`` over completed records, sorted by digest."""
         for digest in self.ok_digests():
-            rec = self._records[digest]
-            yield CellSpec.from_dict(rec["cell"]), decode_run(rec["run"])
+            cell = CellSpec.from_dict(self._records[digest]["cell"])
+            yield cell, self.get_run(digest)
 
     # -- writes ---------------------------------------------------------
 
@@ -245,6 +260,7 @@ class ResultStore:
         """Remove every record (the manifest is kept)."""
         n = len(self._records)
         self._records.clear()
+        self._runs.clear()
         self._dropped = set()
         with self.locked():
             if self.records_path.exists():
@@ -273,18 +289,21 @@ class ResultStore:
 
         The read-modify-write runs under the store lock so concurrent
         registrants (service + campaign CLI) cannot lose each other's
-        entries.
+        entries. The entry moves last (``resume`` takes the last entry as
+        the most recent); a manifest that would not change is left as it
+        is, file and all.
         """
         with self.locked():
             manifest = self.read_manifest()
             campaigns = [c for c in manifest.get("campaigns", [])
                          if c.get("digest") != entry.get("digest")]
             campaigns.append(entry)
-            manifest["campaigns"] = campaigns
-            manifest["version"] = STORE_VERSION
+            updated = dict(manifest, campaigns=campaigns, version=STORE_VERSION)
+            if updated == manifest:
+                return
             tmp = self.manifest_path.with_suffix(".json.tmp")
             with open(tmp, "w") as fh:
-                json.dump(manifest, fh, indent=2, sort_keys=True)
+                json.dump(updated, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             tmp.replace(self.manifest_path)
 

@@ -1,6 +1,10 @@
 """Tests for the campaign subsystem: cells, store, runner, progress."""
 
+import dataclasses
+import hashlib
 import json
+import os
+import pickle
 
 import pytest
 
@@ -16,9 +20,11 @@ from repro.campaign import (
     default_workers,
     encode_run,
     get_executor,
+    merge_stores,
     run_campaign,
     run_cell,
 )
+from repro.campaign.cells import CELL_SCHEMA_VERSION
 from repro.studies import GridSpec, run_grid
 from repro.units import GB, MB
 
@@ -29,6 +35,14 @@ TINY = GridSpec(benchmarks=["lusearch", "batik"], gcs=["Serial"], heaps=["1g"],
 
 def tiny_campaign(name="tiny"):
     return CampaignSpec(name, [TINY])
+
+
+@pytest.fixture(scope="module")
+def tiny_runs():
+    """TINY's two cells and their runs, simulated once per module."""
+    cells = [CellSpec.from_axes(b, g, h, y, s, iterations=TINY.iterations)
+             for b, g, h, y, s in TINY.cells()]
+    return [(cell, run_cell(cell)) for cell in cells]
 
 
 # ----------------------------------------------------------------------
@@ -65,6 +79,43 @@ class TestCellSpec:
         cell = CellSpec.from_axes("h2", "cms", "4g", "1g", 7, iterations=3,
                                   overrides={"gc_threads": 2})
         assert CellSpec.from_dict(cell.to_dict()) == cell
+
+    def test_digest_is_sha256_of_canonical_json(self):
+        cell = CellSpec.from_axes("h2", "cms", "4g", "1g", 7, iterations=3,
+                                  overrides={"gc_threads": 2})
+        blob = json.dumps({"v": CELL_SCHEMA_VERSION, "cell": cell.to_dict()},
+                          sort_keys=True, separators=(",", ":"))
+        expected = hashlib.sha256(blob.encode()).hexdigest()
+        assert cell.digest() == expected
+        assert cell.digest() == expected      # served from the instance
+
+    def test_cached_digest_is_not_part_of_the_value(self):
+        cell = CellSpec.from_axes("xalan", "g1", "16g", None, 0)
+        fresh = CellSpec.from_axes("xalan", "g1", "16g", None, 0)
+        before = (repr(cell), hash(cell), cell.to_dict())
+        cell.digest()
+        assert (repr(cell), hash(cell), cell.to_dict()) == before
+        assert cell == fresh
+        assert "_digest" not in {f.name for f in dataclasses.fields(CellSpec)}
+
+    def test_digest_survives_pickle_round_trip(self):
+        for warm in (False, True):
+            cell = CellSpec.from_axes("h2", "cms", "4g", "1g", 7,
+                                      overrides={"gc_threads": 2})
+            if warm:
+                cell.digest()
+            back = pickle.loads(pickle.dumps(cell))
+            assert back == cell and hash(back) == hash(cell)
+            assert repr(back) == repr(cell)
+            assert back.digest() == cell.digest()
+
+    def test_replace_recomputes_the_digest(self):
+        cell = CellSpec.from_axes("xalan", "g1", "16g", None, 0)
+        cell.digest()
+        moved = dataclasses.replace(cell, seed=1)
+        assert moved.digest() != cell.digest()
+        assert moved.digest() == CellSpec.from_axes(
+            "xalan", "g1", "16g", None, 1).digest()
 
     def test_key_matches_run_grid_keys(self):
         grid = run_grid(TINY)
@@ -176,6 +227,42 @@ class TestResultStore:
         [(back_cell, back_run)] = list(reloaded.iter_ok())
         assert back_cell == cell and back_run == result
 
+    def test_hit_is_decoded_once_and_shared(self, tmp_path, tiny_runs):
+        [(cell, run), _] = tiny_runs
+        store = ResultStore(tmp_path / "s")
+        store.record_ok(cell, run)
+        d = cell.digest()
+        hit = store.get_run(d)
+        assert hit == decode_run(store.get(d)["run"]) == run
+        assert store.get_run(d) is hit
+        assert ResultStore(tmp_path / "s").get_run(d) == hit
+
+    @pytest.mark.parametrize("replace", ["failure-then-ok", "new-result",
+                                         "merge", "clear"])
+    def test_hit_follows_the_current_record(self, tmp_path, tiny_runs,
+                                            replace):
+        [(cell, run), (_, other)] = tiny_runs
+        d = cell.digest()
+        store = ResultStore(tmp_path / "s")
+        store.record_ok(cell, run)
+        assert store.get_run(d) == run
+        if replace == "failure-then-ok":
+            store.record_failure(cell, "timeout", "budget", attempts=1)
+            assert store.get_run(d) is None
+            store.record_ok(cell, other)
+        elif replace == "new-result":
+            store.record_ok(cell, other)
+        elif replace == "merge":
+            store.record_failure(cell, "timeout", "budget", attempts=1)
+            src = ResultStore(tmp_path / "src")
+            src.record_ok(cell, other)
+            assert merge_stores([src], store).superseded == 1
+        else:
+            assert store.clear() == 1
+            assert store.get_run(d) is None and list(store.iter_ok()) == []
+            store.record_ok(cell, other)
+        assert store.get_run(d) == other == decode_run(store.get(d)["run"])
+
     def test_failure_records(self, tmp_path):
         cell = CellSpec.from_axes("nope", "Serial", "1g", None, 0)
         store = ResultStore(tmp_path / "s")
@@ -235,6 +322,32 @@ class TestResultStore:
         assert len(manifest["campaigns"]) == 1
         assert CampaignSpec.from_dict(manifest["campaigns"][0]["spec"]).size == 2
 
+        # Registering the last entry as it stands leaves the file alone.
+        path = store.manifest_path
+
+        def snapshot():
+            st = path.stat()
+            return path.read_bytes(), st.st_ino, st.st_mtime_ns
+
+        before = snapshot()
+        store.register_campaign(dict(entry))
+        assert snapshot() == before
+
+        # An earlier entry registered again still moves last, where
+        # `repro-campaign resume` looks for the most recent campaign.
+        other = tiny_campaign("other")
+        store.register_campaign({"name": other.name, "digest": other.digest(),
+                                 "spec": other.to_dict(), "cells": other.size})
+        store.register_campaign(entry)
+        names = [c["name"] for c in store.read_manifest()["campaigns"]]
+        assert names == ["other", "tiny"]
+
+        # A changed field is written out.
+        ino = path.stat().st_ino
+        store.register_campaign(dict(entry, cells=3))
+        assert store.read_manifest()["campaigns"][-1]["cells"] == 3
+        assert path.stat().st_ino != ino
+
 
 # ----------------------------------------------------------------------
 # CampaignSpec
@@ -284,6 +397,15 @@ class TestRunCampaign:
         assert second.stats.simulated == 0 and second.stats.cached == 2
         assert second.grid(0).runs == first.grid(0).runs
         assert "cached 2/2" in second.stats.summary()
+
+    def test_bytes_and_str_paths_address_one_store(self, tmp_path):
+        spec = tiny_campaign()
+        path = tmp_path / "s"
+        first = run_campaign(spec, store=os.fsencode(path), executor="serial")
+        second = run_campaign(spec, store=str(path), executor="serial")
+        assert first.stats.simulated == 2
+        assert second.stats.simulated == 0 and second.stats.cached == 2
+        assert second.grid(0).runs == first.grid(0).runs
 
     def test_partial_store_resumes(self, tmp_path):
         spec = tiny_campaign()

@@ -94,8 +94,12 @@ def _pause_band_pct(peaks: np.ndarray, lo_ms: float, hi_ms: float) -> float:
     covered = peaks[peaks > 0]
     if covered.size == 0:
         return 0.0
-    in_band = (covered >= lo_ms) & (covered < hi_ms)
-    return float(100.0 * in_band.mean())
+    return _pct((covered >= lo_ms) & (covered < hi_ms))
+
+
+def _pct(mask: np.ndarray) -> float:
+    """``100.0 * mask.mean()`` of a non-empty *mask*, by counting."""
+    return 100.0 * (int(np.count_nonzero(mask)) / mask.size)
 
 
 def latency_band_stats(
@@ -123,22 +127,21 @@ def latency_band_stats(
     # vectorized record path makes this linear even for >1 M points.
     hist = LogHistogram(unit=1e-3)
     hist.record_array(lat)
-    stats = LatencyBandStats(avg_ms=avg, max_ms=float(lat.max()),
-                             min_ms=float(lat.min()), hist=hist)
+    stats = LatencyBandStats(avg_ms=avg, max_ms=hist.max_raw,
+                             min_ms=hist.min_raw, hist=hist)
     peaks = _pause_peak_latencies(op_times, lat, pause_intervals)
 
     in_mid = (lat > 0.5 * avg) & (lat < 1.5 * avg)
     stats.bands.append(
         BandStat(
             "0.5x-1.5x AVG",
-            float(100.0 * in_mid.mean()),
+            _pct(in_mid),
             _pause_band_pct(peaks, 0.5 * avg, 1.5 * avg),
         )
     )
     factor = 2.0
     for _n in range(max_exponent):
-        above = lat > factor * avg
-        pct = float(100.0 * above.mean())
+        pct = _pct(lat > factor * avg)
         if pct < min_band_pct:
             break
         stats.bands.append(

@@ -47,6 +47,20 @@ class CommitLog:
         self.pending_bytes += n_bytes
         self.appended_bytes += n_bytes
 
+    def append_rounds(self, n_bytes: float, times: int) -> None:
+        """*times* rounds of :meth:`append` and a :meth:`materialize` that
+        finds no segment due (the caller's guarantee), added up in local
+        variables; :meth:`recycle` runs only when it would act."""
+        cap = self.config.commitlog_cap_bytes
+        pending, appended = self.pending_bytes, self.appended_bytes
+        for _ in range(times):
+            pending += n_bytes
+            appended += n_bytes
+            if self._segment_bytes + pending > cap and len(self.segments) > 1:
+                self.pending_bytes = pending
+                self.recycle()
+        self.pending_bytes, self.appended_bytes = pending, appended
+
     def materialize(self, allocate_segment):
         """Turn pending bytes into pinned segment cohorts (generator).
 

@@ -55,13 +55,37 @@ class Memtable:
         ``update_fraction`` of the writes supersede existing records
         (they add new bytes but mark equal old bytes obsolete).
         """
+        new_bytes, records, obsolete = self._deltas(n_records, update_fraction)
+        self.pending_bytes += new_bytes
+        self.record_count += records
+        self.obsolete_bytes += obsolete
+        return new_bytes
+
+    def write_rounds(self, n_records: float, *, update_fraction: float,
+                     times: int) -> None:
+        """*times* rounds of :meth:`write` and a :meth:`materialize` that
+        finds no chunk due (the caller's guarantee), added up in local
+        variables; :meth:`release_obsolete` runs only when it would act."""
+        new_bytes, records, obsolete = self._deltas(n_records, update_fraction)
+        chunk = self.config.memtable_chunk_bytes
+        pending, count, stale = self.pending_bytes, self.record_count, self.obsolete_bytes
+        for _ in range(times):
+            pending += new_bytes
+            count += records
+            stale += obsolete
+            if stale >= chunk and self.chunks:
+                self.obsolete_bytes = stale
+                self.release_obsolete()
+                stale = self.obsolete_bytes
+        self.pending_bytes, self.record_count, self.obsolete_bytes = pending, count, stale
+
+    def _deltas(self, n_records: float, update_fraction: float):
+        """One :meth:`write`'s pending bytes, records and obsolete bytes."""
         if n_records < 0 or not (0.0 <= update_fraction <= 1.0):
             raise ConfigError("bad write() arguments")
         new_bytes = n_records * self.config.record_heap_bytes
-        self.pending_bytes += new_bytes
-        self.record_count += int(n_records * (1.0 - update_fraction))
-        self.obsolete_bytes += new_bytes * update_fraction
-        return new_bytes
+        return (new_bytes, int(n_records * (1.0 - update_fraction)),
+                new_bytes * update_fraction)
 
     def materialize(self, allocate_chunk) -> None:
         """Turn pending bytes into pinned chunk cohorts.

@@ -22,8 +22,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..heap.lifetime import Exponential, Immortal, Mixture, Weibull
 from ..perf import fastpath
@@ -179,7 +177,8 @@ class _Serving:
     (``REPRO_FASTPATH``), the group that wakes first at a quantum
     boundary where every group idles opens a span (:meth:`_span`,
     DESIGN.md §12.1): :meth:`_admit` bounds each round of quanta before
-    it runs, and :meth:`lane` or :meth:`_quiet_round` replays it.
+    it runs, and :meth:`lane` replays it, or :meth:`_quiet_run` every
+    quiet round from there on.
     """
 
     #: Seconds a round's bounds must clear by: far above the rounding of
@@ -268,11 +267,18 @@ class _Serving:
                             server.memtable.record_count)
         server.stats.flushes += 1
 
-    def _count(self, stats: ServerStats, ops: float) -> None:
-        stats.ops_executed += ops
-        stats.inserts += ops * self.insert_fraction
-        stats.updates += ops * self.update_fraction
-        stats.reads += ops * self.read_fraction
+    def _count(self, stats: ServerStats, ops: float, quanta: int = 1) -> None:
+        """Count *quanta* quanta of *ops* operations, one at a time."""
+        inserts = ops * self.insert_fraction
+        updates = ops * self.update_fraction
+        reads = ops * self.read_fraction
+        a, b, c, d = stats.ops_executed, stats.inserts, stats.updates, stats.reads
+        for _ in range(quanta):
+            a += ops
+            b += inserts
+            c += updates
+            d += reads
+        stats.ops_executed, stats.inserts, stats.updates, stats.reads = a, b, c, d
 
     # -- the span (fast path) ---------------------------------------------
 
@@ -288,13 +294,14 @@ class _Serving:
         cfg = self.server.config
         speed = world.mutator_speed()
         site = world.alloc_site
-        self._plan = (
-            # Same float op as work(): timeout(cpu / speed).
-            self.cpu / speed if self.cpu > 1e-12 else None,
-            site(cfg.commitlog_segment_bytes, 1, speed),
-            site(cfg.memtable_chunk_bytes, 1, speed),
-            site(self.transient, self.transient_objects, speed),
-        )
+        # Same float op as work(): timeout(cpu / speed).
+        work_delay = self.cpu / speed if self.cpu > 1e-12 else None
+        transient = site(self.transient, self.transient_objects, speed)
+        self._plan = (work_delay, site(cfg.commitlog_segment_bytes, 1, speed),
+                      site(cfg.memtable_chunk_bytes, 1, speed), transient)
+        # An admitted round with nothing due is *quiet* when every group
+        # wakes at one instant and queues just a work and an allocation event.
+        quiet = work_delay is not None and transient.delay is not None
         n = len(order)
         now = first = last = jvm.now
         pinned = self._admit(first, last, n, horizon)
@@ -306,18 +313,18 @@ class _Serving:
         lanes = [self.lane(ctx) for ctx in order]
         seq = 0
         while True:
-            if pinned == (0, 0) and self._quiet(first, last):
-                due, seq, final = self._quiet_round(order, due, seq)
+            # A quiet run ends where the next round is not quiet.
+            if pinned == (0, 0) and quiet and first == last:
+                due, seq, final, pinned = self._quiet_run(order, due, seq, horizon)
             else:
                 heapq.heapify(due)
                 due, seq, final = world.replay_round(order, lanes, due, seq)
+                if final:
+                    first, last = min(due)[0], max(due)[0]
+                    pinned = self._admit(first, last, n, horizon)
             # A wake-up that would not end its idle loop goes back to
             # the engine, which repeats the wait as the plain loop does.
-            if not final:
-                break
-            first, last = min(due)[0], max(due)[0]
-            pinned = self._admit(first, last, n, horizon)
-            if pinned is None:
+            if not final or pinned is None:
                 break
         for lane in lanes:
             lane.close()
@@ -425,55 +432,51 @@ class _Serving:
             return segments, chunks
         return None
 
-    def _quiet(self, first: float, last: float) -> bool:
-        """Whether an admitted round with nothing due is *quiet*: every
-        group wakes at one instant and queues just a work and an
-        allocation event."""
+    def _quiet_run(self, order, due, seq: int, horizon: float):
+        """Quiet rounds from here on in one call, each next one admitted
+        by :meth:`_admit` from the state the run has advanced (DESIGN.md
+        §12.1). A round's work events, then its allocation events, pop in
+        queue order, which holds from round to round. Returns the wake-ups,
+        the sequence counter, whether the last wait ends its idle loop,
+        and the admission of the round after the run."""
+        server, heap, tracer = self.server, self.jvm.heap, self.jvm.world.tracer
+        commitlog, memtable = server.commitlog, server.memtable
         work_delay, _, _, transient = self._plan
-        return (first == last and work_delay is not None
-                and transient.delay is not None)
-
-    def _quiet_round(self, order, due, seq: int):
-        """A quiet round without the lanes: the groups' work events pop in
-        queue order, then their allocation events, so each group's block
-        of :meth:`lane` between two events runs in that order too."""
-        server = self.server
-        commitlog = server.commitlog
-        memtable = server.memtable
-        stats = server.stats
-        work_delay, _, _, transient = self._plan
-        quantum = self.quantum
-        ops = self.ops
-        writes = self.writes
-        dist = self.dist
+        hooks = tracer.enabled and transient.refills is not None
+        quantum, writes, dist = self.quantum, self.writes, self.dist
         due.sort()
-        lanes = [order[i] for _, _, i in due]
-        start = due[0][0]
-        t_work = start + work_delay
-        t_alloc = t_work + transient.delay
-        for ctx in lanes:
+        queue = [order[i] for _, _, i in due]
+        n, start, rounds = len(queue), due[0][0], 0
+        while True:
+            t_work = start + work_delay
+            t_alloc = t_work + transient.delay
             if writes > 0:
-                commitlog.append(self.log_bytes)
-                memtable.write(writes, update_fraction=self.update_share)
-                # Both materialize() calls, with nothing due.
-                commitlog.recycle()
-                memtable.release_obsolete()
-            ctx.replay_alloc_start(transient, t_work)
-        for ctx in lanes:
-            ctx.replay_alloc_end(transient, t_alloc, dist, window=quantum)
-            if memtable.needs_flush:
+                commitlog.append_rounds(self.log_bytes, n)
+                memtable.write_rounds(writes, update_fraction=self.update_share,
+                                      times=n)
+            for _ in queue if hooks else ():
+                tracer.tlab_refill(t_work, transient.refills, transient.tlab_size)
+            heap.allocate_bumps(t_alloc, transient.n_bytes, dist, count=n,
+                                n_objects=transient.n_objects, window=quantum)
+            if memtable.needs_flush:   # a flush empties it for the rest
                 self._flush(t_alloc)
-            self._count(stats, ops)
-        n = len(lanes)
-        self._cards += n
-        deadline = t_alloc + float(quantum - (t_alloc - start))
-        wake = t_alloc + (deadline - t_alloc)
-        seq += 2 * n   # the work and allocation events
+            rounds += 1
+            deadline = t_alloc + float(quantum - (t_alloc - start))
+            start = t_alloc + (deadline - t_alloc)   # the wake-up
+            final = not start < deadline - 1e-12
+            pinned = self._admit(start, start, n, horizon) if final else None
+            if pinned != (0, 0):
+                break
+        self._cards += n * rounds
+        self._count(server.stats, self.ops, n * rounds)
+        for ctx in queue:
+            ctx.book(transient, rounds)
+            ctx.deadline = deadline
+        seq += 3 * n * rounds   # each round's work, allocation and wake-up events
         wakes = [None] * n
         for k, (_, _, i) in enumerate(due, 1):
-            order[i].deadline = deadline
-            wakes[i] = (wake, seq + k, i)
-        return wakes, seq + n, not wake < deadline - 1e-12
+            wakes[i] = (start, seq - n + k, i)
+        return wakes, seq, final, pinned
 
 
 def _due(pending: float, appended: float, size: float) -> int:

@@ -197,6 +197,23 @@ class CohortColumns:
         self.n = i + 1
         return i
 
+    def append_rows(self, count: int, t0, t1, allocated: float,
+                    dist: LifetimeDistribution, n_objects: float) -> None:
+        """Append the rows of *count* :meth:`append_row` calls, unpinned
+        and without a handle; *t0* and *t1* are times or arrays of them."""
+        n = self.n
+        end = n + count
+        self._reserve(end)
+        arrays = self._arrays
+        arrays["t0"][n:end] = t0
+        arrays["t1"][n:end] = t1
+        arrays["allocated"][n:end] = arrays["resident"][n:end] = allocated
+        arrays["n_objects"][n:end] = n_objects
+        # No row, no registered distribution: append_row() would not run.
+        arrays["group"][n:end] = (self.store.group_of(dist)
+                                  if allocated > 0.0 and count else -1)
+        self.n = end
+
     def add(self, t0: float, t1: float, allocated: float,
             dist: Optional[LifetimeDistribution], n_objects: float,
             pinned: bool, label: str, age: int = 0) -> "Cohort":

@@ -340,6 +340,20 @@ class GenerationalHeap:
         eden = self.eden
         eden.used = min(eden.used + n_bytes, eden.capacity)
 
+    def allocate_bumps(self, now: float, n_bytes: float, dist, *, count: int,
+                       n_objects: float, window: float) -> None:
+        """*count* :meth:`allocate_bump` calls at *now*, with the rows in
+        one write and eden's occupancy added one row at a time."""
+        self.eden_cohorts.append_rows(count, now - window, now, n_bytes, dist,
+                                      n_objects)
+        eden = self.eden
+        used, capacity = eden.used, eden.capacity
+        for _ in range(count):
+            used += n_bytes
+            if used > capacity:   # min(), without the call
+                used = capacity
+        eden.used = used
+
     def allocate_old(
         self,
         now: float,

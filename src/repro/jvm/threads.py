@@ -605,11 +605,9 @@ class MutatorContext:
     def replay_alloc_start(self, site: AllocSite, now: float) -> None:
         """What :meth:`allocate` at *site* does at *now* inside a lockstep
         span, before its cost event (``site.delay`` later): trace the TLAB
-        refills and book the allocation-path cost."""
+        refills."""
         if site.refills is not None:
             self.world.tracer.tlab_refill(now, site.refills, site.tlab_size)
-        if site.cost > 0:
-            self.alloc_overhead_time += site.cost
 
     def replay_alloc_end(self, site: AllocSite, now: float,
                          dist: Optional[LifetimeDistribution] = None, *,
@@ -618,8 +616,9 @@ class MutatorContext:
         """The allocation :meth:`allocate` makes at *now*, after its cost
         event. Pinned data goes through the handle-returning heap entry
         points, anything else becomes a bump row. The span admitted the
-        allocation, so it neither fails nor takes another path. Returns
-        the handle, or None for a bump row."""
+        allocation, so it neither fails nor takes another path; it is
+        booked here (:meth:`book`). Returns the handle, or None for a
+        bump row."""
         world = self.world
         heap = world.heap
         cohort = None
@@ -634,8 +633,20 @@ class MutatorContext:
         else:
             heap.allocate_bump(now, site.n_bytes, dist,
                                n_objects=site.n_objects, window=window)
-        self.allocated_bytes += site.n_bytes
+        self.book(site)
         return cohort
+
+    def book(self, site: AllocSite, times: int = 1) -> None:
+        """Add *times* allocations at *site* to this context's totals one
+        at a time, as :meth:`allocate` adds them (nothing reads them before
+        the run ends): the path cost when positive, and the bytes."""
+        cost, n_bytes = site.cost, site.n_bytes
+        spent, allocated = self.alloc_overhead_time, self.allocated_bytes
+        for _ in range(times):
+            if cost > 0:
+                spent += cost
+            allocated += n_bytes
+        self.alloc_overhead_time, self.allocated_bytes = spent, allocated
 
     def allocate(
         self,

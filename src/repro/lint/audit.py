@@ -353,6 +353,13 @@ class InvariantAuditor:
             record_mutator_allocation(now)
             return orig_alloc_bump(now, n_bytes, *args, **kwargs)
 
+        orig_alloc_bumps = heap.allocate_bumps
+
+        def audited_alloc_bumps(now, n_bytes, *args, count, **kwargs):
+            for _ in range(count):
+                record_mutator_allocation(now)
+            return orig_alloc_bumps(now, n_bytes, *args, count=count, **kwargs)
+
         orig_alloc_obj = heap.allocate_object
 
         def audited_alloc_obj(size, *args, **kwargs):
@@ -375,6 +382,7 @@ class InvariantAuditor:
         self._patch(heap, "allocate", audited_alloc)
         self._patch(heap, "allocate_old", audited_alloc_old)
         self._patch(heap, "allocate_bump", audited_alloc_bump)
+        self._patch(heap, "allocate_bumps", audited_alloc_bumps)
         self._patch(heap, "allocate_object", audited_alloc_obj)
         self._patch(heap, "dirty_cards", audited_dirty)
 

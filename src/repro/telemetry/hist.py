@@ -26,6 +26,7 @@ beyond the sparse count dict; the scalar and vectorized
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
@@ -61,8 +62,8 @@ class LogHistogram:
     # -- bucketing (exact integer arithmetic) ---------------------------
 
     def _quantize(self, value: float) -> int:
-        if value < 0:
-            raise ConfigError(f"histogram values must be >= 0, got {value}")
+        if not 0 <= value < math.inf:
+            raise ConfigError(f"histogram values must be finite and >= 0, got {value}")
         return int(value / self.unit)
 
     def _index(self, n: int) -> int:
@@ -116,20 +117,20 @@ class LogHistogram:
         v = np.asarray(values, dtype=float)
         if v.size == 0:
             return
-        if float(v.min()) < 0:
-            raise ConfigError("histogram values must be >= 0")
+        lo, hi = float(v.min()), float(v.max())   # NaN if any is NaN
+        if not 0 <= lo <= hi < math.inf:
+            raise ConfigError(f"histogram values must be finite and >= 0: {lo}..{hi}")
         n = (v / self.unit).astype(np.int64)
         # frexp is exact for integers < 2**53: exponent == bit_length.
         _, e = np.frexp((n | (self._sub_buckets - 1)).astype(np.float64))
         bucket = e.astype(np.int64) - self._m
         sbi = n >> bucket
-        idx = ((bucket + 1) << self._half_mag) + (sbi - self._half)
-        uniq, cnt = np.unique(idx, return_counts=True)
-        for i, c in zip(uniq.tolist(), cnt.tolist()):
+        counts = np.bincount(((bucket + 1) << self._half_mag) + (sbi - self._half))
+        hit = np.flatnonzero(counts)
+        for i, c in zip(hit.tolist(), counts[hit].tolist()):
             self._counts[i] = self._counts.get(i, 0) + c
         self.total_count += int(v.size)
         self.sum_units += int(n.sum())
-        lo, hi = float(v.min()), float(v.max())
         if self.min_raw is None or lo < self.min_raw:
             self.min_raw = lo
         if self.max_raw is None or hi > self.max_raw:

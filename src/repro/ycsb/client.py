@@ -3,16 +3,16 @@
 The heavy lifting on the server side is the discrete-event simulation
 (:class:`~repro.cassandra.server.CassandraServer` on a
 :class:`~repro.jvm.JVM`); the client-side latencies are then synthesized
-**vectorially** from the server's pause log (per the HPC guides: the
-million-point loop becomes three numpy passes):
+**vectorially** from the server's pause log, with no per-operation loop:
 
-1. operation timestamps are drawn over the serving window;
+1. operation timestamps and kinds are drawn over the serving window;
 2. each operation gets a base service time — updates follow a tight
    constant band, reads add an SSTable-dependent component that *steps up*
    as flushes accumulate (paper Figure 5, observation 1);
 3. operations that arrive during a stop-the-world pause complete only
    when the safepoint ends: ``latency += pause_end - arrival`` (paper
-   Figure 5, observation 2 — every latency peak is a GC).
+   Figure 5, observation 2 — every latency peak is a GC), pause by pause
+   (:func:`add_pause_overlap`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from ..cassandra.config import CassandraConfig
 from ..cassandra.server import CassandraServer
-from ..errors import ConfigError
+from ..errors import ConfigError, SimulationError
 from ..seeding import rng_for
 from ..jvm import JVM, JVMConfig, RunResult
 from .workload import CoreWorkload
@@ -55,12 +55,12 @@ class ClientResult:
 
     def of_kind(self, kind: int) -> "ClientResult":
         """Sub-trace of one operation kind."""
-        mask = self.kinds == kind
+        rows = np.flatnonzero(self.kinds == kind)
         return ClientResult(
             self.gc,
-            self.op_times[mask],
-            self.latencies_ms[mask],
-            self.kinds[mask],
+            self.op_times[rows],
+            self.latencies_ms[rows],
+            np.full(len(rows), kind, dtype=self.kinds.dtype),
             self.pause_intervals,
             self.server_result,
         )
@@ -110,6 +110,7 @@ class YCSBClient:
         """
         if duration <= 0:
             raise ConfigError("duration must be positive")
+        _check_rate(samples_per_second)
         w = self.workload
         server = CassandraServer(cassandra_config)
         jvm = JVM(jvm_config)
@@ -135,6 +136,7 @@ class YCSBClient:
         samples_per_second: float = 140.0,
     ) -> ClientResult:
         """Vectorized latency synthesis from a finished server run."""
+        _check_rate(samples_per_second)
         w = self.workload
         rng = rng_for(self.seed, "ycsb-client", jvm_config.gc.value)
         t0 = float(server_result.extras.get("serve_start", 0.0))
@@ -144,55 +146,48 @@ class YCSBClient:
         n = max(1, int((t1 - t0) * samples_per_second))
         times = np.sort(rng.uniform(t0, t1, size=n))
 
-        # Operation kinds per the workload mix.
+        # Kind codes (READ 0, UPDATE 1, INSERT 2) count the mix thresholds u clears.
         u = rng.random(n)
-        kinds = np.full(n, KIND_INSERT, dtype=np.int8)
-        kinds[u < w.read_proportion] = KIND_READ
-        kinds[(u >= w.read_proportion)
-              & (u < w.read_proportion + w.update_proportion)] = KIND_UPDATE
+        writes = u >= w.read_proportion
+        kinds = writes.view(np.int8) + (
+            u >= w.read_proportion + w.update_proportion).view(np.int8)
 
-        # Base service times.
+        # Base service times (indexed by position: a boolean mask is slower).
         lat = np.empty(n, dtype=float)
-        writes = kinds != KIND_READ
+        write_rows = np.flatnonzero(writes)
         # Updates/inserts: commit-log append + memtable write; a tight,
         # constant band (paper: "the line of points is constant").
-        lat[writes] = 0.55 + rng.gamma(2.0, 0.11, size=int(writes.sum()))
+        lat[write_rows] = 0.55 + rng.gamma(2.0, 0.11, size=len(write_rows))
         # Reads: memtable hit or on-disk consultation. The on-disk path
         # grows as data accumulates — each flush adds an SSTable, and even
         # between flushes the growing data volume adds discrete index /
         # partition levels: the paper's increasing "steps" in the read line.
-        reads = ~writes
-        n_reads = int(reads.sum())
+        n_reads = n - len(write_rows)
         if n_reads:
+            read_rows = np.flatnonzero(~writes)
+            read_times = times[read_rows]
             chooser = w.key_chooser()
             hot = chooser.hot_fraction(0.05)
             flush_times = np.sort(np.array(
                 [t.created_at for t in server.sstables.tables], dtype=float
             ))
             tables_at = (
-                np.searchsorted(flush_times, times[reads])
+                np.searchsorted(flush_times, read_times)
                 if flush_times.size
                 else np.zeros(n_reads)
             )
             written = server.commitlog.appended_bytes - server.stats.replayed_bytes
             write_rate = max(written, 0.0) / (t1 - t0)
             level_quantum = 2.0 * 1024 ** 3  # one level per ~2 GB written
-            levels_at = np.floor((times[reads] - t0) * write_rate / level_quantum)
+            levels_at = np.floor((read_times - t0) * write_rate / level_quantum)
             miss = rng.random(n_reads) > hot
             base = 0.85 + rng.gamma(2.0, 0.28, size=n_reads)
             sstable_cost = miss * 0.30 * np.log2(2.0 + tables_at + levels_at)
-            lat[reads] = base + sstable_cost
+            lat[read_rows] = base + sstable_cost
 
-        # GC pause overlap: ops arriving inside [start, end) finish at end.
         intervals = server_result.gc_log.intervals()
         if intervals.size:
-            starts = intervals[:, 0]
-            ends = intervals[:, 1]
-            idx = np.searchsorted(starts, times, side="right") - 1
-            valid = idx >= 0
-            inside = np.zeros(n, dtype=bool)
-            inside[valid] = times[valid] < ends[idx[valid]]
-            lat[inside] += (ends[idx[inside]] - times[inside]) * 1000.0
+            add_pause_overlap(lat, times, intervals)
         else:
             intervals = np.zeros((0, 2))
 
@@ -204,3 +199,24 @@ class YCSBClient:
             pause_intervals=intervals,
             server_result=server_result,
         )
+
+
+def _check_rate(rate: float) -> None:
+    if not 0.0 < rate < float("inf"):
+        raise ConfigError(f"samples_per_second must be finite and > 0, got {rate}")
+
+
+def add_pause_overlap(lat: np.ndarray, times: np.ndarray,
+                      intervals: np.ndarray) -> None:
+    """Add ``(end - arrival) * 1000`` to ``lat`` (ms) of each arrival in
+    sorted *times* that falls in a pause's ``[start, end)`` row of
+    *intervals*. An arrival belongs to the last pause starting at or
+    before it, so a pause covers the arrivals from its start to its end
+    or the next start, whichever comes first; starts must not decrease."""
+    starts, ends = intervals[:, 0], intervals[:, 1]
+    if np.any(starts[1:] < starts[:-1]):
+        raise SimulationError("pause starts must not decrease")
+    lo = np.searchsorted(times, starts)
+    hi = np.minimum(np.searchsorted(times, ends), np.append(lo[1:], len(times)))
+    for a, b, end in zip(lo.tolist(), hi.tolist(), ends.tolist()):
+        lat[a:b] += (end - times[a:b]) * 1000.0   # empty unless a < b

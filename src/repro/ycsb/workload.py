@@ -32,7 +32,11 @@ class CoreWorkload:
     zipfian_theta: float = 0.99
 
     def __post_init__(self) -> None:
-        total = self.read_proportion + self.update_proportion + self.insert_proportion
+        proportions = (self.read_proportion, self.update_proportion,
+                       self.insert_proportion)
+        if not all(p >= 0 for p in proportions):   # NaN fails too
+            raise ConfigError(f"operation proportions must be >= 0 (got {proportions})")
+        total = sum(proportions)
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"operation proportions must sum to 1 (got {total})")
         if self.key_distribution not in ("zipfian", "uniform"):

@@ -1,9 +1,10 @@
-"""Scalar reference implementations of the columnar heap kernels.
+"""Reference implementations of the simulator's fast kernels.
 
-These are the straightforward per-object paths the simulator used before
-its cohort state became columns. They are kept only as test oracles: the
-hypothesis properties in ``test_kernel_oracles.py`` require the fast
-kernels to agree with them exactly, float for float.
+These are the straightforward paths the simulator used before its cohort
+state became columns and before the YCSB client dropped its redundant
+array passes. They are kept only as test oracles: the hypothesis
+properties in ``test_kernel_oracles.py`` require the fast kernels to
+agree with them exactly, float for float and byte for byte.
 
 * :class:`ScalarCohort` — one cohort as a Python object, with the scalar
   ``live_bytes``/``collect`` that ``batch_live_bytes``/``collect_rows``
@@ -11,16 +12,31 @@ kernels to agree with them exactly, float for float.
 * :class:`LoopRememberedSet` — the per-card round-robin ``record`` loop
   that ``RememberedSet.record``'s closed form replaces;
 * :func:`evacuate_old_by_tuples` — G1's garbage-first selection as a sort
-  over ``(score, cohort, live)`` tuples.
+  over ``(score, cohort, live)`` tuples;
+* :func:`synthesize_by_masks`, :func:`add_pause_overlap_per_op` and
+  :func:`of_kind_by_mask` — the YCSB client's latency synthesis with
+  mask-built kinds, every operation placed among the pauses with
+  ``searchsorted``, and sub-traces gathered by boolean mask;
+* :func:`record_by_unique` and :func:`latency_band_stats_by_mean` —
+  histogram recording that counts buckets with ``np.unique``, and the
+  band statistics with ``.mean()`` shares.
 """
 
 from __future__ import annotations
 
 from typing import List, Tuple
 
+import numpy as np
+
+from repro.analysis.latency import (BandStat, LatencyBandStats,
+                                    _pause_peak_latencies)
 from repro.errors import ConfigError
 from repro.heap.cohort import TAIL_CUTOFF
 from repro.heap.lifetime import Immortal
+from repro.seeding import rng_for
+from repro.telemetry.hist import LogHistogram
+from repro.ycsb.client import (KIND_INSERT, KIND_READ, KIND_UPDATE,
+                               ClientResult)
 
 
 class ScalarCohort:
@@ -125,3 +141,145 @@ def evacuate_old_by_tuples(cohorts: List[ScalarCohort], now: float,
         freed += c.collect(now)
         copied += live
     return copied, freed
+
+
+# ----------------------------------------------------------------------
+# The YCSB client and its band statistics
+# ----------------------------------------------------------------------
+
+def add_pause_overlap_per_op(lat, times, intervals) -> None:
+    """Place every operation among the pause starts with ``searchsorted``;
+    one that arrives before its pause's end waits for it."""
+    starts = intervals[:, 0]
+    ends = intervals[:, 1]
+    idx = np.searchsorted(starts, times, side="right") - 1
+    valid = idx >= 0
+    inside = np.zeros(len(times), dtype=bool)
+    inside[valid] = times[valid] < ends[idx[valid]]
+    lat[inside] += (ends[idx[inside]] - times[inside]) * 1000.0
+
+
+def synthesize_by_masks(client, jvm_config, server_result, server, *,
+                        samples_per_second: float = 140.0) -> ClientResult:
+    """``YCSBClient.synthesize`` built from boolean masks."""
+    w = client.workload
+    rng = rng_for(client.seed, "ycsb-client", jvm_config.gc.value)
+    t0 = float(server_result.extras.get("serve_start", 0.0))
+    t1 = float(server_result.execution_time)
+    if t1 <= t0:
+        raise ConfigError("server run has an empty serving window")
+    n = max(1, int((t1 - t0) * samples_per_second))
+    times = np.sort(rng.uniform(t0, t1, size=n))
+
+    u = rng.random(n)
+    kinds = np.full(n, KIND_INSERT, dtype=np.int8)
+    kinds[u < w.read_proportion] = KIND_READ
+    kinds[(u >= w.read_proportion)
+          & (u < w.read_proportion + w.update_proportion)] = KIND_UPDATE
+
+    lat = np.empty(n, dtype=float)
+    writes = kinds != KIND_READ
+    lat[writes] = 0.55 + rng.gamma(2.0, 0.11, size=int(writes.sum()))
+    reads = ~writes
+    n_reads = int(reads.sum())
+    if n_reads:
+        chooser = w.key_chooser()
+        hot = chooser.hot_fraction(0.05)
+        flush_times = np.sort(np.array(
+            [t.created_at for t in server.sstables.tables], dtype=float
+        ))
+        tables_at = (
+            np.searchsorted(flush_times, times[reads])
+            if flush_times.size
+            else np.zeros(n_reads)
+        )
+        written = server.commitlog.appended_bytes - server.stats.replayed_bytes
+        write_rate = max(written, 0.0) / (t1 - t0)
+        level_quantum = 2.0 * 1024 ** 3
+        levels_at = np.floor((times[reads] - t0) * write_rate / level_quantum)
+        miss = rng.random(n_reads) > hot
+        base = 0.85 + rng.gamma(2.0, 0.28, size=n_reads)
+        sstable_cost = miss * 0.30 * np.log2(2.0 + tables_at + levels_at)
+        lat[reads] = base + sstable_cost
+
+    intervals = server_result.gc_log.intervals()
+    if intervals.size:
+        add_pause_overlap_per_op(lat, times, intervals)
+    else:
+        intervals = np.zeros((0, 2))
+    return ClientResult(jvm_config.gc.value, times, lat, kinds, intervals,
+                        server_result)
+
+
+def of_kind_by_mask(trace: ClientResult, kind: int) -> ClientResult:
+    """``ClientResult.of_kind`` gathering every array by boolean mask."""
+    mask = trace.kinds == kind
+    return ClientResult(trace.gc, trace.op_times[mask],
+                        trace.latencies_ms[mask], trace.kinds[mask],
+                        trace.pause_intervals, trace.server_result)
+
+
+def record_by_unique(hist: LogHistogram, values) -> None:
+    """``LogHistogram.record_array`` counting buckets with ``np.unique``."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        return
+    if float(v.min()) < 0:
+        raise ConfigError("histogram values must be >= 0")
+    n = (v / hist.unit).astype(np.int64)
+    _, e = np.frexp((n | (hist._sub_buckets - 1)).astype(np.float64))
+    bucket = e.astype(np.int64) - hist._m
+    sbi = n >> bucket
+    idx = ((bucket + 1) << hist._half_mag) + (sbi - hist._half)
+    uniq, cnt = np.unique(idx, return_counts=True)
+    for i, c in zip(uniq.tolist(), cnt.tolist()):
+        hist._counts[i] = hist._counts.get(i, 0) + c
+    hist.total_count += int(v.size)
+    hist.sum_units += int(n.sum())
+    lo, hi = float(v.min()), float(v.max())
+    if hist.min_raw is None or lo < hist.min_raw:
+        hist.min_raw = lo
+    if hist.max_raw is None or hi > hist.max_raw:
+        hist.max_raw = hi
+
+
+def _pause_band_pct_by_mean(peaks, lo_ms: float, hi_ms: float) -> float:
+    covered = peaks[peaks > 0]
+    if covered.size == 0:
+        return 0.0
+    in_band = (covered >= lo_ms) & (covered < hi_ms)
+    return float(100.0 * in_band.mean())
+
+
+def latency_band_stats_by_mean(op_times, latencies_ms, pause_intervals, *,
+                               min_band_pct: float = 0.001,
+                               max_exponent: int = 10) -> LatencyBandStats:
+    """``latency_band_stats`` with ``.mean()`` band shares, extremes from
+    their own passes and :func:`record_by_unique`."""
+    op_times = np.asarray(op_times, dtype=float)
+    lat = np.asarray(latencies_ms, dtype=float)
+    if op_times.shape != lat.shape:
+        raise ConfigError("op_times and latencies must align")
+    if lat.size == 0:
+        raise ConfigError("no operations recorded")
+    avg = float(lat.mean())
+    hist = LogHistogram(unit=1e-3)
+    record_by_unique(hist, lat)
+    stats = LatencyBandStats(avg_ms=avg, max_ms=float(lat.max()),
+                             min_ms=float(lat.min()), hist=hist)
+    peaks = _pause_peak_latencies(op_times, lat, pause_intervals)
+    in_mid = (lat > 0.5 * avg) & (lat < 1.5 * avg)
+    stats.bands.append(BandStat(
+        "0.5x-1.5x AVG", float(100.0 * in_mid.mean()),
+        _pause_band_pct_by_mean(peaks, 0.5 * avg, 1.5 * avg)))
+    factor = 2.0
+    for _n in range(max_exponent):
+        above = lat > factor * avg
+        pct = float(100.0 * above.mean())
+        if pct < min_band_pct:
+            break
+        stats.bands.append(BandStat(
+            f">{factor:g}x AVG", pct,
+            _pause_band_pct_by_mean(peaks, factor * avg, float("inf"))))
+        factor *= 2.0
+    return stats

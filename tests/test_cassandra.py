@@ -40,6 +40,12 @@ def pinned_allocator(allocated):
     return alloc
 
 
+def no_allocation(_n_bytes):
+    """Allocator for a materialize() that must find nothing due."""
+    raise AssertionError("nothing may fall due")
+    yield  # pragma: no cover - makes this a generator
+
+
 def drain(gen):
     """Run a generator that never actually yields."""
     try:
@@ -124,6 +130,28 @@ class TestMemtable:
     def test_bad_write_args(self):
         with pytest.raises(ConfigError):
             Memtable(tiny_cassandra()).write(-1)
+        with pytest.raises(ConfigError):
+            Memtable(tiny_cassandra()).write_rounds(1, update_fraction=1.5, times=2)
+
+    def test_write_rounds_matches_writes(self):
+        """k writes, each followed by a materialize() with no chunk due,
+        a release inside the rounds included."""
+        states = []
+        for bulk in (False, True):
+            m = Memtable(tiny_cassandra())
+            allocated = []
+            m.write(8000, update_fraction=0.45)
+            drain(m.materialize(pinned_allocator(allocated)))
+            if bulk:
+                m.write_rounds(1000, update_fraction=0.9, times=2)
+            else:
+                for _ in range(2):
+                    m.write(1000, update_fraction=0.9)
+                    drain(m.materialize(no_allocation))
+            states.append((m.pending_bytes, m.obsolete_bytes, m.record_count,
+                           m.heap_bytes, [c.released for c in allocated]))
+        assert states[0] == states[1]
+        assert states[1][-1] == [True, True, False]   # one release each side
 
 
 class TestCommitLog:
@@ -150,6 +178,26 @@ class TestCommitLog:
         drain(fill())
         assert log.recycled_segments > 0
         assert log.heap_bytes <= 4 * MB + 2 * MB  # cap + one pending segment
+
+    def test_append_rounds_matches_appends(self):
+        """k appends, each followed by a materialize() with no segment
+        due, a recycle inside the rounds included."""
+        states = []
+        for bulk in (False, True):
+            log = CommitLog(tiny_cassandra(commitlog_cap_bytes=5 * MB))
+            allocated = []
+            log.append(8 * MB)
+            drain(log.materialize(pinned_allocator(allocated)))
+            if bulk:
+                log.append_rounds(0.3 * MB, 6)
+            else:
+                for _ in range(6):
+                    log.append(0.3 * MB)
+                    drain(log.materialize(no_allocation))
+            states.append((log.pending_bytes, log.appended_bytes, log.heap_bytes,
+                           log.recycled_segments, [c.released for c in allocated]))
+        assert states[0] == states[1]
+        assert states[1][3] == 3   # two before the rounds, one inside them
 
     def test_replay_bytes(self):
         log = CommitLog(tiny_cassandra())

@@ -198,6 +198,34 @@ class TestColumns:
         with pytest.raises(ConfigError):
             CohortColumns().extend(CohortColumns())
 
+    @given(st.lists(st.floats(0.0, 1e4), max_size=70),
+           st.sampled_from([0.0, 96.0 * 1024]), st.integers(0, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_append_rows_writes_what_append_row_writes(self, ends, size, before):
+        """After handle rows and dropped rows, past the spare capacity,
+        and for empty rows, which get no survival kernel."""
+        dist = Exponential(0.05)
+        spaces = []
+        for batched in (False, True):
+            cols = CohortColumns()
+            for k in range(before):
+                cols.append_row(0.0, 0.0, 1.0 + k, None, 1.0, pinned=True,
+                                cid=k + 1, age=k, released=k % 2 == 1)
+            cols.keep(np.arange(before) % 3 != 0)
+            t1 = np.array(ends, dtype=float)
+            if batched:
+                cols.append_rows(len(ends), t1 - 2.0, t1, size, dist, 48.0)
+            else:
+                for t in ends:
+                    cols.append_row(t - 2.0, t, size, dist, 48.0)
+            spaces.append(cols)
+        plain, batched = spaces
+        assert len(plain) == len(batched)
+        for name in plain._arrays:
+            a = plain._arrays[name][:plain.n]
+            assert a.tobytes() == batched._arrays[name][:batched.n].tobytes(), name
+        assert plain.store.dists == batched.store.dists
+
 
 class TestBatchEquivalence:
     def _make_cohorts(self, cls):

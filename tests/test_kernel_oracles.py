@@ -1,4 +1,4 @@
-"""The columnar heap kernels agree exactly with their scalar oracles.
+"""The fast kernels agree exactly with the code they replaced.
 
 Each fast path keeps its slow predecessor in ``tests/oracles.py``. The
 properties here drive both with the same random inputs and require
@@ -13,13 +13,21 @@ golden outputs depend on every rounding.
 * G1's ``_evacuate_old`` against the tuple-sort selection;
 * all three again on cohorts laid out as the stress server appends them,
   where the kernel evaluates each distinct age once;
-* the running total the kernels sum freed bytes with, against a loop.
+* the running total the kernels sum freed bytes with, against a loop;
+* the YCSB client's pause overlap, latency synthesis, sub-traces and
+  band statistics against the mask-based code they replace, byte for
+  byte (dtype included), over generated pause logs and operation mixes.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.latency import latency_band_stats
+from repro.errors import SimulationError
 from repro.gc import create_collector
 from repro.heap.cards import RememberedSet
 from repro.heap.cohort import Cohort, CohortColumns
@@ -28,11 +36,17 @@ from repro.heap.heap import (CollectionVolumes, GenerationalHeap, HeapConfig,
 from repro.heap.lifetime import (Exponential, Fixed, Immortal, LogNormal,
                                  Mixture, Weibull)
 from repro.heap.regions import RegionTable
+from repro.jvm import JVMConfig
 from repro.machine.costs import CostModel
 from repro.units import MB
+from repro.ycsb import CoreWorkload, YCSBClient
+from repro.ycsb.client import (KIND_INSERT, KIND_READ, KIND_UPDATE,
+                               add_pause_overlap)
 
-from tests.oracles import (LoopRememberedSet, ScalarCohort, collect_all,
-                           evacuate_old_by_tuples)
+from tests.oracles import (LoopRememberedSet, ScalarCohort,
+                           add_pause_overlap_per_op, collect_all,
+                           evacuate_old_by_tuples, latency_band_stats_by_mean,
+                           of_kind_by_mask, synthesize_by_masks)
 
 #: One space mixes all of these.
 DISTS = (
@@ -264,3 +278,152 @@ class TestRunningTotal:
             total += v
         assert _running_total(np.array(values, dtype=float)) == total
         assert str(_running_total(np.array(values, dtype=float))) == str(total)
+
+
+# ----------------------------------------------------------------------
+# The YCSB client
+# ----------------------------------------------------------------------
+
+START_KINDS = ("at-op", "between", "before", "after", "equal")
+END_KINDS = ("zero-length", "at-op", "next-start", "later")
+
+
+@st.composite
+def pause_logs(draw, times):
+    """``[start, end)`` rows with non-decreasing starts around the sorted
+    op *times*: before the first op and after the last, starting or
+    ending exactly on an op, zero-length, back to back (an end equal to
+    the next start) and with equal starts. Rows may also overlap."""
+    first, last = float(times[0]), float(times[-1])
+    starts = []
+    for kind in draw(st.lists(st.sampled_from(START_KINDS), max_size=12)):
+        if kind == "at-op":
+            starts.append(float(times[draw(st.integers(0, len(times) - 1))]))
+        elif kind == "between":
+            starts.append(draw(st.floats(first, last)))
+        elif kind == "before":
+            starts.append(first - draw(st.floats(0.0, 5.0)))
+        elif kind == "after":
+            starts.append(last + draw(st.floats(0.0, 5.0)))
+        elif starts:
+            starts.append(starts[-1])
+    starts.sort()
+    rows = []
+    for j, start in enumerate(starts):
+        kind = draw(st.sampled_from(END_KINDS))
+        later = times[np.searchsorted(times, start):]
+        if kind == "zero-length":
+            end = start
+        elif kind == "at-op" and len(later):
+            end = float(later[draw(st.integers(0, len(later) - 1))])
+        elif kind == "next-start" and j + 1 < len(starts):
+            end = starts[j + 1]
+        else:
+            end = start + draw(st.floats(0.0, 10.0))
+        rows.append((start, end))
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
+def assert_same_trace(fast, slow):
+    for name in ("op_times", "latencies_ms", "kinds", "pause_intervals"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+class TestPauseOverlap:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_op_search(self, data):
+        # Equal op times too: a grid value may be drawn twice.
+        op_time = st.floats(0.0, 100.0) | st.sampled_from([10.0, 20.0, 30.0])
+        times = np.sort(np.array(data.draw(
+            st.lists(op_time, min_size=1, max_size=60)), dtype=float))
+        intervals = data.draw(pause_logs(times))
+        lat = np.array(data.draw(st.lists(st.floats(0.0, 5.0), min_size=len(times),
+                                          max_size=len(times))), dtype=float)
+        fast, slow = lat.copy(), lat.copy()
+        add_pause_overlap(fast, times, intervals)
+        add_pause_overlap_per_op(slow, times, intervals)
+        assert fast.tobytes() == slow.tobytes()
+
+    def test_edge_log(self):
+        """Each edge once, with the waits worked out by hand."""
+        times = np.array([1.0, 2.0, 2.0, 3.0, 4.0, 5.0, 7.0])
+        intervals = np.array([
+            [0.0, 0.5],   # before the first op
+            [1.0, 1.0],   # zero-length, on an op
+            [2.0, 3.0],   # starts on two ops, ends on one
+            [3.0, 4.0],   # back to back with the last
+            [4.0, 9.0],   # an equal start: the later row owns the op
+            [4.0, 4.5],
+            [8.0, 9.0],   # after the last op
+        ])
+        fast, slow = np.zeros(7), np.zeros(7)
+        add_pause_overlap(fast, times, intervals)
+        add_pause_overlap_per_op(slow, times, intervals)
+        assert fast.tobytes() == slow.tobytes()
+        assert fast.tolist() == [0.0, 1000.0, 1000.0, 1000.0, 500.0, 0.0, 0.0]
+
+    def test_rejects_decreasing_starts(self):
+        with pytest.raises(SimulationError):
+            add_pause_overlap(np.zeros(2), np.array([1.0, 2.0]),
+                              np.array([[2.0, 3.0], [1.0, 1.5]]))
+
+
+#: (read, update) proportions: reads 0 and 1, and read + update below 1
+#: (inserts follow) and exactly 1.
+MIXES = st.sampled_from([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (0.5, 0.5),
+                         (0.25, 0.75), (0.0, 0.3), (0.3, 0.2)]) | st.floats(
+    0.0, 1.0).flatmap(lambda r: st.tuples(st.just(r), st.floats(0.0, 1.0 - r)))
+
+
+def served(t0, t1, intervals, flushes, appended):
+    """A finished server run and its server, as ``synthesize`` reads them."""
+    result = SimpleNamespace(
+        extras={"serve_start": t0}, execution_time=t1,
+        gc_log=SimpleNamespace(intervals=lambda: intervals))
+    server = SimpleNamespace(
+        sstables=SimpleNamespace(
+            tables=[SimpleNamespace(created_at=t) for t in flushes]),
+        commitlog=SimpleNamespace(appended_bytes=appended),
+        stats=SimpleNamespace(replayed_bytes=0.0))
+    return result, server
+
+
+class TestClientSynthesis:
+    @given(mix=MIXES, seed=st.integers(0, 2 ** 32 - 1),
+           gc=st.sampled_from(["CMS", "G1"]), t0=st.floats(0.0, 100.0),
+           width=st.floats(0.5, 60.0), rate=st.floats(0.5, 50.0),
+           flushes=st.lists(st.floats(0.0, 1.0), max_size=4),
+           appended=st.floats(0.0, 1e12), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_mask_oracle(self, mix, seed, gc, t0, width, rate,
+                                 flushes, appended, data):
+        read, update = mix
+        client = YCSBClient(CoreWorkload(
+            "mix", read_proportion=read, update_proportion=update,
+            insert_proportion=1.0 - read - update, record_count=1000), seed=seed)
+        config = JVMConfig(gc=gc)
+        t1 = t0 + width
+        flush_times = [t0 + f * width for f in flushes]
+        # Op times do not depend on the pauses: anchor the log on them.
+        bare = client.synthesize(
+            config, *served(t0, t1, np.zeros((0, 2)), flush_times, appended),
+            samples_per_second=rate)
+        intervals = data.draw(pause_logs(bare.op_times))
+        result, server = served(t0, t1, intervals, flush_times, appended)
+        fast = client.synthesize(config, result, server, samples_per_second=rate)
+        slow = synthesize_by_masks(client, config, result, server,
+                                   samples_per_second=rate)
+        assert_same_trace(fast, slow)
+        for kind in (KIND_READ, KIND_UPDATE, KIND_INSERT):
+            part, oracle = fast.of_kind(kind), of_kind_by_mask(slow, kind)
+            assert_same_trace(part, oracle)
+            if len(part.latencies_ms):
+                a = latency_band_stats(part.op_times, part.latencies_ms,
+                                       part.pause_intervals)
+                b = latency_band_stats_by_mean(oracle.op_times, oracle.latencies_ms,
+                                               oracle.pause_intervals)
+                assert repr(a.hist.to_dict()) == repr(b.hist.to_dict())
+                assert repr(a.rows()) == repr(b.rows())

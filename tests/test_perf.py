@@ -17,6 +17,7 @@ import pytest
 from repro import GB, JVM, MB, JVMConfig
 from repro.cassandra import CassandraServer, default_config, stress_config
 from repro.gc import GCType
+from repro.heap.cohort import COLUMNS
 from repro.heap.tlab import TLABConfig
 from repro.jvm.gclog import format_gc_log
 from repro.lint import InvariantAuditor
@@ -224,16 +225,37 @@ def _card_state(jvm: JVM):
             else (remset.per_region.tolist(), remset._cursor))
 
 
+def _hidden_state(jvm: JVM, result, server: CassandraServer) -> str:
+    """What a span must leave as the plain loop does, though no GC log or
+    trace shows it: every heap space's cohort columns byte for byte, the
+    run's allocation totals, and the commit log's and the memtable's
+    counters. The ``cid`` column is left out: handle ids count up across
+    the process, and the plain loop gives every allocation a handle
+    where a span appends handle-less bump rows."""
+    heap = jvm.heap
+    columns = [space._arrays[name][:space.n].tobytes()
+               for space in (heap.eden_cohorts, heap.survivor_cohorts,
+                             heap.old_cohorts)
+               for name, _ in COLUMNS if name != "cid"]
+    log, table = server.commitlog, server.memtable
+    return repr((columns, result.allocated_bytes, result.alloc_overhead_time,
+                 log.pending_bytes, log.appended_bytes, log.recycled_segments,
+                 len(log.segments), table.pending_bytes, table.obsolete_bytes,
+                 table.record_count, len(table.chunks)))
+
+
 def _serve(jvm: JVM, kind: str):
+    """Run a server cell; returns the result and the server."""
     if kind == "stress":
         server = CassandraServer(stress_config(8 * GB, preload_records=1_000_000))
-        return jvm.run(server, duration=600.0, ops_per_second=1350.0)
+        return jvm.run(server, duration=600.0, ops_per_second=1350.0), server
     mix = WORKLOAD_A_LIKE
-    return jvm.run(CassandraServer(default_config(8 * GB)), duration=600.0,
+    server = CassandraServer(default_config(8 * GB))
+    return jvm.run(server, duration=600.0,
                    ops_per_second=mix.operations_per_second,
                    read_fraction=mix.read_proportion,
                    update_fraction=mix.update_proportion,
-                   n_client_threads=mix.client_threads)
+                   n_client_threads=mix.client_threads), server
 
 
 class TestServerSpan:
@@ -248,7 +270,7 @@ class TestServerSpan:
             try:
                 tracer = Tracer()
                 jvm = _server_jvm(gc, tracer)
-                result = _serve(jvm, kind)
+                result, server = _serve(jvm, kind)
             finally:
                 fastpath.set_enabled(previous)
             assert not result.crashed, result.crash_reason
@@ -257,7 +279,8 @@ class TestServerSpan:
             outputs.append((format_gc_log(result.gc_log, jvm.config.heap_bytes),
                             trace_path.read_bytes(),
                             repr(result.extras["server_stats"]),
-                            _card_state(jvm)))
+                            _card_state(jvm),
+                            _hidden_state(jvm, result, server)))
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("gc,config,drive,memtable_cap", [
@@ -273,10 +296,14 @@ class TestServerSpan:
         # Roomier heap: flushes fall inside both kinds of span round.
         pytest.param("CMS", {"heap": 8 * GB, "young": 2 * GB}, {}, 150 * MB,
                      id="flushes-in-spans"),
+        # No writes: quiet runs touch neither commit log nor memtable.
+        pytest.param("G1", {}, {"read_fraction": 1.0, "update_fraction": 0.0},
+                     1 * GB, id="reads-only"),
     ])
     def test_edge_cells_identical(self, gc, config, drive, memtable_cap):
         """Spans over one group, without TLABs, beside vm-op safepoints,
-        on a quantum that is no binary fraction, and across flushes."""
+        on a quantum that is no binary fraction, across flushes, and with
+        reads only."""
         cass = default_config(2 * GB, memtable_cap_bytes=memtable_cap,
                               commitlog_cap_bytes=64 * MB)
         logs = []
@@ -285,29 +312,34 @@ class TestServerSpan:
             try:
                 jvm = JVM(JVMConfig(**{"gc": gc, "heap": 2 * GB,
                                        "young": 256 * MB, "seed": 9, **config}))
-                result = jvm.run(CassandraServer(cass), duration=300.0,
-                                 ops_per_second=2000.0, update_fraction=0.4,
-                                 **drive)
+                server = CassandraServer(cass)
+                result = jvm.run(server, duration=300.0, ops_per_second=2000.0,
+                                 **{"update_fraction": 0.4, **drive})
             finally:
                 fastpath.set_enabled(previous)
             assert not result.crashed, result.crash_reason
             logs.append((format_gc_log(result.gc_log, jvm.config.heap_bytes),
                          result.execution_time,
-                         repr(result.extras["server_stats"])))
+                         repr(result.extras["server_stats"]),
+                         _hidden_state(jvm, result, server)))
         assert logs[0] == logs[1]
 
     @pytest.mark.parametrize("gc,kind", SERVER_CELLS)
     def test_audits_clean(self, gc, kind):
-        previous = fastpath.set_enabled(True)
-        try:
-            jvm = _server_jvm(gc)
-            with InvariantAuditor().attached(jvm) as auditor:
-                result = _serve(jvm, kind)
-        finally:
-            fastpath.set_enabled(previous)
-        assert not result.crashed, result.crash_reason
-        auditor.assert_clean()
-        assert auditor.counters["allocations"] > 0
+        """Clean, and checking every allocation the plain loop makes."""
+        allocations = []
+        for enabled in (False, True):
+            previous = fastpath.set_enabled(enabled)
+            try:
+                jvm = _server_jvm(gc)
+                with InvariantAuditor().attached(jvm) as auditor:
+                    result, _ = _serve(jvm, kind)
+            finally:
+                fastpath.set_enabled(previous)
+            assert not result.crashed, result.crash_reason
+            auditor.assert_clean()
+            allocations.append(auditor.counters["allocations"])
+        assert allocations[0] == allocations[1] > 0
 
     def test_span_opens(self):
         previous = fastpath.set_enabled(True)

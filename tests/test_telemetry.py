@@ -152,6 +152,17 @@ class TestHistogramVectorized:
         with pytest.raises(ConfigError):
             LogHistogram().record_array([0.1, -0.2])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_both_paths_reject_non_finite_untouched(self, bad):
+        for record in (lambda h: h.record_array([1.0, bad, 2.0]),
+                       lambda h: h.record(bad)):
+            h = LogHistogram(unit=1e-3)
+            h.record(0.5)
+            before = h.to_dict()
+            with pytest.raises(ConfigError):
+                record(h)
+            assert h.to_dict() == before
+
 
 class TestHistogramMerge:
     @given(values=st.lists(durations, min_size=1, max_size=120),

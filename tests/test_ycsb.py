@@ -61,6 +61,16 @@ class TestCoreWorkload:
             CoreWorkload(name="bad", read_proportion=0.5,
                          update_proportion=0.0, insert_proportion=0.0)
 
+    @pytest.mark.parametrize("read,update,insert", [
+        (0.6, -0.1, 0.5), (-0.5, 1.0, 0.5), (0.5, 0.5, -1e-17),
+        (float("nan"), 0.5, 0.5)])
+    def test_proportions_must_not_be_negative(self, read, update, insert):
+        """The kinds are drawn by counting the mix thresholds a uniform
+        draw clears, which holds only for a non-negative mix."""
+        with pytest.raises(ConfigError, match=">= 0"):
+            CoreWorkload(name="bad", read_proportion=read,
+                         update_proportion=update, insert_proportion=insert)
+
     def test_load_phase_pure_inserts(self):
         assert LOAD_PHASE.insert_proportion == 1.0
 
@@ -143,6 +153,23 @@ class TestClientSynthesis:
         xs, ys = small_client_run.top_points(100)
         assert np.all(np.diff(xs) >= 0)
         assert len(xs) == min(100, len(small_client_run.latencies_ms))
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_sample_rate_rejected(self, rate, monkeypatch):
+        """Before the server run is built, and before its result is read."""
+        import repro.ycsb.client as client_module
+
+        def no_jvm(*args, **kwargs):
+            raise AssertionError("a bad rate must be rejected before the run")
+
+        monkeypatch.setattr(client_module, "JVM", no_jvm)
+        client = YCSBClient(WORKLOAD_A_LIKE, seed=1)
+        config = JVMConfig(gc="CMS")
+        with pytest.raises(ConfigError):
+            client.run(config, CassandraConfig(), duration=60.0,
+                       samples_per_second=rate)
+        with pytest.raises(ConfigError):
+            client.synthesize(config, None, None, samples_per_second=rate)
 
     def test_deterministic(self, tiny_topology):
         def one():

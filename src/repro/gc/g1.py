@@ -31,6 +31,12 @@ from ..heap.regions import RegionTable
 from .base import Collector, Outcome, STWPause
 from .stats import ConcurrentRecord
 
+#: Rows a mixed pause first sorts to find its budget prefix. A pause
+#: reads one row past those it takes; in the 64g stress runs and the 8g
+#: golden run it takes 42-56 of 482-13,412 rows holding garbage, so
+#: this batch, over twice that, has never had to widen there.
+MIXED_BATCH = 128
+
 
 class G1GC(Collector):
     """``-XX:+UseG1GC`` (OpenJDK 8 behaviour)."""
@@ -230,21 +236,31 @@ class G1GC(Collector):
         garbage = resident - lives
         rows = np.flatnonzero(garbage > 0)
         # Garbage first: highest garbage fraction first, ties in row order.
-        score = garbage[rows] / np.maximum(resident[rows], 1.0)
-        rows = rows[np.argsort(-score, kind="stable")]
+        key = -(garbage[rows] / np.maximum(resident[rows], 1.0))
         # The budget prefix: rows are taken while their live bytes fit.
+        # Only a batch of the best rows is sorted. It holds every row that
+        # scores at least its cut, so its stable sort is a prefix of the
+        # full one; it widens while every row in it fits and rows remain.
         copied = 0.0
         taken = 0
-        for live in lives[rows].tolist():
-            if copied + live > budget:
-                break
-            copied += live
-            taken += 1
+        size = MIXED_BATCH
+        batch = rows[:0]
+        while taken == len(batch) < len(rows):
+            best = slice(None)
+            if size < len(rows):
+                best = key <= np.partition(key, size - 1)[size - 1]
+            batch = rows[best][np.argsort(key[best], kind="stable")]
+            for live in lives[batch[taken:]].tolist():
+                if copied + live > budget:
+                    break
+                copied += live
+                taken += 1
+            size *= 4
         # Use the bytes the rows actually dropped, not the estimate: the
         # tail cutoff can free slightly more than `garbage`, and old.used
         # must track cohort residents exactly or the drift surfaces at
         # the next full GC.
-        freed = collect_rows(old, lives, rows[:taken])
+        freed = collect_rows(old, lives, batch[:taken])
         if freed > 0:
             self.heap.old.remove(min(freed, self.heap.old.used))
         vol.old_freed += freed

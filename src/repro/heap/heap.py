@@ -20,7 +20,7 @@ Space accounting invariants (exercised by the property tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -75,73 +75,79 @@ class HeapConfig:
         return self.heap_bytes - self.young_bytes
 
 
-def _collapse_runs(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(distinct, inverse)`` with ``distinct[inverse] == values``, where
-    *distinct* keeps the first value of each run of equal neighbours.
-
-    Equal means equal bits, so -0.0 and 0.0 stay apart and an elementwise
-    kernel gives every row of a run the bits it would have given it alone.
-    """
-    starts = np.empty(len(values), dtype=bool)
-    starts[:1] = True
-    bits = values.view(np.int64)
-    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
-    inverse = np.cumsum(starts)
-    inverse -= 1
-    return values[starts], inverse
-
-
-def _window_live(dist: LifetimeDistribution, t0: np.ndarray, t1: np.ndarray,
-                 allocated: np.ndarray, resident: np.ndarray,
-                 now: float) -> np.ndarray:
-    """Live bytes at *now* of rows allocated uniformly on ``[t0, t1]``
-    under *dist* (the array form of ``dist.window_live_fraction``)."""
+def _window_fractions(dist: LifetimeDistribution, t0: np.ndarray,
+                      t1: np.ndarray, now: float) -> np.ndarray:
+    """Live fraction at *now* of windows ``[t0, t1]`` allocated under
+    *dist* (the array form of ``dist.window_live_fraction``)."""
     eff_now = np.maximum(now, t1)
     width = t1 - t0
-    age = eff_now - t0
-    # Rows repeat their neighbours' ages: lockstep threads append equal
-    # windows, and each window starts where the last one ended. So the
-    # survival integral runs once, on the distinct ages of both window
-    # ends, and is gathered back to every row. Ages are already 1-d
-    # arrays, so skip the scalar-preserving public wrappers.
-    oldest, hi_at = _collapse_runs(age)
-    youngest, lo_at = _collapse_runs(np.maximum(eff_now - t1, 0.0))
-    lo_at += len(oldest)
-    integral = dist._integrated_survival(np.concatenate((oldest, youngest)))
-    hi = integral[hi_at]
-    lo = integral[lo_at]
+    # Both ends' ages, interleaved: a window starts where the last one
+    # ended, so its start age often has the bits of the last window's
+    # end age, and the survival integral runs once for both. Ages are
+    # already 1-d arrays, so skip the scalar-preserving public wrappers.
+    ages = np.empty(2 * len(t0))
+    age = ages[0::2]
+    np.subtract(eff_now, t0, out=age)
+    np.maximum(eff_now - t1, 0.0, out=ages[1::2])
+    bits = ages.view(np.int64)
+    new = np.empty(len(ages), dtype=bool)
+    new[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    at = np.add.accumulate(new, dtype=np.intp)
+    at -= 1
+    integral = dist._integrated_survival(ages[new])[at]
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = (hi - lo) / np.where(width > 0, width, 1.0)
+        frac = ((integral[0::2] - integral[1::2])
+                / np.where(width > 0, width, 1.0))
         # Degenerate windows cancel catastrophically; fall back to the
-        # point survival (see window_live_fraction). Such rows are rare,
-        # so the fallback runs on them alone.
+        # point survival (see window_live_fraction). Such windows are
+        # rare, so the fallback runs on them alone.
         tiny = width <= 1e-9 * np.maximum(1.0, age)
         if tiny.any():
             frac[tiny] = dist._survival(age[tiny])
-    np.clip(frac, 0.0, 1.0, out=frac)
-    return np.minimum(resident, allocated * frac)
+    return np.clip(frac, 0.0, 1.0, out=frac)
 
 
 def batch_live_bytes(cohorts: CohortColumns, now: float) -> np.ndarray:
     """Expected live bytes of every row of *cohorts* at *now*, vectorized.
 
     Pinned rows are fully live until released. Every other row with bytes
-    is gathered with the rows that share its lifetime distribution (the
-    ``group`` column), so the scipy survival integrals run once per
-    distribution, on the distinct ages of its rows' window ends, rather
-    than once per cohort — the hot loop of every collection (see the HPC
-    guide: vectorize the bottleneck).
+    shares its live fraction with the run of neighbours that have its
+    bit-equal window and lifetime distribution (the ``group`` column):
+    lockstep threads append equal windows side by side. So the scipy
+    survival integrals, the hot loop of every collection, run once per
+    distribution on its distinct windows rather than once per cohort.
     """
-    resident = cohorts.resident
+    resident, group, t0, t1 = (cohorts.resident, cohorts.group, cohorts.t0,
+                               cohorts.t1)
     out = np.where(cohorts.pinned & ~cohorts.released, resident, 0.0)
-    group = cohorts.group
-    dists = cohorts.store.dists
     # Bin 0 counts the rows that need no kernel (group -1).
-    for g in np.flatnonzero(np.bincount(group + 1)[1:]).tolist():
-        rows = np.flatnonzero(group == g)
-        out[rows] = _window_live(dists[g], cohorts.t0[rows], cohorts.t1[rows],
-                                 cohorts.allocated[rows], resident[rows], now)
-    return out
+    groups = np.flatnonzero(np.bincount(group + 1)[1:]).tolist()
+    if not groups:      # a third of a DaCapo run's calls: skip the search
+        return out
+    # A window starts at each row whose t0, t1 or group differs from the
+    # last row's. Equal means equal bits, so -0.0 and 0.0 stay apart and
+    # the elementwise kernels give a whole run the bits of its first row.
+    new = np.empty(len(group), dtype=bool)
+    new[:1] = True
+    np.not_equal(group[1:], group[:-1], out=new[1:])
+    for column in (t0, t1):
+        bits = column.view(np.int64)
+        new[1:] |= bits[1:] != bits[:-1]
+    first = np.flatnonzero(new)
+    window_group = group[first]
+    # Windows of group -1 keep 0.0; their rows' bytes come from *out*.
+    frac = np.zeros(len(first))
+    dists = cohorts.store.dists
+    for g in groups:
+        windows = np.flatnonzero(window_group == g)
+        rows = first[windows]
+        frac[windows] = _window_fractions(dists[g], t0[rows], t1[rows], now)
+    window = np.add.accumulate(new, dtype=np.intp)
+    window -= 1
+    live = cohorts.allocated * frac[window]
+    np.minimum(resident, live, out=live)
+    return np.where(group >= 0, live, out)
 
 
 def _running_total(values: np.ndarray) -> float:

@@ -8,6 +8,7 @@ flag-string form, so experiment scripts read like the paper's setup.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
@@ -71,16 +72,19 @@ class JVMConfig:
         object.__setattr__(self, "heap", parse_size(self.heap))
         if self.young is not None:
             object.__setattr__(self, "young", parse_size(self.young))
-        if self.heap <= 0:
-            raise ConfigError("heap must be positive")
+        if not 0 < self.heap < math.inf:
+            raise ConfigError(f"heap must be positive and finite: {self.heap!r}")
         if self.heap > self.topology.ram_bytes:
             raise ConfigError(
                 f"heap {self.heap:.0f} exceeds machine RAM {self.topology.ram_bytes:.0f}"
             )
         if self.young is not None and not (0 < self.young <= self.heap):
             raise ConfigError("young must be in (0, heap]")
-        if self.pause_target <= 0:
-            raise ConfigError("pause_target must be positive")
+        # `not 0 < x < inf` also rejects NaN, which every comparison fails.
+        for name in ("pause_target", "misc_safepoint_interval"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite: {value!r}")
 
     @property
     def heap_bytes(self) -> float:

@@ -34,6 +34,27 @@ class TestJVMConfig:
         with pytest.raises(ConfigError):
             JVMConfig(heap=8 * GB, young=16 * GB)
 
+    @pytest.mark.parametrize("bad", [
+        {"heap": float("nan")},
+        {"heap": float("inf")},
+        {"young": float("nan")},
+        {"young": float("inf")},
+        {"pause_target": float("nan")},
+        {"pause_target": float("inf")},
+        {"pause_target": 0.0},
+        {"misc_safepoint_interval": float("nan")},
+        {"misc_safepoint_interval": float("inf")},
+        {"misc_safepoint_interval": 0.0},
+        {"misc_safepoint_interval": -1.0},
+        {"misc_safepoints": True, "misc_safepoint_interval": 0.0},
+    ])
+    def test_non_finite_or_non_positive_settings_rejected(self, bad):
+        """Checked at construction: NaN fails every comparison, so a
+        range check alone let it through to fail mid-run, or to run with
+        an infinite budget."""
+        with pytest.raises(ConfigError):
+            JVMConfig(**{"gc": "G1", "heap": "1g", **bad})
+
     def test_mutator_threads_default_one_per_core(self):
         assert JVMConfig().mutator_threads == PAPER_SERVER.cores
 

@@ -10,9 +10,12 @@ golden outputs depend on every rounding.
 * ``batch_live_bytes`` and ``batch_collect`` against scalar cohorts, for
   pinned, released, zero-allocated and zero-width cohorts under mixed
   distributions in one space;
-* G1's ``_evacuate_old`` against the tuple-sort selection;
+* G1's ``_evacuate_old`` against the tuple-sort selection, also on old
+  generations crowded past the batch it sorts first: ties at the
+  batch's cut, and budgets that outlast it;
 * all three again on cohorts laid out as the stress server appends them,
-  where the kernel evaluates each distinct age once;
+  where the kernel evaluates each distinct window once and shares the
+  ends of chained windows;
 * the running total the kernels sum freed bytes with, against a loop;
 * the YCSB client's pause overlap, latency synthesis, sub-traces and
   band statistics against the mask-based code they replace, byte for
@@ -23,12 +26,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.latency import latency_band_stats
 from repro.errors import SimulationError
 from repro.gc import create_collector
+from repro.gc.g1 import MIXED_BATCH
 from repro.heap.cards import RememberedSet
 from repro.heap.cohort import Cohort, CohortColumns
 from repro.heap.heap import (CollectionVolumes, GenerationalHeap, HeapConfig,
@@ -184,8 +188,17 @@ def check_evacuate_old(specs, now, pause_target):
     assert heap.old_cohorts.age.tolist() == [c.age for c in scalar]
 
 
+#: An empty space, one row whose window ends after now, and pinned rows
+#: only.
+EDGE_SPACES = ([], [("windowed", 1.0, 2.0, 1e6, 4, 1)],
+               [("pinned", 1.0, 0.0, 1e6, 0, 2), ("released", 1.0, 0.0, 1e6, 0, 1)])
+
+
 class TestLiveBytesKernel:
     @given(cohort_specs, st.floats(0.0, 1000.0))
+    @example(EDGE_SPACES[0], 2.0)
+    @example(EDGE_SPACES[1], 2.0)
+    @example(EDGE_SPACES[2], 2.0)
     @settings(max_examples=150, deadline=None)
     def test_batch_live_bytes_matches_scalar(self, specs, now):
         check_live_bytes(specs, now)
@@ -205,9 +218,19 @@ class TestG1Evacuation:
 
 
 #: How a stress-server window ends: after an ordinary width, a few ulps
-#: or at most 1e-7 s after it starts, or as a degenerate row.
+#: or at most 1e-7 s after it starts, or as a degenerate row. "gap"
+#: starts an ordinary window a few ulps after the last one ended;
+#: "regroup" repeats the last window under another distribution, and
+#: "resume" repeats it after a pinned or released row.
 STRESS_KINDS = ("windowed", "ulps", "near", "zero-width", "tiny-width",
-                "pinned", "released")
+                "pinned", "released", "gap", "regroup", "resume")
+
+
+def ulps_after(t, ulps):
+    """*t* moved *ulps* units in the last place up."""
+    for _ in range(ulps):
+        t = float(np.nextafter(t, np.inf))
+    return t
 
 
 @st.composite
@@ -215,8 +238,10 @@ def stress_server_specs(draw):
     """Cohorts in the stress server's pattern. 1-8 worker groups run in
     lockstep and append back-to-back windows: each window starts where
     the last one ended (exactly, bit for bit) and repeats once per
-    group. The kernels see long runs of equal ages there, and
-    neighbouring ages that differ in their last bits only."""
+    group. The kernels see long runs of equal windows there, and
+    neighbouring ages that differ in their last bits only. Equal windows
+    also meet across a change of distribution and around a pinned row,
+    where a run of rows must end."""
     groups = draw(st.integers(1, 8))
     d = draw(st.integers(0, len(DISTS) - 1))
     t0 = draw(st.floats(0.0, 500.0))
@@ -229,18 +254,26 @@ def stress_server_specs(draw):
             st.integers(1, 4),              # ulps to the next boundary
             st.floats(1e-13, 1e-7),         # near boundary's width
             st.floats(1.0, 1e9),            # allocated bytes
+            st.integers(0, len(DISTS) - 1),  # "regroup"'s distribution
         ),
         min_size=n, max_size=n,
     ))
     specs = []
-    for kind, width, ulps, near, allocated in windows:
+    for kind, width, ulps, near, allocated, other in windows:
+        if kind in ("regroup", "resume") and specs:
+            last = specs[-1]
+            if kind == "regroup":
+                specs.append(last[:4] + (other, groups))
+            else:
+                pin = "pinned" if ulps % 2 else "released"
+                specs += [(pin, last[1], 0.0, allocated, d, 1), last]
+            continue
         if kind == "ulps":
-            t1 = t0
-            for _ in range(ulps):
-                t1 = float(np.nextafter(t1, np.inf))
-            kind, width = "windowed", t1 - t0
+            kind, width = "windowed", ulps_after(t0, ulps) - t0
         elif kind == "near":
             kind, width = "windowed", near
+        elif kind == "gap":
+            kind, t0 = "windowed", ulps_after(t0, ulps)
         width = window_width(kind, t0, width)
         specs.append((kind, t0, width, allocated, d, groups))
         t0 += width
@@ -266,6 +299,53 @@ class TestStressServerPattern:
            st.floats(0.001, 2.0))
     @settings(max_examples=30, deadline=None)
     def test_evacuate_old_matches_tuple_sort(self, specs, now, pause_target):
+        check_evacuate_old(specs, now, pause_target)
+
+
+@st.composite
+def crowded_old_generations(draw):
+    """Old generations with more rows holding garbage than a G1 mixed
+    pause sorts at first: dead rows (all garbage, no live bytes, so the
+    budget never runs out on them), then runs of identical rows. Rows of
+    a run score equal, so a run can straddle the batch's cut."""
+    dead = draw(st.integers(0, 4 * MIXED_BATCH + 8))
+    specs = [("released", 0.0, 0.0, 1e6, 0, 1)] * dead
+    for rows, t0, width, allocated, d in draw(st.lists(st.tuples(
+            st.integers(1, 2 * MIXED_BATCH),
+            st.floats(0.0, 100.0),
+            st.floats(0.0, 20.0),
+            st.floats(1.0, 1e7),
+            st.integers(0, len(DISTS) - 1)), min_size=1, max_size=3)):
+        specs += [("windowed", t0, width, allocated, d, 1)] * rows
+    return specs
+
+
+#: A pause target whose budget exceeds any crowded old generation's
+#: live bytes.
+UNBOUNDED = 1e6
+
+
+class TestG1SelectionCut:
+    """G1's garbage-first pick where it sorts a batch of the best rows:
+    ties at the batch's cut, and a budget that outlasts the batch."""
+
+    @given(crowded_old_generations(), st.floats(0.0, 200.0),
+           st.floats(0.001, 2.0) | st.just(UNBOUNDED))
+    # A run of equal scores across the cut, which the budget ends inside.
+    @example([("released", 0.0, 0.0, 1e6, 0, 1)] * (MIXED_BATCH - 8)
+             + [("windowed", 1.0, 5.0, 4e6, 0, 1)] * 64, 6.0, 0.02)
+    # Dead rows that fill the first batch and its first widening, so it
+    # widens twice.
+    @example([("released", 0.0, 0.0, 1e6, 0, 1)] * (4 * MIXED_BATCH + 8)
+             + [("windowed", 1.0, 5.0, 4e5, 0, 1)] * 16, 6.0, 0.2)
+    # Every row fits; their scores differ.
+    @example([("windowed", float(t), 5.0, 4e5, 2, 1) for t in range(300)],
+             400.0, UNBOUNDED)
+    # No row holds garbage.
+    @example([("windowed", 1.0, 5.0, 4e5, 5, 1)] * 200
+             + [("pinned", 1.0, 0.0, 4e5, 0, 1)] * 8, 6.0, 0.2)
+    @settings(max_examples=25, deadline=None)
+    def test_matches_tuple_sort(self, specs, now, pause_target):
         check_evacuate_old(specs, now, pause_target)
 
 

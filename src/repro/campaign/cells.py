@@ -70,6 +70,17 @@ class CellSpec:
             overrides=tuple(sorted((overrides or {}).items())),
         )
 
+    def jvm_config(self) -> JVMConfig:
+        """The :class:`JVMConfig` this cell runs under; raises
+        ``ConfigError`` or ``TypeError`` when the JVM refuses the cell."""
+        from ..heap.tlab import TLABConfig
+
+        return JVMConfig(
+            gc=self.gc, heap=self.heap, young=self.young, seed=self.seed,
+            tlab=TLABConfig(enabled=self.tlab_enabled),
+            **dict(self.overrides),
+        )
+
     def key(self) -> CellKey:
         """The :class:`~repro.studies.CellKey` this cell produces."""
         return CellKey(benchmark=self.benchmark, gc=self.gc, heap=self.heap,
@@ -134,14 +145,9 @@ def run_cell(cell: CellSpec, trace_dir: Optional[str] = None) -> RunResult:
     """
     import os
 
-    from ..heap.tlab import TLABConfig
     from ..workloads.dacapo import get_benchmark
 
-    config = JVMConfig(
-        gc=cell.gc, heap=cell.heap, young=cell.young, seed=cell.seed,
-        tlab=TLABConfig(enabled=cell.tlab_enabled),
-        **dict(cell.overrides),
-    )
+    config = cell.jvm_config()
     tracer = None
     if trace_dir is not None:
         from ..telemetry import Tracer

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..heap.cards import RememberedSet
-from ..heap.heap import CollectionVolumes
+from ..heap.heap import CollectionVolumes, batch_live_bytes
 from ..heap.regions import RegionTable
 from .base import Collector, Outcome, STWPause
 from .stats import ConcurrentRecord, RELOCATION_PHASE
@@ -199,8 +199,9 @@ class ConcurrentCopyingCollector(Collector):
     def _relocate_old(self, now: float, outcome: Outcome) -> None:
         """Sweep the old generation (dead regions are reclaimed in place)
         and relocate its live data concurrently."""
-        live = self.heap.old_live_bytes(now)
-        self.heap.sweep_old(now, fragmentation_increment=0.0)
+        lives = batch_live_bytes(self.heap.old_cohorts, now)
+        live = self.heap.old_live_bytes(now, lives)
+        self.heap.sweep_old(now, fragmentation_increment=0.0, lives=lives)
         remset = self.heap.remset
         if remset is not None and remset.regions.total_regions > 1:
             # Evacuating the most-fragmented region forwards its

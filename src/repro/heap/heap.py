@@ -20,7 +20,7 @@ Space accounting invariants (exercised by the property tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,11 @@ from .lifetime import LifetimeDistribution
 from .object_model import ObjectGraph
 from .spaces import Space, SpaceKind
 from .tlab import TLABConfig, TLABManager
+
+try:    # the clip ufunc: np.clip's Python wrapper costs several times more
+    from numpy._core.umath import clip as _clip
+except ImportError:     # NumPy 1.x
+    from numpy.core.umath import clip as _clip
 
 #: Absolute slack (bytes) tolerated by the accounting invariants: float
 #: summation over many cohorts drifts by well under a byte, so one
@@ -102,28 +107,37 @@ def _window_fractions(dist: LifetimeDistribution, t0: np.ndarray,
         # Degenerate windows cancel catastrophically; fall back to the
         # point survival (see window_live_fraction). Such windows are
         # rare, so the fallback runs on them alone.
-        tiny = width <= 1e-9 * np.maximum(1.0, age)
-        if tiny.any():
+        tiny = (width <= 1e-9 * np.maximum(1.0, age)).nonzero()[0]
+        if len(tiny):
             frac[tiny] = dist._survival(age[tiny])
-    return np.clip(frac, 0.0, 1.0, out=frac)
+    return _clip(frac, 0.0, 1.0, out=frac)
 
 
-def batch_live_bytes(cohorts: CohortColumns, now: float) -> np.ndarray:
-    """Expected live bytes of every row of *cohorts* at *now*, vectorized.
+def batch_live_bytes(cohorts: CohortColumns, now: float,
+                     *more: CohortColumns) -> np.ndarray:
+    """Expected live bytes of every row of *cohorts* at *now*, vectorized;
+    the rows of *more* spaces of the same heap follow in the one array.
 
     Pinned rows are fully live until released. Every other row with bytes
     shares its live fraction with the run of neighbours that have its
     bit-equal window and lifetime distribution (the ``group`` column):
     lockstep threads append equal windows side by side. So the scipy
     survival integrals, the hot loop of every collection, run once per
-    distribution on its distinct windows rather than once per cohort.
+    distribution on its distinct windows in all the spaces, not once per
+    cohort. Each step is elementwise: no row's bits depend on the others.
     """
-    resident, group, t0, t1 = (cohorts.resident, cohorts.group, cohorts.t0,
-                               cohorts.t1)
-    out = np.where(cohorts.pinned & ~cohorts.released, resident, 0.0)
+    spaces = [space for space in (cohorts,) + more if space.n]
+    if not spaces:      # spaces without rows cost no array work
+        return np.zeros(0)
+    resident, group, t0, t1, allocated, pinned, released = (
+        getattr(spaces[0], name) if len(spaces) == 1
+        else np.concatenate([getattr(space, name) for space in spaces])
+        for name in ("resident", "group", "t0", "t1", "allocated", "pinned",
+                     "released"))
+    out = np.where(pinned & ~released, resident, 0.0)
     # Bin 0 counts the rows that need no kernel (group -1).
-    groups = np.flatnonzero(np.bincount(group + 1)[1:]).tolist()
-    if not groups:      # a third of a DaCapo run's calls: skip the search
+    groups = np.bincount(group + 1)[1:].nonzero()[0].tolist()
+    if not groups:      # no row needs the kernel: skip the search
         return out
     # A window starts at each row whose t0, t1 or group differs from the
     # last row's. Equal means equal bits, so -0.0 and 0.0 stay apart and
@@ -134,18 +148,18 @@ def batch_live_bytes(cohorts: CohortColumns, now: float) -> np.ndarray:
     for column in (t0, t1):
         bits = column.view(np.int64)
         new[1:] |= bits[1:] != bits[:-1]
-    first = np.flatnonzero(new)
+    first = new.nonzero()[0]
     window_group = group[first]
     # Windows of group -1 keep 0.0; their rows' bytes come from *out*.
     frac = np.zeros(len(first))
     dists = cohorts.store.dists
     for g in groups:
-        windows = np.flatnonzero(window_group == g)
+        windows = (window_group == g).nonzero()[0]
         rows = first[windows]
         frac[windows] = _window_fractions(dists[g], t0[rows], t1[rows], now)
     window = np.add.accumulate(new, dtype=np.intp)
     window -= 1
-    live = cohorts.allocated * frac[window]
+    live = allocated * frac[window]
     np.minimum(resident, live, out=live)
     return np.where(group >= 0, live, out)
 
@@ -162,41 +176,47 @@ def _running_total(values: np.ndarray) -> float:
     return float(np.add.accumulate(values)[-1]) + 0.0
 
 
+def _tail_cut(lives: np.ndarray, allocated: np.ndarray,
+              pinned: np.ndarray) -> np.ndarray:
+    """*lives*, an unpinned row under the tail cutoff counted as dead."""
+    return np.where(~pinned & (lives <= np.maximum(TAIL_CUTOFF * allocated, 0.5)),
+                    0.0, lives)
+
+
 def collect_rows(cohorts: CohortColumns, lives: np.ndarray,
-                 rows: Optional[np.ndarray] = None) -> float:
+                 rows: np.ndarray) -> float:
     """Shrink rows of *cohorts* to their live bytes and age them.
 
     *lives* holds every row's live bytes (:func:`batch_live_bytes`);
-    *rows* picks the rows to collect, every row when None. A live
-    fraction under :data:`~repro.heap.cohort.TAIL_CUTOFF` of an unpinned
-    row counts as dead. Rows stay in place, however little they keep.
-    Returns the bytes freed, summed in the order of *rows*.
+    *rows* picks the rows to collect. A live fraction under
+    :data:`~repro.heap.cohort.TAIL_CUTOFF` of an unpinned row counts as
+    dead. Rows stay in place, however little they keep. Returns the
+    bytes freed, summed in the order of *rows*.
     """
-    resident, allocated, pinned, age = (cohorts.resident, cohorts.allocated,
-                                        cohorts.pinned, cohorts.age)
-    before = resident
-    if rows is not None:
-        lives, allocated, pinned, before = (lives[rows], allocated[rows],
-                                            pinned[rows], resident[rows])
-    live = np.where(~pinned & (lives <= np.maximum(TAIL_CUTOFF * allocated, 0.5)),
-                    0.0, lives)
-    freed = _running_total(before - live)
-    if rows is None:
-        resident[:] = live
-        age += 1
-    else:
-        resident[rows] = live
-        age[rows] += 1
+    resident = cohorts.resident
+    live = _tail_cut(lives[rows], cohorts.allocated[rows],
+                     cohorts.pinned[rows])
+    freed = _running_total(resident[rows] - live)
+    resident[rows] = live
+    cohorts.age[rows] += 1
     return freed
 
 
-def batch_collect(cohorts: CohortColumns, now: float) -> float:
-    """Collect every row of *cohorts*, vectorized: age it, drop its dead
-    bytes (tail cutoff included) and remove the rows left holding
-    nothing, keeping the others in order. Returns the bytes freed."""
-    freed = collect_rows(cohorts, batch_live_bytes(cohorts, now))
-    cohorts.keep(~((cohorts.resident <= 0.5)
-                   | (cohorts.pinned & cohorts.released)))
+def collect_space(cohorts: CohortColumns, lives: np.ndarray,
+                  *cuts: int) -> List[float]:
+    """Collect every row of *cohorts* (:func:`collect_rows`), dropping the
+    rows left empty. Returns the bytes freed before each of *cuts* and
+    after the last: rows gathered from several spaces keep a sum each."""
+    bounds = (0,) + cuts + (cohorts.n,)
+    if not cohorts.n:
+        return [0.0] * (len(bounds) - 1)
+    resident, pinned, age = cohorts.resident, cohorts.pinned, cohorts.age
+    live = _tail_cut(lives, cohorts.allocated, pinned)
+    dropped = resident - live
+    freed = [_running_total(dropped[a:b]) for a, b in zip(bounds, bounds[1:])]
+    resident[:] = live
+    age += 1
+    cohorts.keep(~((live <= 0.5) | (pinned & cohorts.released)))
     return freed
 
 
@@ -477,14 +497,10 @@ class GenerationalHeap:
         else:
             vol.cards_scanned = self.dirty_card_bytes
 
-        # 1. Age cohorts and find survivors (vectorized over cohorts). The
-        # candidates gather in eden: its survivors, then the survivor
-        # space's.
+        # 1. Age cohorts and find survivors in one pass; the candidates
+        # gather in eden.
+        vol.eden_freed, vol.survivor_freed, _ = self._collect_young(now)
         eden = self.eden_cohorts
-        vol.eden_freed += batch_collect(eden, now)
-        vol.survivor_freed += batch_collect(self.survivor_cohorts, now)
-        eden.extend(self.survivor_cohorts)
-        self.survivor_cohorts.clear()
 
         # 2. Object graph young collection.
         g = self.graph.minor_collect(tenuring_threshold)
@@ -570,13 +586,10 @@ class GenerationalHeap:
         vol = CollectionVolumes(kind="full")
         vol.old_occupancy_before = self.old.occupancy
 
-        # Young survivors gather in eden: its own, then the survivor space's.
+        # Young survivors gather in eden.
+        vol.eden_freed, vol.survivor_freed, vol.old_freed = \
+            self._collect_young(now, old=True)
         eden, old = self.eden_cohorts, self.old_cohorts
-        vol.eden_freed += batch_collect(eden, now)
-        vol.survivor_freed += batch_collect(self.survivor_cohorts, now)
-        vol.old_freed += batch_collect(old, now)
-        eden.extend(self.survivor_cohorts)
-        self.survivor_cohorts.clear()
 
         g = self.graph.full_collect()
         vol.eden_freed += g.freed_bytes  # graph doesn't split young/old freed
@@ -625,6 +638,24 @@ class GenerationalHeap:
         self._reset_card_structures(0.0)
         return vol
 
+    def _collect_young(self, now: float,
+                       old: bool = False) -> Tuple[float, float, float]:
+        """Gather the young rows in eden, its own first, and collect them
+        in one pass (with the old rows when *old*). Returns the bytes
+        freed in eden, the survivor space and the old generation."""
+        eden = self.eden_cohorts
+        n_eden = eden.n
+        eden.extend(self.survivor_cohorts)
+        self.survivor_cohorts.clear()
+        if not old:
+            return (*collect_space(eden, batch_live_bytes(eden, now), n_eden),
+                    0.0)
+        n_young = eden.n
+        lives = batch_live_bytes(eden, now, self.old_cohorts)
+        eden_freed, survivor_freed = collect_space(eden, lives[:n_young], n_eden)
+        old_freed, = collect_space(self.old_cohorts, lives[n_young:])
+        return eden_freed, survivor_freed, old_freed
+
     def _commit_survivor(self, survivor_bytes: float) -> None:
         """Install post-collection survivor contents, handling overflow.
 
@@ -640,15 +671,19 @@ class GenerationalHeap:
         self.eden.capacity = max(self._nominal_eden - overflow, 0.0)
         self.tlabs.eden_capacity = max(self.eden.capacity, 1.0)
 
-    def sweep_old(self, now: float, *, fragmentation_increment: float = 0.02) -> CollectionVolumes:
+    def sweep_old(self, now: float, *, fragmentation_increment: float = 0.02,
+                  lives: Optional[np.ndarray] = None) -> CollectionVolumes:
         """CMS-style concurrent sweep of the old generation (no moving).
 
         Frees dead old bytes in place and increases fragmentation.
+        *lives* are the old rows' live bytes at *now*, when known.
         """
         vol = CollectionVolumes(kind="sweep")
         vol.old_occupancy_before = self.old.occupancy
         vol.swept = self.old.used
-        vol.old_freed = batch_collect(self.old_cohorts, now)
+        if lives is None:
+            lives = batch_live_bytes(self.old_cohorts, now)
+        vol.old_freed, = collect_space(self.old_cohorts, lives)
         self.old.remove(min(vol.old_freed, self.old.used))
         if vol.old_freed > 0:
             self.fragmentation = min(
@@ -656,9 +691,11 @@ class GenerationalHeap:
             )
         return vol
 
-    def old_live_bytes(self, now: float) -> float:
-        """Expected live bytes currently in the old generation."""
-        return float(batch_live_bytes(self.old_cohorts, now).sum()) + self.graph.old_bytes
+    def old_live_bytes(self, now: float, lives: Optional[np.ndarray] = None) -> float:
+        """Expected live bytes in the old generation (*lives*: as above)."""
+        if lives is None:
+            lives = batch_live_bytes(self.old_cohorts, now)
+        return float(lives.sum()) + self.graph.old_bytes
 
     # ------------------------------------------------------------------
     # Dynamic young sizing (G1)

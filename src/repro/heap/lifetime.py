@@ -163,16 +163,18 @@ class Weibull(LifetimeDistribution):
             raise ConfigError("shape and scale must be > 0")
         self.shape = float(shape)
         self.scale = float(scale)
+        # int_0^a exp(-(x/s)^k) dx = (s/k) * Gamma(1/k) * P(1/k, (a/s)^k),
+        # P the regularized lower incomplete gamma (scipy gammainc).
+        self._inv_shape = 1.0 / self.shape
+        self._factor = float((self.scale / self.shape)
+                             * special.gamma(self._inv_shape))
 
     def _survival(self, age):
         return np.exp(-np.power(np.maximum(age, 0.0) / self.scale, self.shape))
 
     def _integrated_survival(self, age):
-        # int_0^a exp(-(x/s)^k) dx = (s/k) * Gamma(1/k) * P(1/k, (a/s)^k)
-        # where P is the regularized lower incomplete gamma (scipy gammainc).
-        k, s = self.shape, self.scale
-        z = np.power(np.maximum(age, 0.0) / s, k)
-        return (s / k) * special.gamma(1.0 / k) * special.gammainc(1.0 / k, z)
+        z = np.power(np.maximum(age, 0.0) / self.scale, self.shape)
+        return self._factor * special.gammainc(self._inv_shape, z)
 
     def mean(self) -> float:
         return self.scale * special.gamma(1.0 + 1.0 / self.shape)
@@ -250,15 +252,19 @@ class Mixture(LifetimeDistribution):
         )
 
     def _survival(self, age):
-        out = np.zeros_like(age)
-        for w, dist in self.components:
-            out += w * dist._survival(age)
-        return out
+        return self._sum(age, "_survival")
 
     def _integrated_survival(self, age):
-        out = np.zeros_like(age)
+        return self._sum(age, "_integrated_survival")
+
+    def _sum(self, age, method: str):
+        """``0.0 + w0 * f0(age) + w1 * f1(age) + ...`` left to right, with
+        each component's *method* as ``f`` (whose fresh array is reused)."""
+        out = np.zeros(len(age))
         for w, dist in self.components:
-            out += w * dist._integrated_survival(age)
+            part = getattr(dist, method)(age)
+            part *= w
+            out += part
         return out
 
     def mean(self) -> float:

@@ -114,8 +114,11 @@ def job_to_cell(job: object) -> CellSpec:
 
     The same normalization as the campaign path (GC aliases resolved,
     sizes parsed), so a job and its grid-swept twin share one content
-    digest — and therefore one cache slot.
+    digest — and therefore one cache slot. A job the simulator would
+    refuse (bad JVM settings or benchmark, no iterations) is a 400 here.
     """
+    from ..workloads.dacapo import get_benchmark
+
     if not isinstance(job, dict):
         raise ProtocolError(
             f"job must be a JSON object, got {type(job).__name__}", code=400)
@@ -132,7 +135,7 @@ def job_to_cell(job: object) -> CellSpec:
         raise ProtocolError("job field 'overrides' must be an object",
                             code=400)
     try:
-        return CellSpec.from_axes(
+        cell = CellSpec.from_axes(
             job["benchmark"],
             job.get("gc", "ParallelOld"),
             job.get("heap", "1g"),
@@ -143,8 +146,13 @@ def job_to_cell(job: object) -> CellSpec:
             tlab_enabled=job.get("tlab_enabled", True),
             overrides=overrides,
         )
+        cell.jvm_config()
+        get_benchmark(cell.benchmark)
+        if cell.iterations < 1:
+            raise ConfigError(f"iterations must be >= 1: {cell.iterations}")
     except (ConfigError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid job: {exc}", code=400) from None
+    return cell
 
 
 # ----------------------------------------------------------------------

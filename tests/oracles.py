@@ -9,6 +9,13 @@ agree with them exactly, float for float and byte for byte.
 * :class:`ScalarCohort` — one cohort as a Python object, with the scalar
   ``live_bytes``/``collect`` that ``batch_live_bytes``/``collect_rows``
   vectorize;
+* :func:`batch_collect` and :func:`collect_young_per_space` — a
+  collection's survival step one space at a time (eden, survivor space,
+  old generation, then the survivor rows gathered after eden's), which
+  the heap's one pass over all of a collection's rows replaces;
+* :func:`weibull_integrated_survival` and :func:`mixture_by_zeros` —
+  survival with the Weibull's constant factor worked out per call, and
+  a mixture's terms added to a zeroed array;
 * :class:`LoopRememberedSet` — the per-card round-robin ``record`` loop
   that ``RememberedSet.record``'s closed form replaces;
 * :func:`evacuate_old_by_tuples` — G1's garbage-first selection as a sort
@@ -27,11 +34,13 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
+from scipy import special
 
 from repro.analysis.latency import (BandStat, LatencyBandStats,
                                     _pause_peak_latencies)
 from repro.errors import ConfigError
 from repro.heap.cohort import TAIL_CUTOFF
+from repro.heap.heap import batch_live_bytes
 from repro.heap.lifetime import Immortal
 from repro.seeding import rng_for
 from repro.telemetry.hist import LogHistogram
@@ -92,6 +101,58 @@ def collect_all(cohorts: List[ScalarCohort],
     for c in cohorts:
         freed += c.collect(now)
     return freed, [c for c in cohorts if not c.is_dead]
+
+
+def batch_collect(cohorts, now: float) -> float:
+    """Collect every row of one space on its own: age it, drop its dead
+    bytes (tail cutoff included) and remove the rows left holding
+    nothing, keeping the others in order. Returns the bytes freed,
+    added in row order."""
+    lives = batch_live_bytes(cohorts, now)
+    resident, allocated, pinned = (cohorts.resident, cohorts.allocated,
+                                   cohorts.pinned)
+    live = np.where(~pinned & (lives <= np.maximum(TAIL_CUTOFF * allocated, 0.5)),
+                    0.0, lives)
+    freed = 0.0
+    for value in (resident - live).tolist():
+        freed += value
+    resident[:] = live
+    cohorts.age[:] += 1
+    cohorts.keep(~((cohorts.resident <= 0.5)
+                   | (cohorts.pinned & cohorts.released)))
+    return freed
+
+
+def collect_young_per_space(heap, now: float,
+                            old: bool = False) -> Tuple[float, float, float]:
+    """``GenerationalHeap._collect_young`` one space at a time: eden, the
+    survivor space and (when *old*) the old generation each evaluated
+    and collected on their own, then the survivor rows moved after
+    eden's. Returns the bytes freed in each of the three."""
+    eden_freed = batch_collect(heap.eden_cohorts, now)
+    survivor_freed = batch_collect(heap.survivor_cohorts, now)
+    old_freed = batch_collect(heap.old_cohorts, now) if old else 0.0
+    heap.eden_cohorts.extend(heap.survivor_cohorts)
+    heap.survivor_cohorts.clear()
+    return eden_freed, survivor_freed, old_freed
+
+
+def weibull_integrated_survival(dist, age):
+    """``Weibull._integrated_survival`` with ``(s/k) * Gamma(1/k)`` and
+    ``1/k`` worked out on every call."""
+    k, s = dist.shape, dist.scale
+    z = np.power(np.maximum(age, 0.0) / s, k)
+    return (s / k) * special.gamma(1.0 / k) * special.gammainc(1.0 / k, z)
+
+
+def mixture_by_zeros(dist, age, method: str):
+    """A ``Mixture``'s *method* (``"_survival"`` or
+    ``"_integrated_survival"``) summed into a zeroed array, each weighted
+    term a temporary of its own."""
+    out = np.zeros_like(age)
+    for w, component in dist.components:
+        out += w * getattr(component, method)(age)
+    return out
 
 
 class LoopRememberedSet:

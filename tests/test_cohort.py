@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.heap.cohort import Cohort, CohortColumns
-from repro.heap.heap import batch_collect, batch_live_bytes, collect_rows
+from repro.heap.heap import batch_live_bytes, collect_rows, collect_space
 from repro.heap.lifetime import Exponential, Immortal, Weibull
 from repro.units import MB
 
@@ -29,7 +29,13 @@ def live_bytes(cols, now):
 
 def collect(cols, now):
     """Collect a space, leaving its rows in place; returns bytes freed."""
-    return collect_rows(cols, batch_live_bytes(cols, now))
+    return collect_rows(cols, batch_live_bytes(cols, now), slice(None))
+
+
+def batch_collect(cols, now):
+    """Collect a space and drop its dead rows; returns bytes freed."""
+    freed, = collect_space(cols, batch_live_bytes(cols, now))
+    return freed
 
 
 class TestCohortBasics:

@@ -1,4 +1,4 @@
-"""Golden pins for a short Cassandra stress run and three DaCapo runs.
+"""Golden pins for a short Cassandra stress run and five DaCapo runs.
 
 A scaled-down §4.1 stress server (8g heap, 1.5g young, one million
 preloaded records, 1800 simulated seconds) covers the cohort kernels
@@ -8,9 +8,12 @@ Shenandoah cycles over an explicit remembered set, and HTM's
 concurrent evacuations and old compactions. The DaCapo pins cover the
 concurrent collectors' failure modes: ZGC's allocation stalls and
 Shenandoah's degenerated pauses (h2 at 1g), and HTM with System.gc()
-at 16g. Each run's GC log and execution time are pinned to committed
-values, so a change to the heap or collector mechanics that moves any
-simulated byte fails here, not only in a run-against-run comparison.
+at 16g. Two more cover stop-the-world System.gc() full collections
+whose young rows do not fit the old generation and stay in the
+survivor space: ParallelOld on h2 and CMS on tomcat at 250m. Each
+run's GC log and execution time are pinned to committed values, so a
+change to the heap or collector mechanics that moves any simulated
+byte fails here, not only in a run-against-run comparison.
 
 The pins were recorded with CPython 3.11. CPython 3.12 made builtin
 ``sum()`` over floats compensated, and the heap's byte accounting sums
@@ -24,7 +27,7 @@ import sys
 
 import pytest
 
-from repro import GB, JVM, JVMConfig
+from repro import GB, JVM, MB, JVMConfig
 from repro.campaign import encode_run
 from repro.cassandra import CassandraServer, stress_config
 from repro.workloads.dacapo import get_benchmark
@@ -65,6 +68,18 @@ GOLDEN_DACAPO = {
         10.390460049169633),
 }
 
+#: (collector, benchmark) -> (gc_log sha256, execution_time) at a 250m
+#: heap, five iterations, seed 1, System.gc() on. ParallelOld's 356 full
+#: collections all strand young rows, as do 104 of CMS's 107.
+GOLDEN_DACAPO_250M = {
+    ("CMS", "tomcat"): (
+        "d0dcb1504d0d5d6388e9cf2feda207a7c3936ab8e3a76443bc3e4fb35e380bad",
+        72.52378654077978),
+    ("ParallelOld", "h2"): (
+        "0ed45af2a3f8aeb6816c94295b015d6160cf8c05a855c721c91c18ab8b59f2b9",
+        334.2216359715361),
+}
+
 pinned_interpreter = pytest.mark.skipif(
     sys.version_info >= (3, 12),
     reason="pins recorded with CPython 3.11 float sum()")
@@ -88,12 +103,23 @@ def test_stress_run_matches_golden(gc):
     assert result.execution_time == execution_time
 
 
-@pinned_interpreter
-@pytest.mark.parametrize("gc,bench,heap_gb", sorted(GOLDEN_DACAPO))
-def test_dacapo_run_matches_golden(gc, bench, heap_gb):
-    jvm = JVM(JVMConfig(gc=gc, heap=heap_gb * GB, seed=1))
+def check_dacapo_run(gc, bench, heap, pin):
+    jvm = JVM(JVMConfig(gc=gc, heap=heap, seed=1))
     result = jvm.run(get_benchmark(bench), iterations=5, system_gc=True)
-    digest, execution_time = GOLDEN_DACAPO[(gc, bench, heap_gb)]
+    digest, execution_time = pin
     assert not result.crashed
     assert gc_log_digest(result) == digest
     assert result.execution_time == execution_time
+
+
+@pinned_interpreter
+@pytest.mark.parametrize("gc,bench,heap_gb", sorted(GOLDEN_DACAPO))
+def test_dacapo_run_matches_golden(gc, bench, heap_gb):
+    check_dacapo_run(gc, bench, heap_gb * GB,
+                     GOLDEN_DACAPO[(gc, bench, heap_gb)])
+
+
+@pinned_interpreter
+@pytest.mark.parametrize("gc,bench", sorted(GOLDEN_DACAPO_250M))
+def test_stranding_full_gc_run_matches_golden(gc, bench):
+    check_dacapo_run(gc, bench, 250 * MB, GOLDEN_DACAPO_250M[(gc, bench)])

@@ -7,9 +7,16 @@ golden outputs depend on every rounding.
 
 * ``RememberedSet.record`` (closed form) against the per-card loop,
   across span changes, clears and region evacuations;
-* ``batch_live_bytes`` and ``batch_collect`` against scalar cohorts, for
+* ``batch_live_bytes`` and ``collect_space`` against scalar cohorts, for
   pinned, released, zero-allocated and zero-width cohorts under mixed
   distributions in one space;
+* minor and full collections, which evaluate every row they visit in
+  one pass, against the per-space sequence they replace, with rows
+  split across eden, the survivor space and the old generation: empty
+  spaces, and bit-equal windows, pinned, released and zero-allocated
+  rows on both sides of each boundary;
+* ``Weibull`` and ``Mixture`` survival against the expressions they
+  replace, on ages from 0 through subnormals to 1e12;
 * G1's ``_evacuate_old`` against the tuple-sort selection, also on old
   generations crowded past the batch it sorts first: ties at the
   batch's cut, and budgets that outlast it;
@@ -34,9 +41,9 @@ from repro.errors import SimulationError
 from repro.gc import create_collector
 from repro.gc.g1 import MIXED_BATCH
 from repro.heap.cards import RememberedSet
-from repro.heap.cohort import Cohort, CohortColumns
+from repro.heap.cohort import COLUMNS, Cohort, CohortColumns
 from repro.heap.heap import (CollectionVolumes, GenerationalHeap, HeapConfig,
-                             _running_total, batch_collect, batch_live_bytes)
+                             _running_total, batch_live_bytes, collect_space)
 from repro.heap.lifetime import (Exponential, Fixed, Immortal, LogNormal,
                                  Mixture, Weibull)
 from repro.heap.regions import RegionTable
@@ -49,8 +56,10 @@ from repro.ycsb.client import (KIND_INSERT, KIND_READ, KIND_UPDATE,
 
 from tests.oracles import (LoopRememberedSet, ScalarCohort,
                            add_pause_overlap_per_op, collect_all,
-                           evacuate_old_by_tuples, latency_band_stats_by_mean,
-                           of_kind_by_mask, synthesize_by_masks)
+                           collect_young_per_space, evacuate_old_by_tuples,
+                           latency_band_stats_by_mean, mixture_by_zeros,
+                           of_kind_by_mask, synthesize_by_masks,
+                           weibull_integrated_survival)
 
 #: One space mixes all of these.
 DISTS = (
@@ -161,7 +170,7 @@ def check_collect(specs, now, later):
     cols, scalar = make_pair(specs)
     for t in (now, now + later):
         freed, scalar = collect_all(scalar, t)
-        assert batch_collect(cols, t) == freed
+        assert collect_space(cols, batch_live_bytes(cols, t)) == [freed]
         assert cols.resident.tolist() == [c.resident for c in scalar]
         assert cols.age.tolist() == [c.age for c in scalar]
 
@@ -188,6 +197,90 @@ def check_evacuate_old(specs, now, pause_target):
     assert heap.old_cohorts.age.tolist() == [c.age for c in scalar]
 
 
+#: Where a heap's rows split into eden, the survivor space and the old
+#: generation: two shares of the rows, in either order.
+space_cuts = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+
+#: Old capacities: roomy, and too small for the young rows, so that
+#: minor collections fail promotion and full ones strand rows.
+old_capacities = st.sampled_from([1e13, 1e10])
+
+
+def make_heap(specs, cuts, old_capacity):
+    """A heap holding *specs*' rows in order: eden takes the first share
+    (*cuts*, as fractions of the rows), the survivor space the rows up to
+    the second, the old generation the rest. Each space's use is its
+    rows' bytes, and the rows are numbered in order (``cid``)."""
+    heap = GenerationalHeap(HeapConfig(heap_bytes=1e13 + old_capacity,
+                                       young_bytes=1e13))
+    eden = heap.eden_cohorts
+    make_pair(specs, eden)
+    n = eden.n
+    eden.cid[:] = np.arange(1, n + 1)   # the same row ids in every heap
+    a, b = sorted(int(cut * n) for cut in cuts)
+    heap.survivor_cohorts.extend(eden, np.arange(a, b))
+    heap.old_cohorts.extend(eden, np.arange(b, n))
+    eden.keep(np.arange(n) < a)
+    for space, rows in ((heap.eden, eden), (heap.survivor, heap.survivor_cohorts),
+                        (heap.old, heap.old_cohorts)):
+        space.used = sum(rows.resident.tolist())
+    return heap
+
+
+def check_collection(specs, cuts, now, full, old_capacity):
+    """A minor or full collection, and a second one later, leave the heap
+    the per-space sequence leaves, column for column and row for row,
+    and report each space's freed bytes with its bits."""
+    fast = make_heap(specs, cuts, old_capacity)
+    slow = make_heap(specs, cuts, old_capacity)
+    slow._collect_young = lambda t, old=False: collect_young_per_space(slow, t, old)
+    for t in (now, now + 1.0):
+        vols = [heap.full_collection(t) if full
+                else heap.minor_collection(t, tenuring_threshold=1)
+                for heap in (fast, slow)]
+        assert repr(vols[0]) == repr(vols[1])
+        for space in ("eden_cohorts", "survivor_cohorts", "old_cohorts"):
+            a, b = getattr(fast, space), getattr(slow, space)
+            assert a.n == b.n, space
+            for name, _dtype in COLUMNS:
+                assert (getattr(a, name).tobytes()
+                        == getattr(b, name).tobytes()), (space, name)
+        for space in ("eden", "survivor", "old"):
+            a, b = getattr(fast, space), getattr(slow, space)
+            assert repr((a.used, a.capacity)) == repr((b.used, b.capacity))
+
+
+#: Spaces split at their boundaries: (specs, cuts). Copies of one window
+#: differ in size only, so they put bit-equal windows on both sides of a
+#: boundary; pinned, released and zero-allocated rows sit at the
+#: boundaries; the last heap holds the mixture and the Weibull in eden
+#: and in the old generation.
+BOUNDARY_HEAPS = (
+    ([], (0.5, 0.5)),                                         # all empty
+    ([("windowed", 1.0, 2.0, 1e6, 4, 3)], (0.0, 0.5)),         # no eden
+    ([("windowed", 1.0, 2.0, 1e6, 4, 3)], (0.5, 0.5)),         # no survivor
+    ([("windowed", 1.0, 2.0, 1e6, 4, 3)], (0.5, 1.0)),         # no old
+    ([("windowed", 1.0, 2.0, 1e6, 4, 3)], (0.34, 0.67)),       # one each
+    ([("windowed", 1.0, 2.0, 1e6, 1, 2), ("pinned", 1.0, 0.0, 1e6, 0, 1),
+      ("released", 1.0, 0.0, 1e6, 0, 1), ("zero-allocated", 3.0, 2.0, 1e6, 4, 1),
+      ("windowed", 1.0, 2.0, 1e6, 1, 2)], (0.3, 0.5)),
+    ([("windowed", 0.0, 5.0, 4e6, 4, 2), ("windowed", 0.0, 5.0, 4e6, 1, 2),
+      ("released", 0.0, 0.0, 1e6, 0, 1), ("pinned", 0.0, 0.0, 1e6, 0, 1),
+      ("zero-allocated", 0.0, 5.0, 1e6, 1, 1), ("windowed", 0.0, 5.0, 4e6, 4, 2),
+      ("windowed", 0.0, 5.0, 4e6, 1, 2)], (0.5, 0.75)),
+)
+
+
+def boundary_examples(test):
+    """Run *test* on every boundary heap, at an instant inside their
+    windows (rows with ``t1 > now``), with both old capacities."""
+    for specs_cuts in BOUNDARY_HEAPS:
+        for old_capacity in (1e13, 1e10):
+            test = example(specs_cuts=specs_cuts, now=2.0,
+                           old_capacity=old_capacity)(test)
+    return test
+
+
 #: An empty space, one row whose window ends after now, and pinned rows
 #: only.
 EDGE_SPACES = ([], [("windowed", 1.0, 2.0, 1e6, 4, 1)],
@@ -207,6 +300,15 @@ class TestLiveBytesKernel:
     @settings(max_examples=150, deadline=None)
     def test_batch_collect_matches_scalar(self, specs, now, later):
         check_collect(specs, now, later)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["minor", "full"])
+    @given(specs_cuts=st.tuples(cohort_specs, space_cuts),
+           now=st.floats(0.0, 1000.0), old_capacity=old_capacities)
+    @boundary_examples
+    @settings(max_examples=40, deadline=None)
+    def test_collection_matches_per_space(self, full, specs_cuts, now,
+                                          old_capacity):
+        check_collection(*specs_cuts, now, full, old_capacity)
 
 
 class TestG1Evacuation:
@@ -301,6 +403,14 @@ class TestStressServerPattern:
     def test_evacuate_old_matches_tuple_sort(self, specs, now, pause_target):
         check_evacuate_old(specs, now, pause_target)
 
+    @pytest.mark.parametrize("full", [False, True], ids=["minor", "full"])
+    @given(specs=stress_server_specs(), cuts=space_cuts,
+           now=st.floats(0.0, 1000.0), old_capacity=old_capacities)
+    @settings(max_examples=12, deadline=None)
+    def test_collection_matches_per_space(self, full, specs, cuts, now,
+                                          old_capacity):
+        check_collection(specs, cuts, now, full, old_capacity)
+
 
 @st.composite
 def crowded_old_generations(draw):
@@ -347,6 +457,39 @@ class TestG1SelectionCut:
     @settings(max_examples=25, deadline=None)
     def test_matches_tuple_sort(self, specs, now, pause_target):
         check_evacuate_old(specs, now, pause_target)
+
+
+#: Ages from (signed) zero through the subnormals to 1e12.
+EDGE_AGES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-12, 0.5,
+             1.0, 3.7, 1e6, 1e12)
+age_arrays = st.lists(st.sampled_from(EDGE_AGES) | st.floats(0.0, 1e12),
+                      min_size=1, max_size=30).map(np.array)
+
+
+class TestSurvivalConstants:
+    """Distributions that keep constants between evaluations give the
+    bits of the expressions that worked them out on every call."""
+
+    @given(st.floats(0.05, 5.0), st.floats(1e-3, 1e4), age_arrays)
+    @example(0.45, 2.0, np.array(EDGE_AGES))
+    @example(1.0, 1.0, np.array(EDGE_AGES))
+    @settings(max_examples=60, deadline=None)
+    def test_weibull_matches_per_call_constant(self, shape, scale, age):
+        dist = Weibull(shape, scale)
+        assert (dist._integrated_survival(age).tobytes()
+                == weibull_integrated_survival(dist, age).tobytes())
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.integers(0, len(DISTS) - 1)),
+                    min_size=1, max_size=4).filter(
+                        lambda parts: sum(w for w, _ in parts) > 0),
+           age_arrays)
+    @example([(0.9, 0), (0.08, 1), (0.02, 5)], np.array(EDGE_AGES))
+    @settings(max_examples=60, deadline=None)
+    def test_mixture_matches_zeroed_sum(self, parts, age):
+        dist = Mixture([(w, DISTS[d]) for w, d in parts])
+        for method in ("_survival", "_integrated_survival"):
+            assert (getattr(dist, method)(age).tobytes()
+                    == mixture_by_zeros(dist, age, method).tobytes()), method
 
 
 class TestRunningTotal:

@@ -74,6 +74,19 @@ class TestFullRunsAreClean:
         assert auditor.counters["allocations"] > 0
         assert "clean" in auditor.summary()
 
+    def test_stranding_full_collections_audit_clean(self):
+        """ParallelOld's System.gc() full collections on h2 at 250m all
+        leave young rows in the survivor space; byte conservation checks
+        each one's freed bytes, space by space, against how much the
+        heap shrank."""
+        jvm = JVM(JVMConfig(gc="ParallelOld", heap=250 * MB, seed=1))
+        auditor = InvariantAuditor()
+        with auditor.attached(jvm):
+            jvm.run(get_benchmark("h2"), iterations=5, system_gc=True)
+        auditor.assert_clean()
+        assert auditor.counters["full_collections"] == 356
+        assert auditor.counters["minor_collections"] == 357
+
 
 class TestFastPathAudited:
     """Span commits allocate through ``heap.allocate_bump``; the auditor

@@ -253,6 +253,26 @@ class TestAdmission:
 
 
 class TestSupervision:
+    def test_job_the_jvm_refuses_is_400_and_never_stored(self, tmp_path):
+        """A young generation larger than the heap is refused at submit:
+        nothing is queued, retried, quarantined or stored."""
+        async def main():
+            async with service(tmp_path, retries=2) as svc:
+                client = await ServiceClient.connect(svc.config.socket_path)
+                resp = await client.submit(dict(JOB, young="2g"), timeout=60)
+                stats = await client.status(timeout=10)
+                await client.close()
+                return resp, stats
+
+        resp, stats = asyncio.run(main())
+        assert resp["type"] == "error" and resp["code"] == 400
+        assert "young must be in (0, heap]" in resp["reason"]
+        counters = stats["metrics"]["counters"]
+        for name in ("jobs.accepted", "jobs.retried", "jobs.quarantined"):
+            assert counters.get(name, 0) == 0, name
+        assert stats["store"]["records"] == 0
+        assert len(ResultStore(tmp_path / "store")) == 0
+
     def test_retry_then_quarantine_keeps_service_alive(self, tmp_path):
         async def main():
             async with service(tmp_path, cell_fn=_always_raises,

@@ -84,6 +84,38 @@ class TestJobValidation:
             protocol.job_to_cell(job)
         assert err.value.code == 400 and fragment in str(err.value)
 
+    @pytest.mark.parametrize("fields,fragment", [
+        # Python's json parses NaN; JVMConfig refuses it.
+        ({"overrides": json.loads('{"pause_target": NaN}')}, "pause_target"),
+        ({"overrides": {"bogus": 1}}, "bogus"),
+        ({"young": "2g"}, "young must be in (0, heap]"),
+        ({"benchmark": "nosuch"}, "unknown DaCapo benchmark"),
+        ({"iterations": 0}, "iterations must be >= 1"),
+    ], ids=["nan-pause-target", "unknown-override", "young-over-heap",
+            "unknown-benchmark", "no-iterations"])
+    def test_jobs_the_simulator_refuses_are_400(self, fields, fragment):
+        """Each of these passed admission once, and only its run failed:
+        the harness crashed the run, or the worker raised and the
+        service retried and quarantined the cell."""
+        job = {"benchmark": "xalan", "gc": "G1", "heap": "1g", **fields}
+        with pytest.raises(ProtocolError) as err:
+            protocol.job_to_cell(job)
+        assert err.value.code == 400 and fragment in str(err.value)
+
+    def test_valid_jobs_keep_their_digests(self):
+        """Validation adds no field to a cell: stores written before it
+        keep their hits (digests recorded before jobs were checked)."""
+        jobs = {
+            "683180bf4616cc77a7934edf8c993dbfcbc8fdfeb03fc6ee894bcc6d81e6f310":
+                {"benchmark": "xalan", "gc": "G1", "heap": "1g",
+                 "overrides": {"pause_target": 0.1}},
+            "7c68fa67bf01bdf0c1c46a28273b4f8a0d7df6e0ae714762687be70c63f1fe54":
+                {"benchmark": "lusearch", "gc": "Serial", "heap": "1g",
+                 "young": "256m", "iterations": 2},
+        }
+        for digest, job in jobs.items():
+            assert protocol.job_to_cell(job).digest() == digest
+
 
 class TestResponses:
     def test_responses_carry_version_and_id(self):

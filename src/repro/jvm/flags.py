@@ -85,6 +85,22 @@ class JVMConfig:
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ConfigError(f"{name} must be positive and finite: {value!r}")
+        # Refuse here what JVM construction refuses: the TLAB manager
+        # takes n_threads only when set (it checks, then int()s it), a
+        # collector int()s gc_threads unless a placement sizes an unset
+        # or zero pool, and the heap compares survivor_ratio with 1.
+        for name, accept in (
+                ("n_threads", lambda n: not n or n >= 1 and int(n) >= 1),
+                ("gc_threads", lambda n: n is None or self.gc_placement and not n
+                 or int(n) >= 1),
+                ("survivor_ratio", lambda n: not n < 1)):
+            value = getattr(self, name)
+            try:
+                ok = accept(value)
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ConfigError(f"{name} must be >= 1, got {value!r}")
 
     @property
     def heap_bytes(self) -> float:

@@ -3,20 +3,29 @@
 The heavy lifting on the server side is the discrete-event simulation
 (:class:`~repro.cassandra.server.CassandraServer` on a
 :class:`~repro.jvm.JVM`); the client-side latencies are then synthesized
-**vectorially** from the server's pause log, with no per-operation loop:
+from the server's pause log in array passes, with no per-operation loop:
 
-1. operation timestamps and kinds are drawn over the serving window;
-2. each operation gets a base service time — updates follow a tight
-   constant band, reads add an SSTable-dependent component that *steps up*
-   as flushes accumulate (paper Figure 5, observation 1);
+1. operation timestamps are drawn over the serving window and sorted;
+2. each operation gets a kind and a base service time — updates follow a
+   tight constant band, reads add an SSTable-dependent component that
+   *steps up* as flushes accumulate (paper Figure 5, observation 1);
 3. operations that arrive during a stop-the-world pause complete only
    when the safepoint ends: ``latency += pause_end - arrival`` (paper
    Figure 5, observation 2 — every latency peak is a GC), pause by pause
    (:func:`add_pause_overlap`).
+
+Step 2 runs block by block, ``telemetry.hist.BLOCK`` operations at a
+time in one reused buffer, and draws its streams in one order: the kind
+of every operation, then every write's service time, then every read's
+cache miss, then every read's service time. A PCG64 stream of one
+distribution yields the same values drawn in one call or in slices, so
+the trace does not depend on the block size, and the only full-size
+arrays the synthesis allocates are the three the trace holds.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -27,6 +36,7 @@ from ..cassandra.server import CassandraServer
 from ..errors import ConfigError, SimulationError
 from ..seeding import rng_for
 from ..jvm import JVM, JVMConfig, RunResult
+from ..telemetry import hist
 from .workload import CoreWorkload
 
 #: Operation kind codes in :class:`ClientResult` arrays.
@@ -135,7 +145,7 @@ class YCSBClient:
         *,
         samples_per_second: float = 140.0,
     ) -> ClientResult:
-        """Vectorized latency synthesis from a finished server run."""
+        """Latency synthesis from a finished server run, block by block."""
         _check_rate(samples_per_second)
         w = self.workload
         rng = rng_for(self.seed, "ycsb-client", jvm_config.gc.value)
@@ -144,46 +154,57 @@ class YCSBClient:
         if t1 <= t0:
             raise ConfigError("server run has an empty serving window")
         n = max(1, int((t1 - t0) * samples_per_second))
-        times = np.sort(rng.uniform(t0, t1, size=n))
+        times = rng.uniform(t0, t1, size=n)
+        times.sort()
+        kinds = np.empty(n, dtype=np.int8)
+        lat = np.empty(n, dtype=float)
+        step = hist.BLOCK
+        blocks = [(kinds[a:a + step], lat[a:a + step], times[a:a + step])
+                  for a in range(0, n, step)]
+        buf = np.empty(min(step, n))
 
         # Kind codes (READ 0, UPDATE 1, INSERT 2) count the mix thresholds u clears.
-        u = rng.random(n)
-        writes = u >= w.read_proportion
-        kinds = writes.view(np.int8) + (
-            u >= w.read_proportion + w.update_proportion).view(np.int8)
-
-        # Base service times (indexed by position: a boolean mask is slower).
-        lat = np.empty(n, dtype=float)
-        write_rows = np.flatnonzero(writes)
+        for kb, _, _ in blocks:
+            u = rng.random(out=buf[:len(kb)])
+            np.greater_equal(u, w.read_proportion, out=kb)
+            kb += u >= w.read_proportion + w.update_proportion
         # Updates/inserts: commit-log append + memtable write; a tight,
         # constant band (paper: "the line of points is constant").
-        lat[write_rows] = 0.55 + rng.gamma(2.0, 0.11, size=len(write_rows))
+        for kb, lb, _ in blocks:
+            rows = np.flatnonzero(kb != KIND_READ)
+            service = rng.standard_gamma(2.0, out=buf[:len(rows)])
+            service *= 0.11
+            service += 0.55
+            lb[rows] = service
         # Reads: memtable hit or on-disk consultation. The on-disk path
         # grows as data accumulates — each flush adds an SSTable, and even
         # between flushes the growing data volume adds discrete index /
         # partition levels: the paper's increasing "steps" in the read line.
-        n_reads = n - len(write_rows)
+        # Every read's miss is drawn before any read's service time, so a
+        # read holds its SSTable cost until its service time is added.
+        n_reads = n - np.count_nonzero(kinds)
         if n_reads:
-            read_rows = np.flatnonzero(~writes)
-            read_times = times[read_rows]
-            chooser = w.key_chooser()
-            hot = chooser.hot_fraction(0.05)
+            hot = _hot_share(w)
             flush_times = np.sort(np.array(
                 [t.created_at for t in server.sstables.tables], dtype=float
             ))
-            tables_at = (
-                np.searchsorted(flush_times, read_times)
-                if flush_times.size
-                else np.zeros(n_reads)
-            )
             written = server.commitlog.appended_bytes - server.stats.replayed_bytes
             write_rate = max(written, 0.0) / (t1 - t0)
             level_quantum = 2.0 * 1024 ** 3  # one level per ~2 GB written
-            levels_at = np.floor((read_times - t0) * write_rate / level_quantum)
-            miss = rng.random(n_reads) > hot
-            base = 0.85 + rng.gamma(2.0, 0.28, size=n_reads)
-            sstable_cost = miss * 0.30 * np.log2(2.0 + tables_at + levels_at)
-            lat[read_rows] = base + sstable_cost
+            for kb, lb, tb in blocks:
+                rows = np.flatnonzero(kb == KIND_READ)
+                read_times = tb[rows]
+                tables_at = (np.searchsorted(flush_times, read_times)
+                             if flush_times.size else 0.0)
+                levels_at = np.floor((read_times - t0) * write_rate / level_quantum)
+                miss = rng.random(out=buf[:len(rows)]) > hot
+                lb[rows] = miss * 0.30 * np.log2(2.0 + tables_at + levels_at)
+            for kb, lb, _ in blocks:
+                rows = np.flatnonzero(kb == KIND_READ)
+                service = rng.standard_gamma(2.0, out=buf[:len(rows)])
+                service *= 0.28
+                service += 0.85
+                lb[rows] += service
 
         intervals = server_result.gc_log.intervals()
         if intervals.size:
@@ -199,6 +220,12 @@ class YCSBClient:
             pause_intervals=intervals,
             server_result=server_result,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _hot_share(workload: CoreWorkload) -> float:
+    """Share of requests that hit the hottest 5 % of keys."""
+    return workload.key_chooser().hot_fraction(0.05)
 
 
 def _check_rate(rate: float) -> None:

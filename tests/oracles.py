@@ -20,13 +20,17 @@ agree with them exactly, float for float and byte for byte.
   that ``RememberedSet.record``'s closed form replaces;
 * :func:`evacuate_old_by_tuples` — G1's garbage-first selection as a sort
   over ``(score, cohort, live)`` tuples;
-* :func:`synthesize_by_masks`, :func:`add_pause_overlap_per_op` and
-  :func:`of_kind_by_mask` — the YCSB client's latency synthesis with
-  mask-built kinds, every operation placed among the pauses with
-  ``searchsorted``, and sub-traces gathered by boolean mask;
-* :func:`record_by_unique` and :func:`latency_band_stats_by_mean` —
-  histogram recording that counts buckets with ``np.unique``, and the
-  band statistics with ``.mean()`` shares.
+* :func:`synthesize_whole`, :func:`synthesize_by_masks`,
+  :func:`add_pause_overlap_per_op` and :func:`of_kind_by_mask` — the YCSB
+  client's latency synthesis over whole arrays (each stream drawn in one
+  call) and before that with mask-built kinds, every operation placed
+  among the pauses with ``searchsorted``, and sub-traces gathered by
+  boolean mask;
+* :func:`record_whole`, :func:`record_by_unique` and
+  :func:`latency_band_stats_by_mean` — histogram recording over a whole
+  1-D array of values below 2**63 units, and before that counting
+  buckets with ``np.unique``, and the band statistics with ``.mean()``
+  shares.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from repro.heap.lifetime import Immortal
 from repro.seeding import rng_for
 from repro.telemetry.hist import LogHistogram
 from repro.ycsb.client import (KIND_INSERT, KIND_READ, KIND_UPDATE,
-                               ClientResult)
+                               ClientResult, add_pause_overlap)
 
 
 class ScalarCohort:
@@ -220,6 +224,58 @@ def add_pause_overlap_per_op(lat, times, intervals) -> None:
     lat[inside] += (ends[idx[inside]] - times[inside]) * 1000.0
 
 
+def synthesize_whole(client, jvm_config, server_result, server, *,
+                     samples_per_second: float = 140.0) -> ClientResult:
+    """``YCSBClient.synthesize`` drawing each stream in one call over
+    whole arrays."""
+    w = client.workload
+    rng = rng_for(client.seed, "ycsb-client", jvm_config.gc.value)
+    t0 = float(server_result.extras.get("serve_start", 0.0))
+    t1 = float(server_result.execution_time)
+    if t1 <= t0:
+        raise ConfigError("server run has an empty serving window")
+    n = max(1, int((t1 - t0) * samples_per_second))
+    times = np.sort(rng.uniform(t0, t1, size=n))
+
+    u = rng.random(n)
+    writes = u >= w.read_proportion
+    kinds = writes.view(np.int8) + (
+        u >= w.read_proportion + w.update_proportion).view(np.int8)
+
+    lat = np.empty(n, dtype=float)
+    write_rows = np.flatnonzero(writes)
+    lat[write_rows] = 0.55 + rng.gamma(2.0, 0.11, size=len(write_rows))
+    n_reads = n - len(write_rows)
+    if n_reads:
+        read_rows = np.flatnonzero(~writes)
+        read_times = times[read_rows]
+        hot = w.key_chooser().hot_fraction(0.05)
+        flush_times = np.sort(np.array(
+            [t.created_at for t in server.sstables.tables], dtype=float
+        ))
+        tables_at = (
+            np.searchsorted(flush_times, read_times)
+            if flush_times.size
+            else np.zeros(n_reads)
+        )
+        written = server.commitlog.appended_bytes - server.stats.replayed_bytes
+        write_rate = max(written, 0.0) / (t1 - t0)
+        level_quantum = 2.0 * 1024 ** 3
+        levels_at = np.floor((read_times - t0) * write_rate / level_quantum)
+        miss = rng.random(n_reads) > hot
+        base = 0.85 + rng.gamma(2.0, 0.28, size=n_reads)
+        sstable_cost = miss * 0.30 * np.log2(2.0 + tables_at + levels_at)
+        lat[read_rows] = base + sstable_cost
+
+    intervals = server_result.gc_log.intervals()
+    if intervals.size:
+        add_pause_overlap(lat, times, intervals)
+    else:
+        intervals = np.zeros((0, 2))
+    return ClientResult(jvm_config.gc.value, times, lat, kinds, intervals,
+                        server_result)
+
+
 def synthesize_by_masks(client, jvm_config, server_result, server, *,
                         samples_per_second: float = 140.0) -> ClientResult:
     """``YCSBClient.synthesize`` built from boolean masks."""
@@ -278,6 +334,31 @@ def of_kind_by_mask(trace: ClientResult, kind: int) -> ClientResult:
     return ClientResult(trace.gc, trace.op_times[mask],
                         trace.latencies_ms[mask], trace.kinds[mask],
                         trace.pause_intervals, trace.server_result)
+
+
+def record_whole(hist: LogHistogram, values) -> None:
+    """``LogHistogram.record_array`` over the whole array at once, for
+    1-D values below 2**63 units."""
+    v = np.asarray(values, dtype=float)
+    if v.size == 0:
+        return
+    lo, hi = float(v.min()), float(v.max())
+    if not 0 <= lo <= hi < np.inf:
+        raise ConfigError(f"histogram values must be finite and >= 0: {lo}..{hi}")
+    n = (v / hist.unit).astype(np.int64)
+    _, e = np.frexp((n | (hist._sub_buckets - 1)).astype(np.float64))
+    bucket = e.astype(np.int64) - hist._m
+    sbi = n >> bucket
+    counts = np.bincount(((bucket + 1) << hist._half_mag) + (sbi - hist._half))
+    hit = np.flatnonzero(counts)
+    for i, c in zip(hit.tolist(), counts[hit].tolist()):
+        hist._counts[i] = hist._counts.get(i, 0) + c
+    hist.total_count += int(v.size)
+    hist.sum_units += int(n.sum())
+    if hist.min_raw is None or lo < hist.min_raw:
+        hist.min_raw = lo
+    if hist.max_raw is None or hi > hist.max_raw:
+        hist.max_raw = hi
 
 
 def record_by_unique(hist: LogHistogram, values) -> None:

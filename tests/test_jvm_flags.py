@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.gc import GCType
+from repro.jvm import JVM
 from repro.jvm.flags import DEFAULT_YOUNG_FRACTION, JVMConfig, baseline_config
 from repro.machine.topology import PAPER_SERVER
 from repro.units import GB, MB
@@ -54,6 +55,35 @@ class TestJVMConfig:
         an infinite budget."""
         with pytest.raises(ConfigError):
             JVMConfig(**{"gc": "G1", "heap": "1g", **bad})
+
+    @pytest.mark.parametrize("placement", ["", "adaptive"])
+    @pytest.mark.parametrize("name,value", [
+        (name, value)
+        for name in ("n_threads", "gc_threads", "survivor_ratio")
+        for value in (None, 0, 0.0, False, True, 1, 2.0, 2.5, 8.0, 0.5, -1, "x",
+                      "3", "", float("nan"), float("inf"), -float("inf"), [1], {})
+    ])
+    def test_refuses_exactly_what_jvm_construction_refuses(self, placement,
+                                                           name, value):
+        """A config holding *value* is built past the check and handed to
+        ``JVM``: the check must refuse exactly the values that fail there,
+        so a job the JVM refuses is refused at submit, and every value
+        that runs (``n_threads: 0`` for one thread per core, a placement
+        sizing an unset or zero GC pool, ``gc_threads: 2.0``) still does."""
+        base = JVMConfig(gc="G1", heap="1g", gc_placement=placement)
+        unchecked = base.with_()
+        object.__setattr__(unchecked, name, value)
+        try:
+            JVM(unchecked)
+            constructs = True
+        except (ConfigError, TypeError, ValueError, OverflowError):
+            constructs = False
+        try:
+            base.with_(**{name: value})
+            accepted = True
+        except ConfigError:
+            accepted = False
+        assert accepted == constructs
 
     def test_mutator_threads_default_one_per_core(self):
         assert JVMConfig().mutator_threads == PAPER_SERVER.cores

@@ -26,9 +26,15 @@ golden outputs depend on every rounding.
 * the running total the kernels sum freed bytes with, against a loop;
 * the YCSB client's pause overlap, latency synthesis, sub-traces and
   band statistics against the mask-based code they replace, byte for
-  byte (dtype included), over generated pause logs and operation mixes.
+  byte (dtype included), over generated pause logs and operation mixes;
+* the client's synthesis and the histogram's bucketing, which run block
+  by block, against the whole-array code, with the block size set to 1,
+  3, 64 and its default so that block boundaries fall inside small
+  traces, and within a few blocks of memory on a 1M-op trace.
 """
 
+import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,6 +43,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.latency import latency_band_stats
+from repro.cassandra.config import default_config
+from repro.cassandra.server import CassandraServer
 from repro.errors import SimulationError
 from repro.gc import create_collector
 from repro.gc.g1 import MIXED_BATCH
@@ -47,10 +55,12 @@ from repro.heap.heap import (CollectionVolumes, GenerationalHeap, HeapConfig,
 from repro.heap.lifetime import (Exponential, Fixed, Immortal, LogNormal,
                                  Mixture, Weibull)
 from repro.heap.regions import RegionTable
-from repro.jvm import JVMConfig
+from repro.jvm import JVM, JVMConfig
 from repro.machine.costs import CostModel
-from repro.units import MB
-from repro.ycsb import CoreWorkload, YCSBClient
+from repro.telemetry import hist
+from repro.telemetry.hist import LogHistogram
+from repro.units import GB, MB
+from repro.ycsb import WORKLOAD_A_LIKE, CoreWorkload, YCSBClient
 from repro.ycsb.client import (KIND_INSERT, KIND_READ, KIND_UPDATE,
                                add_pause_overlap)
 
@@ -58,8 +68,8 @@ from tests.oracles import (LoopRememberedSet, ScalarCohort,
                            add_pause_overlap_per_op, collect_all,
                            collect_young_per_space, evacuate_old_by_tuples,
                            latency_band_stats_by_mean, mixture_by_zeros,
-                           of_kind_by_mask, synthesize_by_masks,
-                           weibull_integrated_survival)
+                           of_kind_by_mask, record_whole, synthesize_by_masks,
+                           synthesize_whole, weibull_integrated_survival)
 
 #: One space mixes all of these.
 DISTS = (
@@ -650,3 +660,110 @@ class TestClientSynthesis:
                                                oracle.pause_intervals)
                 assert repr(a.hist.to_dict()) == repr(b.hist.to_dict())
                 assert repr(a.rows()) == repr(b.rows())
+
+
+#: Block sizes for the blocked passes: block boundaries then fall inside
+#: small traces, and the default shows the module's own.
+BLOCKS = (1, 3, 64, hist.BLOCK)
+
+
+def check_blocked_trace(client, config, result, server, rate):
+    """The blocked synthesis, its sub-traces, band rows and histograms
+    against the whole-array code, byte for byte."""
+    fast = client.synthesize(config, result, server, samples_per_second=rate)
+    slow = synthesize_whole(client, config, result, server,
+                            samples_per_second=rate)
+    assert_same_trace(fast, slow)
+    for kind in (KIND_READ, KIND_UPDATE, KIND_INSERT):
+        part, oracle = fast.of_kind(kind), slow.of_kind(kind)
+        assert_same_trace(part, oracle)
+        if len(part.latencies_ms):
+            a = latency_band_stats(part.op_times, part.latencies_ms,
+                                   part.pause_intervals)
+            b = latency_band_stats_by_mean(oracle.op_times, oracle.latencies_ms,
+                                           oracle.pause_intervals)
+            whole = LogHistogram(unit=1e-3)
+            record_whole(whole, oracle.latencies_ms)
+            assert repr(a.hist.to_dict()) == repr(whole.to_dict())
+            assert repr(a.rows()) == repr(b.rows())
+    return fast
+
+
+class TestBlockedClient:
+    """The client's synthesis and the histogram's bucketing run block by
+    block; what they return does not depend on the block size."""
+
+    @given(mix=MIXES, block=st.sampled_from(BLOCKS),
+           seed=st.integers(0, 2 ** 32 - 1), gc=st.sampled_from(["CMS", "G1"]),
+           t0=st.floats(0.0, 100.0), width=st.floats(0.5, 20.0),
+           rate=st.floats(0.5, 20.0),
+           flushes=st.lists(st.floats(0.0, 1.0), max_size=4),
+           appended=st.floats(0.0, 1e12), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_whole_array_oracle(self, mix, block, seed, gc, t0, width,
+                                        rate, flushes, appended, data):
+        read, update = mix
+        client = YCSBClient(CoreWorkload(
+            "mix", read_proportion=read, update_proportion=update,
+            insert_proportion=1.0 - read - update, record_count=1000), seed=seed)
+        config = JVMConfig(gc=gc)
+        t1 = t0 + width
+        flush_times = [t0 + f * width for f in flushes]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hist, "BLOCK", block)
+            bare = client.synthesize(
+                config, *served(t0, t1, np.zeros((0, 2)), flush_times, appended),
+                samples_per_second=rate)
+            intervals = data.draw(pause_logs(bare.op_times))
+            check_blocked_trace(client, config,
+                                *served(t0, t1, intervals, flush_times, appended),
+                                rate)
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_lengths_around_the_block(self, block):
+        """1, B-1, B, B+1 and 3B+7 operations, for a mix with inserts and
+        for read shares 0 and 1, with pauses across block boundaries."""
+        mixes = ((0.3, 0.5), (0.0, 1.0), (1.0, 0.0))
+        lengths = sorted({max(1, n) for n in
+                          (1, block - 1, block, block + 1, 3 * block + 7)})
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hist, "BLOCK", block)
+            for n, (read, update) in itertools.product(lengths, mixes):
+                client = YCSBClient(CoreWorkload(
+                    "mix", read_proportion=read, update_proportion=update,
+                    insert_proportion=1.0 - read - update), seed=n)
+                # One op a second: the pauses below cover whole seconds.
+                starts = np.arange(0.5, n, max(1.0, block / 2.0))
+                intervals = np.column_stack([starts, starts + 1.5])
+                trace = check_blocked_trace(
+                    client, JVMConfig(gc="CMS"),
+                    *served(0.0, float(n), intervals, [n / 3.0], 5e11), 1.0)
+                assert len(trace.kinds) == n
+
+    def test_million_op_trace_stays_in_block_buffers(self):
+        """A 600 s CMS server run sampled at 1,700 ops/s: 1.02M ops, whose
+        synthesis and bucketing need a few blocks beyond what they return
+        (whole arrays took 44 and 51 MiB)."""
+        w = WORKLOAD_A_LIKE
+        config = JVMConfig(gc="CMS", heap=64 * GB, young=12 * GB)
+        server = CassandraServer(default_config(64 * GB))
+        result = JVM(config).run(
+            server, duration=600.0, ops_per_second=w.operations_per_second,
+            read_fraction=w.read_proportion, update_fraction=w.update_proportion,
+            n_client_threads=w.client_threads)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = YCSBClient(w, seed=0).synthesize(config, result, server,
+                                                     samples_per_second=1700.0)
+            returned = sum(a.nbytes for a in (trace.op_times, trace.latencies_ms,
+                                              trace.kinds, trace.pause_intervals))
+            synth_peak = tracemalloc.get_traced_memory()[1] - before - returned
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            LogHistogram(unit=1e-3).record_array(trace.latencies_ms)
+            record_peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.kinds) == 1_020_000
+        assert synth_peak < 4 * MB and record_peak < 4 * MB, (synth_peak, record_peak)

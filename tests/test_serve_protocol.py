@@ -91,8 +91,15 @@ class TestJobValidation:
         ({"young": "2g"}, "young must be in (0, heap]"),
         ({"benchmark": "nosuch"}, "unknown DaCapo benchmark"),
         ({"iterations": 0}, "iterations must be >= 1"),
+        ({"overrides": {"n_threads": -1}}, "n_threads must be >= 1"),
+        ({"overrides": {"gc_threads": "x"}}, "gc_threads must be >= 1"),
+        ({"overrides": {"gc_threads": 0}}, "gc_threads must be >= 1"),
+        ({"overrides": {"survivor_ratio": "a"}}, "survivor_ratio must be >= 1"),
+        ({"overrides": {"survivor_ratio": 0}}, "survivor_ratio must be >= 1"),
     ], ids=["nan-pause-target", "unknown-override", "young-over-heap",
-            "unknown-benchmark", "no-iterations"])
+            "unknown-benchmark", "no-iterations", "negative-n-threads",
+            "gc-threads-not-a-number", "no-gc-threads",
+            "survivor-ratio-not-a-number", "no-survivor-ratio"])
     def test_jobs_the_simulator_refuses_are_400(self, fields, fragment):
         """Each of these passed admission once, and only its run failed:
         the harness crashed the run, or the worker raised and the
@@ -112,6 +119,16 @@ class TestJobValidation:
             "7c68fa67bf01bdf0c1c46a28273b4f8a0d7df6e0ae714762687be70c63f1fe54":
                 {"benchmark": "lusearch", "gc": "Serial", "heap": "1g",
                  "young": "256m", "iterations": 2},
+            # Thread and survivor settings that run, recorded before
+            # JVMConfig checked them.
+            "bcb52477037139e9ab195dd1de3acc80904ea3e8bc24056631f188a8099fe033":
+                {"benchmark": "xalan", "gc": "G1", "heap": "1g",
+                 "overrides": {"gc_threads": 2.0, "n_threads": 0}},
+            "fd7968a57be0ebf2fd9a82b34926352317d3dc4ef1aed5ce6e63f346db77055a":
+                {"benchmark": "lusearch", "gc": "CMS", "heap": "1g",
+                 "young": "256m", "iterations": 2,
+                 "overrides": {"survivor_ratio": 8.0, "gc_threads": 0,
+                               "gc_placement": "adaptive"}},
         }
         for digest, job in jobs.items():
             assert protocol.job_to_cell(job).digest() == digest

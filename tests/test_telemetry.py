@@ -19,7 +19,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
@@ -27,16 +27,24 @@ from repro.gc.stats import GCLog, PauseRecord
 from repro.jvm import JVM, JVMConfig
 from repro.jvm.gclog import format_gc_log, parse_gc_log
 from repro.telemetry import (LogHistogram, NULL_TRACER, NullTracer, Tracer,
-                            percentile_rows)
+                            hist, percentile_rows)
 from repro.telemetry.events import GC_PHASE, SAFEPOINT_END, TraceEvent
 from repro.telemetry.ring import EventRing
 from repro.units import GB, MB
 from repro.workloads.dacapo import get_benchmark
 
+from tests.oracles import record_whole
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 durations = st.floats(min_value=0.0, max_value=1e4,
                       allow_nan=False, allow_infinity=False)
+
+#: Values at the edges of exact bucketing: signed zero, subnormals, and
+#: around 2**53 and 2**63 units of 1e-3 and 1e-6, up to 1e300.
+EDGE_VALUES = (0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308) + tuple(
+    (2.0 ** k + d * 2.0 ** (k - 52)) * unit
+    for k in (53, 63) for d in (-1, 0, 1) for unit in (1e-3, 1e-6)) + (9.3e15, 1e300)
 
 
 class TestHistogramBuckets:
@@ -147,6 +155,57 @@ class TestHistogramVectorized:
             scalar.record(v)
         vector.record_array(np.array(values))
         assert scalar == vector
+
+    @given(values=st.lists(st.sampled_from(EDGE_VALUES) | durations
+                           | st.floats(0.0, 1e300), max_size=40),
+           rows=st.integers(1, 4), unit=st.sampled_from([1e-3, 1e-6]),
+           digits=st.sampled_from([1, 3, 5]))
+    # Past 2**63 units in two rows; and five digits 300 decades apart,
+    # too many indices apart for one dense count array.
+    @example(values=[9.3e15, 2.0 ** 63 * 1e-3, -0.0, 5e-324], rows=2,
+             unit=1e-3, digits=3)
+    @example(values=[0.5, 1e300, 0.0, 7.0], rows=2, unit=1e-3, digits=5)
+    @settings(max_examples=150, deadline=None)
+    def test_vector_path_records_what_record_does(self, values, rows, unit,
+                                                  digits):
+        """Any shape, and values at and past 2**63 units, which no int64
+        holds: they bucket and sum as ``record`` does."""
+        values = values[:len(values) - len(values) % rows]
+        scalar = LogHistogram(unit=unit, significant_digits=digits)
+        vector = LogHistogram(unit=unit, significant_digits=digits)
+        for v in values:
+            scalar.record(v)
+        vector.record_array(np.array(values, dtype=float).reshape(rows, -1))
+        assert scalar.to_dict() == vector.to_dict()
+
+    def test_value_past_int64_units(self):
+        h = LogHistogram(unit=1e-3)
+        h.record_array(np.array([[9.3e15]]))
+        assert h.sum_units == int(9.3e15 / 1e-3)
+        assert h.percentile(50) == 9.3e15
+
+    @pytest.mark.parametrize("block", [1, 3, 64, hist.BLOCK])
+    def test_lengths_around_the_block(self, block, monkeypatch):
+        monkeypatch.setattr(hist, "BLOCK", block)
+        rng = np.random.default_rng(block)
+        for n in sorted({0, 1, block - 1, block, block + 1, 3 * block + 7}):
+            values = rng.gamma(2.0, 0.28, size=n) + 0.85
+            values[::7] += rng.exponential(300.0, size=len(values[::7]))
+            values[::11] = 0.0
+            vector, whole = LogHistogram(unit=1e-3), LogHistogram(unit=1e-3)
+            vector.record_array(values)
+            record_whole(whole, values)
+            assert repr(vector.to_dict()) == repr(whole.to_dict()), n
+
+    def test_quotient_overflow_raises_like_record_untouched(self):
+        for record in (lambda h: h.record_array([1.0, 1e308]),
+                       lambda h: h.record(1e308)):
+            h = LogHistogram(unit=1e-3)
+            h.record(0.5)
+            before = h.to_dict()
+            with pytest.raises(OverflowError):
+                record(h)
+            assert h.to_dict() == before
 
     def test_vector_rejects_negative(self):
         with pytest.raises(ConfigError):

@@ -54,7 +54,7 @@ def test_x6_lbo_modern(benchmark):
         # because they are immune to the per-invocation run noise: the
         # concurrent collectors' tails sit orders of magnitude below
         # ParallelOld's.
-        assert d.pause_percentiles["p99.9"] < po.pause_percentiles["p99.9"] / 10
-        assert d.max_pause < po.max_pause / 10
+        assert d.pauses.percentiles["p99.9"] < po.pauses.percentiles["p99.9"] / 10
+        assert d.pauses.max < po.pauses.max / 10
         # ...and the distilled throughput cost stays bounded.
         assert d.lbo is not None and 0.0 <= d.lbo < 0.5

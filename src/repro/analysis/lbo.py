@@ -16,7 +16,7 @@ Every JVM run is a content-addressed campaign cell
 (:class:`~repro.campaign.cells.CellSpec`), so a shared
 :class:`~repro.campaign.store.ResultStore` serves repeat studies from
 cache and the study JSON is byte-identical either way — the CI
-``lbo-smoke`` job enforces exactly that with ``cmp``. Because separate
+``study-smoke`` job enforces exactly that with ``cmp``. Because separate
 JVM invocations carry independent log-normal run noise (the paper's
 §3.2 methodology), overheads are averaged over the config's *seeds* and
 the distilled minimum is floored at zero: with finitely many
@@ -26,15 +26,18 @@ luck of the draw, and a negative GC cost is always noise.
 
 from __future__ import annotations
 
-import json
-import math
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ConfigError
 from ..gc.registry import TABLE8_GC_NAMES, resolve_gc
 from ..units import GB, parse_size
 from .report import render_table
+# nearest_rank keeps its import path here.
+from .study import (Axis, GridConfig, PauseTail, StudyResult, nearest_rank,
+                    serve_cells)
 
 #: Bump on incompatible study-output changes (part of the JSON).
 LBO_SCHEMA_VERSION = 1
@@ -46,22 +49,17 @@ IDEAL_GC = "EpsilonGC"
 _QS = (50.0, 90.0, 99.0, 99.9)
 
 
-def nearest_rank(sorted_values: List[float], q: float) -> float:
-    """Nearest-rank percentile over pre-sorted *sorted_values*.
-
-    ``k = ceil(q/100 * n) - 1`` (0-indexed, clamped) — always an actual
-    sample, never an interpolation, so the study JSON stays byte-stable
-    across platforms. Returns 0.0 for an empty list.
-    """
-    n = len(sorted_values)
-    if n == 0:
-        return 0.0
-    k = max(0, math.ceil(q / 100.0 * n) - 1)
-    return sorted_values[min(k, n - 1)]
+def _studied_gc(gc) -> str:
+    name = resolve_gc(gc).value
+    if name == IDEAL_GC:
+        raise ConfigError(
+            f"{IDEAL_GC} is the implicit ideal baseline; "
+            "it cannot also be a studied collector")
+    return name
 
 
 @dataclass(frozen=True)
-class LBOConfig:
+class LBOConfig(GridConfig):
     """One LBO study: collectors x heap ladder vs the ideal baseline."""
 
     benchmarks: Tuple[str, ...] = ("xalan",)
@@ -71,53 +69,21 @@ class LBOConfig:
     iterations: int = 6
     system_gc: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.benchmarks:
-            raise ConfigError("an LBO study needs at least one benchmark")
-        if not self.gcs:
-            raise ConfigError("an LBO study needs at least one collector")
-        if not self.heaps:
-            raise ConfigError("an LBO study needs at least one heap size")
-        if not self.seeds:
-            raise ConfigError("an LBO study needs at least one seed")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        gcs = tuple(resolve_gc(g).value for g in self.gcs)
-        if IDEAL_GC in gcs:
-            raise ConfigError(
-                f"{IDEAL_GC} is the implicit ideal baseline; "
-                "it cannot also be a studied collector")
-        object.__setattr__(self, "benchmarks",
-                           tuple(str(b) for b in self.benchmarks))
-        object.__setattr__(self, "gcs", gcs)
-        object.__setattr__(
-            self, "heaps",
-            tuple(sorted(float(parse_size(h)) for h in self.heaps)))
-        object.__setattr__(self, "seeds",
-                           tuple(sorted(int(s) for s in self.seeds)))
-
-    def cell(self, gc: str, benchmark: str, heap: float,
-             seed: int) -> "CellSpec":
-        """The content-addressed identity of one study run."""
-        # Deferred: campaign.cells itself imports repro.analysis, so a
-        # module-level import here would be circular.
-        from ..campaign.cells import CellSpec
-
-        return CellSpec.from_axes(
-            benchmark, gc, heap, None, seed,
-            iterations=self.iterations, system_gc=self.system_gc,
-        )
+    STUDY = "an LBO study"
+    AXES = (Axis("benchmarks", "benchmark"),
+            Axis("gcs", "collector", _studied_gc),
+            Axis("heaps", "heap size", lambda h: float(parse_size(h)),
+                 sort=True),
+            Axis("seeds", "seed", int, sort=True))
 
     def cells(self) -> List["CellSpec"]:
         """Every cell the study needs, ideal baseline first, in the
         deterministic execution order."""
-        out = []
-        for gc in (IDEAL_GC,) + self.gcs:
-            for benchmark in self.benchmarks:
-                for heap in self.heaps:
-                    for seed in self.seeds:
-                        out.append(self.cell(gc, benchmark, heap, seed))
-        return out
+        return [self.cell(gc, benchmark, heap, seed)
+                for gc in (IDEAL_GC,) + self.gcs
+                for benchmark in self.benchmarks
+                for heap in self.heaps
+                for seed in self.seeds]
 
 
 def _heap_key(heap: float) -> str:
@@ -137,9 +103,7 @@ class CollectorDistillate:
     lbo: Optional[float] = None
     #: The heap (bytes) achieving the minimum.
     lbo_heap: Optional[float] = None
-    pause_count: int = 0
-    pause_percentiles: Dict[str, float] = field(default_factory=dict)
-    max_pause: float = 0.0
+    pauses: PauseTail = field(default_factory=PauseTail)
     stall_count: int = 0
     stall_seconds: float = 0.0
     crashed_cells: int = 0
@@ -152,12 +116,7 @@ class CollectorDistillate:
                           for k, v in self.overheads.items()},
             "lbo": None if self.lbo is None else round(self.lbo, 6),
             "lbo_heap": self.lbo_heap,
-            "pauses": {
-                "count": self.pause_count,
-                "percentiles": {k: round(v, 9)
-                                for k, v in self.pause_percentiles.items()},
-                "max": round(self.max_pause, 9),
-            },
+            "pauses": self.pauses.to_dict(),
             "stalls": {"count": self.stall_count,
                        "seconds": round(self.stall_seconds, 6)},
             "crashed_cells": self.crashed_cells,
@@ -169,9 +128,7 @@ class CollectorDistillate:
         return cls(
             gc=d["gc"], overheads=dict(d["overheads"]),
             lbo=d["lbo"], lbo_heap=d["lbo_heap"],
-            pause_count=d["pauses"]["count"],
-            pause_percentiles=dict(d["pauses"]["percentiles"]),
-            max_pause=d["pauses"]["max"],
+            pauses=PauseTail(**d["pauses"]),
             stall_count=d["stalls"]["count"],
             stall_seconds=d["stalls"]["seconds"],
             crashed_cells=d["crashed_cells"],
@@ -179,7 +136,7 @@ class CollectorDistillate:
 
 
 @dataclass
-class LBOStudyResult:
+class LBOStudyResult(StudyResult):
     """All distillates plus the knobs that produced them."""
 
     config: LBOConfig
@@ -209,18 +166,9 @@ class LBOStudyResult:
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-safe form of the whole study."""
-        c = self.config
         return {
             "v": LBO_SCHEMA_VERSION,
-            "config": {
-                "benchmarks": list(c.benchmarks),
-                "gcs": list(c.gcs),
-                "heaps": list(c.heaps),
-                "seeds": list(c.seeds),
-                "iterations": c.iterations,
-                "system_gc": c.system_gc,
-                "ideal": IDEAL_GC,
-            },
+            "config": {**self.config.echo(), "ideal": IDEAL_GC},
             "baseline": {
                 b: {k: (None if v is None else round(v, 6))
                     for k, v in heaps.items()}
@@ -229,11 +177,6 @@ class LBOStudyResult:
             "collectors": {d.gc: d.to_dict() for d in self.distillates},
             "ranking": self.ranking(),
         }
-
-    def to_json(self) -> str:
-        """Byte-stable serialization (same config ⇒ identical bytes)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
 
     # -- rendering -----------------------------------------------------
 
@@ -247,11 +190,11 @@ class LBOStudyResult:
                 ("-" if d.lbo is None else f"{100.0 * d.lbo:.2f}"),
                 ("-" if d.lbo_heap is None
                  else f"{d.lbo_heap / GB:g}g"),
-                f"{1e3 * d.pause_percentiles.get('p50', 0.0):.2f}",
-                f"{1e3 * d.pause_percentiles.get('p99', 0.0):.2f}",
-                f"{1e3 * d.pause_percentiles.get('p99.9', 0.0):.2f}",
-                f"{1e3 * d.max_pause:.2f}",
-                d.pause_count,
+                f"{1e3 * d.pauses.percentiles.get('p50', 0.0):.2f}",
+                f"{1e3 * d.pauses.percentiles.get('p99', 0.0):.2f}",
+                f"{1e3 * d.pauses.percentiles.get('p99.9', 0.0):.2f}",
+                f"{1e3 * d.pauses.max:.2f}",
+                d.pauses.count,
                 d.stall_count,
                 d.crashed_cells,
             ])
@@ -265,12 +208,7 @@ class LBOStudyResult:
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "LBOStudyResult":
         """Rehydrate a study from its JSON (``report`` path)."""
-        c = d["config"]
-        config = LBOConfig(
-            benchmarks=tuple(c["benchmarks"]), gcs=tuple(c["gcs"]),
-            heaps=tuple(c["heaps"]), seeds=tuple(c["seeds"]),
-            iterations=int(c["iterations"]), system_gc=bool(c["system_gc"]),
-        )
+        config = LBOConfig.from_echo(d["config"])
         result = cls(config=config,
                      baseline={b: dict(h) for b, h in d["baseline"].items()})
         # `collectors` is keyed by name; rebuild in ranking order so
@@ -286,25 +224,6 @@ class LBOStudyResult:
 # ----------------------------------------------------------------------
 
 
-def _run_cached(cell: "CellSpec", store=None):
-    """One cell result, served from *store* when possible.
-
-    Returns ``(result, was_cache_hit)``; fresh runs are recorded so the
-    next study is a pure cache run. Crashed runs are cached too — a
-    crash at these coordinates is deterministic.
-    """
-    from ..campaign.cells import run_cell
-
-    if store is not None:
-        cached = store.get_run(cell.digest())
-        if cached is not None:
-            return cached, True
-    result = run_cell(cell)
-    if store is not None:
-        store.record_ok(cell, result)
-    return result, False
-
-
 def run_lbo_study(config: LBOConfig, store=None) -> LBOStudyResult:
     """Run the full collector x heap ladder against the ideal baseline."""
     result = LBOStudyResult(config=config)
@@ -312,34 +231,25 @@ def run_lbo_study(config: LBOConfig, store=None) -> LBOStudyResult:
     #: (gc, benchmark, heap_key) -> mean execution time (None = crashed).
     mean_exec: Dict[Tuple[str, str, str], Optional[float]] = {}
     #: gc -> pooled pause durations / stall totals over non-crashed cells.
-    pooled_pauses: Dict[str, List[float]] = {g: [] for g in config.gcs}
-    stalls: Dict[str, List[float]] = {g: [0, 0.0] for g in config.gcs}
-    crashes: Dict[str, int] = {g: 0 for g in config.gcs}
+    pooled_pauses: Dict[str, List[float]] = defaultdict(list)
+    stalls: Dict[str, List[float]] = defaultdict(lambda: [0, 0.0])
+    crashes: Dict[str, int] = defaultdict(int)
 
-    for gc in (IDEAL_GC,) + config.gcs:
-        for benchmark in config.benchmarks:
-            for heap in config.heaps:
-                runs = []
-                for seed in config.seeds:
-                    cell = config.cell(gc, benchmark, heap, seed)
-                    run, hit = _run_cached(cell, store)
-                    result.cells_total += 1
-                    result.cache_hits += int(hit)
-                    runs.append(run)
-                    if run.crashed:
-                        if gc != IDEAL_GC:
-                            crashes[gc] += 1
-                        continue
-                    if gc != IDEAL_GC:
-                        pooled_pauses[gc].extend(
-                            p.duration for p in run.gc_log.pauses)
-                        stalls[gc][0] += int(
-                            run.extras.get("alloc_stall_count", 0))
-                        stalls[gc][1] += float(
-                            run.extras.get("alloc_stall_seconds", 0.0))
-                times = [r.execution_time for r in runs if not r.crashed]
-                mean_exec[(gc, benchmark, _heap_key(heap))] = (
-                    sum(times) / len(times) if times else None)
+    rungs = groupby(serve_cells(result, config.cells(), store),
+                    key=lambda pair: (pair[0].gc, pair[0].benchmark,
+                                      _heap_key(pair[0].heap)))
+    for key, pairs in rungs:
+        gc = key[0]
+        times = []
+        for _cell, run in pairs:
+            if run.crashed:
+                crashes[gc] += 1
+                continue
+            times.append(run.execution_time)
+            pooled_pauses[gc].extend(p.duration for p in run.gc_log.pauses)
+            stalls[gc][0] += int(run.extras.get("alloc_stall_count", 0))
+            stalls[gc][1] += float(run.extras.get("alloc_stall_seconds", 0.0))
+        mean_exec[key] = sum(times) / len(times) if times else None
 
     for benchmark in config.benchmarks:
         result.baseline[benchmark] = {
@@ -375,11 +285,7 @@ def run_lbo_study(config: LBOConfig, store=None) -> LBOStudyResult:
             # negative GC cost is always noise.
             d.lbo = max(0.0, best[0])
             d.lbo_heap = best[1]
-        durations = sorted(pooled_pauses[gc])
-        d.pause_count = len(durations)
-        d.pause_percentiles = {f"p{q:g}": nearest_rank(durations, q)
-                               for q in _QS}
-        d.max_pause = durations[-1] if durations else 0.0
+        d.pauses = PauseTail.of(pooled_pauses[gc], _QS)
         d.stall_count = stalls[gc][0]
         d.stall_seconds = stalls[gc][1]
         d.crashed_cells = crashes[gc]

@@ -1,6 +1,4 @@
-"""Command-line entry points.
-
-Five commands mirror the paper's workflow, one keeps it honest:
+"""Command-line entry points, one per ``repro-*`` console script:
 
 * ``repro-dacapo``    — run a DaCapo benchmark under a chosen GC and print
   the per-iteration times plus the GC log;
@@ -24,6 +22,8 @@ Five commands mirror the paper's workflow, one keeps it honest:
   socket, served from the shared result cache (see :mod:`repro.serve`);
 * ``repro-fleet``     — GC-aware load balancing and opportunistic
   scaling over a simulated Cassandra fleet (see :mod:`repro.fleet`);
+* ``repro-lbo``       — LBO cost distillation against an ideal no-GC
+  run (see :mod:`repro.analysis.lbo`);
 * ``repro-energy``    — energy/pause Pareto studies over collector x
   GC placement x (asymmetric) topology (see :mod:`repro.energy`).
 

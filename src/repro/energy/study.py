@@ -4,7 +4,7 @@
 campaign cells (served from a shared
 :class:`~repro.campaign.store.ResultStore` when given one — a cached
 rerun must produce byte-identical JSON, enforced by the CI
-``energy-smoke`` job with ``cmp``) and reports, per combination:
+``study-smoke`` job with ``cmp``) and reports, per combination:
 
 * mean execution time and pooled nearest-rank pause percentiles;
 * the folded :class:`~repro.energy.model.EnergyAccount` — exact
@@ -23,12 +23,13 @@ points dominate on joules/GB and P-pinned points dominate on the tail
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Dict, List, Optional, Tuple
 
-from ..analysis.lbo import nearest_rank
 from ..analysis.report import render_table
+from ..analysis.study import (Axis, GridConfig, PauseTail, StudyResult,
+                              serve_cells)
 from ..errors import ConfigError
 from ..gc.registry import resolve_gc
 from ..machine.topology import resolve_topology
@@ -44,7 +45,7 @@ _QS = (50.0, 99.0, 99.9)
 
 
 @dataclass(frozen=True)
-class EnergyStudyConfig:
+class EnergyStudyConfig(GridConfig):
     """One Pareto study: collectors x placements x topologies."""
 
     benchmarks: Tuple[str, ...] = ("xalan",)
@@ -56,62 +57,28 @@ class EnergyStudyConfig:
     iterations: int = 4
     system_gc: bool = False
 
+    STUDY = "an energy study"
+    AXES = (Axis("benchmarks", "benchmark"),
+            Axis("gcs", "collector", lambda g: resolve_gc(g).value),
+            Axis("placements", "placement",
+                 lambda p: resolve_placement(p).name),
+            Axis("topologies", "topology",
+                 lambda t: resolve_topology(t).name),
+            Axis("seeds", "seed", int, sort=True))
+
     def __post_init__(self) -> None:
-        if not self.benchmarks:
-            raise ConfigError("an energy study needs at least one benchmark")
-        if not self.gcs:
-            raise ConfigError("an energy study needs at least one collector")
-        if not self.placements:
-            raise ConfigError("an energy study needs at least one placement")
-        if not self.topologies:
-            raise ConfigError("an energy study needs at least one topology")
-        if not self.seeds:
-            raise ConfigError("an energy study needs at least one seed")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be >= 1")
-        object.__setattr__(self, "benchmarks",
-                           tuple(str(b) for b in self.benchmarks))
-        object.__setattr__(self, "gcs",
-                           tuple(resolve_gc(g).value for g in self.gcs))
-        object.__setattr__(
-            self, "placements",
-            tuple(resolve_placement(p).name for p in self.placements))
-        object.__setattr__(
-            self, "topologies",
-            tuple(resolve_topology(t).name for t in self.topologies))
+        super().__post_init__()
         object.__setattr__(self, "heap", float(parse_size(self.heap)))
-        object.__setattr__(self, "seeds",
-                           tuple(sorted(int(s) for s in self.seeds)))
-
-    def cell(self, topology: str, gc: str, placement: str, benchmark: str,
-             seed: int) -> "CellSpec":
-        """The content-addressed identity of one study run.
-
-        Topology and placement ride in the cell's ``overrides`` as plain
-        registered names, so the digest stays a pure function of JSON
-        scalars.
-        """
-        # Deferred: campaign.cells imports repro.jvm which (lazily)
-        # imports this package.
-        from ..campaign.cells import CellSpec
-
-        return CellSpec.from_axes(
-            benchmark, gc, self.heap, None, seed,
-            iterations=self.iterations, system_gc=self.system_gc,
-            overrides={"topology": topology, "gc_placement": placement},
-        )
 
     def cells(self) -> List["CellSpec"]:
         """Every cell of the grid, in deterministic execution order."""
-        out = []
-        for topology in self.topologies:
-            for gc in self.gcs:
-                for placement in self.placements:
-                    for benchmark in self.benchmarks:
-                        for seed in self.seeds:
-                            out.append(self.cell(topology, gc, placement,
-                                                 benchmark, seed))
-        return out
+        return [self.cell(gc, benchmark, self.heap, seed, topology=topology,
+                          gc_placement=placement)
+                for topology in self.topologies
+                for gc in self.gcs
+                for placement in self.placements
+                for benchmark in self.benchmarks
+                for seed in self.seeds]
 
 
 @dataclass
@@ -123,18 +90,22 @@ class ComboResult:
     placement: str
     exec_s: Optional[float] = None  #: mean over non-crashed runs
     crashed_cells: int = 0
-    pause_count: int = 0
-    pause_percentiles: Dict[str, float] = field(default_factory=dict)
-    max_pause: float = 0.0
+    pauses: PauseTail = field(default_factory=PauseTail)
     energy: EnergyAccount = field(default_factory=EnergyAccount)
     allocated_bytes: float = 0.0
 
     @property
+    def allocated_gb(self) -> float:
+        """GB allocated, rounded as the study JSON stores it. GB is
+        2**30, so the stored value reloads to exactly this float."""
+        return round(self.allocated_bytes / GB, 6)
+
+    @property
     def gc_j_per_gb(self) -> Optional[float]:
-        """GC joules (STW + concurrent) per GB allocated."""
-        if self.allocated_bytes <= 0.0:
-            return None
-        return (self.energy.gc_uj / UJ_PER_J) / (self.allocated_bytes / GB)
+        """GC joules (STW + concurrent) per GB allocated, over the stored
+        :attr:`allocated_gb`, so a reloaded study computes the same."""
+        gb = self.allocated_gb
+        return None if gb == 0.0 else (self.energy.gc_uj / UJ_PER_J) / gb
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-safe form. The ``uj`` ledger stays integral;
@@ -143,12 +114,7 @@ class ComboResult:
         return {
             "exec_s": None if self.exec_s is None else round(self.exec_s, 6),
             "crashed_cells": self.crashed_cells,
-            "pauses": {
-                "count": self.pause_count,
-                "percentiles": {k: round(v, 9)
-                                for k, v in self.pause_percentiles.items()},
-                "max": round(self.max_pause, 9),
-            },
+            "pauses": self.pauses.to_dict(),
             "energy": {
                 "uj": self.energy.to_dict(),
                 "phases_j": {p: round(self.energy.joules(p), 6)
@@ -157,22 +123,19 @@ class ComboResult:
                 "gc_j": round(self.energy.gc_uj / UJ_PER_J, 6),
                 "gc_j_per_gb": None if gjg is None else round(gjg, 6),
             },
-            "allocated_gb": round(self.allocated_bytes / GB, 6),
+            "allocated_gb": self.allocated_gb,
         }
 
     @classmethod
     def from_dict(cls, topology: str, gc: str, placement: str,
                   d: Dict[str, object]) -> "ComboResult":
-        combo = cls(
+        return cls(
             topology=topology, gc=gc, placement=placement,
             exec_s=d["exec_s"], crashed_cells=d["crashed_cells"],
-            pause_count=d["pauses"]["count"],
-            pause_percentiles=dict(d["pauses"]["percentiles"]),
-            max_pause=d["pauses"]["max"],
+            pauses=PauseTail(**d["pauses"]),
             energy=EnergyAccount.from_dict(d["energy"]["uj"]),
             allocated_bytes=float(d["allocated_gb"]) * GB,
         )
-        return combo
 
 
 def pareto_frontier(combos: List[ComboResult]) -> List[ComboResult]:
@@ -183,7 +146,7 @@ def pareto_frontier(combos: List[ComboResult]) -> List[ComboResult]:
     figure (crashed everywhere) are excluded. Deterministic order:
     ascending P99.9, then joules/GB, then names.
     """
-    pts = [(c.pause_percentiles.get("p99.9", 0.0), c.gc_j_per_gb, c)
+    pts = [(c.pauses.percentiles.get("p99.9", 0.0), c.gc_j_per_gb, c)
            for c in combos if c.gc_j_per_gb is not None]
     frontier = []
     for p, j, c in pts:
@@ -198,7 +161,7 @@ def pareto_frontier(combos: List[ComboResult]) -> List[ComboResult]:
 
 
 @dataclass
-class EnergyStudyResult:
+class EnergyStudyResult(StudyResult):
     """All combination results plus the knobs that produced them."""
 
     config: EnergyStudyConfig
@@ -227,7 +190,7 @@ class EnergyStudyResult:
                 combo.gc, {})[combo.placement] = combo.to_dict()
         pareto = {
             topo: [{"gc": f.gc, "placement": f.placement,
-                    "p99_9": round(f.pause_percentiles.get("p99.9", 0.0), 9),
+                    "p99_9": round(f.pauses.percentiles.get("p99.9", 0.0), 9),
                     "gc_j_per_gb": round(f.gc_j_per_gb, 6)}
                    for f in pareto_frontier(
                        [x for x in self.combos if x.topology == topo])]
@@ -235,24 +198,10 @@ class EnergyStudyResult:
         }
         return {
             "v": ENERGY_SCHEMA_VERSION,
-            "config": {
-                "benchmarks": list(c.benchmarks),
-                "gcs": list(c.gcs),
-                "placements": list(c.placements),
-                "topologies": list(c.topologies),
-                "heap": c.heap,
-                "seeds": list(c.seeds),
-                "iterations": c.iterations,
-                "system_gc": c.system_gc,
-            },
+            "config": c.echo(),
             "results": results,
             "pareto": pareto,
         }
-
-    def to_json(self) -> str:
-        """Byte-stable serialization (same config ⇒ identical bytes)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
 
     # -- rendering -----------------------------------------------------
 
@@ -269,7 +218,7 @@ class EnergyStudyResult:
                     c.gc,
                     c.placement + (" *" if id(c) in frontier else ""),
                     ("-" if c.exec_s is None else f"{c.exec_s:.2f}"),
-                    f"{1e3 * c.pause_percentiles.get('p99.9', 0.0):.2f}",
+                    f"{1e3 * c.pauses.percentiles.get('p99.9', 0.0):.2f}",
                     f"{c.energy.gc_uj / UJ_PER_J:.1f}",
                     f"{c.energy.joules():.1f}",
                     ("-" if gjg is None else f"{gjg:.2f}"),
@@ -285,22 +234,12 @@ class EnergyStudyResult:
     @classmethod
     def from_dict(cls, d: Dict[str, object]) -> "EnergyStudyResult":
         """Rehydrate a study from its JSON (``report`` path)."""
-        c = d["config"]
-        config = EnergyStudyConfig(
-            benchmarks=tuple(c["benchmarks"]), gcs=tuple(c["gcs"]),
-            placements=tuple(c["placements"]),
-            topologies=tuple(c["topologies"]), heap=c["heap"],
-            seeds=tuple(c["seeds"]), iterations=int(c["iterations"]),
-            system_gc=bool(c["system_gc"]),
-        )
-        result = cls(config=config)
-        for topo in config.topologies:
-            for gc in config.gcs:
-                for placement in config.placements:
-                    result.combos.append(ComboResult.from_dict(
-                        topo, gc, placement,
-                        d["results"][topo][gc][placement]))
-        return result
+        config = EnergyStudyConfig.from_echo(d["config"])
+        # The combinations in the grid's order, as the study folded them.
+        keys = dict.fromkeys(map(_combo_key, config.cells()))
+        return cls(config=config, combos=[
+            ComboResult.from_dict(t, gc, p, d["results"][t][gc][p])
+            for t, gc, p in keys])
 
 
 # ----------------------------------------------------------------------
@@ -316,37 +255,29 @@ def run_energy_study(config: EnergyStudyConfig,
     accounts, so any partition of the same cells — per-seed shards, a
     ``merge_stores`` result, a cached rerun — yields identical totals.
     """
-    from ..analysis.lbo import _run_cached
-
     result = EnergyStudyResult(config=config)
-    for topology in config.topologies:
-        for gc in config.gcs:
-            for placement in config.placements:
-                combo = ComboResult(topology=topology, gc=gc,
-                                    placement=placement)
-                times: List[float] = []
-                pooled: List[float] = []
-                for benchmark in config.benchmarks:
-                    for seed in config.seeds:
-                        cell = config.cell(topology, gc, placement,
-                                           benchmark, seed)
-                        run, hit = _run_cached(cell, store)
-                        result.cells_total += 1
-                        result.cache_hits += int(hit)
-                        if run.crashed:
-                            combo.crashed_cells += 1
-                            continue
-                        times.append(run.execution_time)
-                        pooled.extend(p.duration
-                                      for p in run.gc_log.pauses)
-                        combo.allocated_bytes += float(run.allocated_bytes)
-                        model = EnergyModel.for_config(run.config)
-                        combo.energy.merge(model.account_run(run))
-                combo.exec_s = sum(times) / len(times) if times else None
-                pooled.sort()
-                combo.pause_count = len(pooled)
-                combo.pause_percentiles = {
-                    f"p{q:g}": nearest_rank(pooled, q) for q in _QS}
-                combo.max_pause = pooled[-1] if pooled else 0.0
-                result.combos.append(combo)
+    combos = groupby(serve_cells(result, config.cells(), store),
+                     key=lambda pair: _combo_key(pair[0]))
+    for (topology, gc, placement), pairs in combos:
+        combo = ComboResult(topology=topology, gc=gc, placement=placement)
+        times: List[float] = []
+        pooled: List[float] = []
+        for _cell, run in pairs:
+            if run.crashed:
+                combo.crashed_cells += 1
+                continue
+            times.append(run.execution_time)
+            pooled.extend(p.duration for p in run.gc_log.pauses)
+            combo.allocated_bytes += float(run.allocated_bytes)
+            model = EnergyModel.for_config(run.config)
+            combo.energy.merge(model.account_run(run))
+        combo.exec_s = sum(times) / len(times) if times else None
+        combo.pauses = PauseTail.of(pooled, _QS)
+        result.combos.append(combo)
     return result
+
+
+def _combo_key(cell) -> Tuple[str, str, str]:
+    """The (topology, gc, placement) combination a cell belongs to."""
+    overrides = dict(cell.overrides)
+    return overrides["topology"], cell.gc, overrides["gc_placement"]

@@ -9,31 +9,23 @@
 
 ``run`` prints the comparison tables and (with ``--out``) writes the
 canonical study JSON — byte-identical across reruns of the same seed,
-which the CI fleet-smoke job enforces with ``cmp``. Calibration cache
-accounting goes to stdout only, never into the JSON.
+which the CI ``study-smoke`` job enforces with ``cmp``. Calibration
+cache accounting goes to stdout only, never into the JSON. The
+scaffold is :class:`~repro.analysis.study.StudyCLI`; ``plot`` is the
+fleet's own.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-from typing import List, Optional
 
-from ..campaign.store import ResultStore
-from ..errors import ConfigError
+from ..analysis.study import StudyCLI
 from .policies import POLICY_NAMES
 from .study import FleetStudyConfig, FleetStudyResult, run_fleet_study
 from .traffic import TrafficConfig
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-fleet",
-        description="GC-aware fleet load balancing and scaling studies",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run a fleet study")
+def _add_flags(run: argparse.ArgumentParser) -> None:
     run.add_argument("--gcs", nargs="+", default=["ParallelOld", "CMS", "G1"],
                      help="collectors to study")
     run.add_argument("--policies", nargs="+", default=list(POLICY_NAMES),
@@ -50,73 +42,38 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0, help="study seed")
     run.add_argument("--calibration-duration", type=float, default=3600.0,
                      help="simulated seconds per calibration JVM run")
-    run.add_argument("--store", default=None, metavar="DIR",
-                     help="campaign ResultStore for calibration cells")
-    run.add_argument("--out", default=None, metavar="FILE",
-                     help="write canonical study JSON here")
-    run.set_defaults(func=cmd_run)
 
-    report = sub.add_parser("report", help="render tables from a study JSON")
-    report.add_argument("study", help="study JSON written by `run --out`")
-    report.set_defaults(func=cmd_report)
 
+def _config(flags) -> FleetStudyConfig:
+    return FleetStudyConfig(
+        gcs=tuple(flags["gcs"]),
+        policies=tuple(flags["policies"]),
+        n_nodes=flags["nodes"],
+        duration=flags["duration"],
+        traffic=TrafficConfig(users=flags["users"], period=flags["period"]),
+        calibration_duration=flags["calibration_duration"],
+        seed=flags["seed"],
+    )
+
+
+def _add_plot(sub, cli: StudyCLI) -> None:
     plot = sub.add_parser("plot", help="ASCII plots from a study JSON")
     plot.add_argument("study", help="study JSON written by `run --out`")
     plot.add_argument("--gc", required=True, help="collector to plot")
     plot.add_argument("--kind", choices=["nodes", "tail"], default="nodes",
                       help="nodes: fleet size over time; tail: P50..P99.9")
-    plot.set_defaults(func=cmd_plot)
-    return parser
+    plot.set_defaults(func=lambda args: print(
+        getattr(cli.load(args.study), f"plot_{args.kind}")(args.gc)))
 
 
-def cmd_run(args) -> int:
-    config = FleetStudyConfig(
-        gcs=tuple(args.gcs),
-        policies=tuple(args.policies),
-        n_nodes=args.nodes,
-        duration=args.duration,
-        traffic=TrafficConfig(users=args.users, period=args.period),
-        calibration_duration=args.calibration_duration,
-        seed=args.seed,
-    )
-    store = ResultStore(args.store) if args.store else None
-    result = run_fleet_study(config, store=store)
-    # Cache accounting stays OUT of the JSON: a cached rerun must be
-    # byte-identical to the run that populated the cache.
-    print(f"calibration: {result.calibration_hits}/"
-          f"{result.calibration_total} cache hits")
-    print(result.render())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(result.to_json())
-        print(f"study written to {args.out}")
-    return 0
-
-
-def _load(path: str) -> FleetStudyResult:
-    with open(path) as fh:
-        return FleetStudyResult.from_dict(json.load(fh))
-
-
-def cmd_report(args) -> int:
-    print(_load(args.study).render())
-    return 0
-
-
-def cmd_plot(args) -> int:
-    result = _load(args.study)
-    if args.kind == "nodes":
-        print(result.plot_nodes(args.gc))
-    else:
-        print(result.plot_tail(args.gc))
-    return 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
+CLI = StudyCLI(
+    prog="repro-fleet",
+    description="GC-aware fleet load balancing and scaling studies",
+    add_flags=_add_flags,
+    config=_config,
+    run=run_fleet_study,
+    result=FleetStudyResult,
+    cached="calibration",
+    extra=_add_plot,
+)
+main = CLI.main

@@ -22,7 +22,6 @@ study's own coordinates via :mod:`repro.seeding`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -31,6 +30,7 @@ import numpy as np
 from ..analysis.ascii_plot import scatter_plot
 from ..analysis.latency import LatencySummary
 from ..analysis.report import render_table
+from ..analysis.study import Axis, StudyResult, normalise_axes, serve_cell
 from ..campaign.cells import CellSpec
 from ..errors import ConfigError
 from ..gc.registry import resolve_gc
@@ -75,10 +75,9 @@ class FleetStudyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.gcs:
-            raise ConfigError("a fleet study needs at least one collector")
-        if not self.policies:
-            raise ConfigError("a fleet study needs at least one policy")
+        normalise_axes(self, "a fleet study", (
+            Axis("gcs", "collector", lambda g: resolve_gc(g).value),
+            Axis("policies", "policy")))
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
         if self.duration <= 0 or self.tick <= 0:
@@ -89,9 +88,6 @@ class FleetStudyConfig:
             raise ConfigError("calibration duration and rate must be positive")
         if self.report_interval < self.tick:
             raise ConfigError("report_interval must be >= tick")
-        object.__setattr__(self, "gcs",
-                           tuple(resolve_gc(g).value for g in self.gcs))
-        object.__setattr__(self, "policies", tuple(self.policies))
         # Normalize numerics so to_json() is identical whether the
         # config came from Python literals (64 * GB is an int) or from
         # a parsed study JSON (floats).
@@ -138,22 +134,16 @@ def calibrate_collector(config: FleetStudyConfig, gc: str,
                         store=None) -> Tuple[GCCalibration, bool]:
     """Calibration for *gc*, served from *store* when possible.
 
-    Returns ``(calibration, was_cache_hit)``. A fresh run is recorded
-    into the store so the next study (or the CI smoke's second pass) is
-    a pure cache run.
+    Returns ``(calibration, was_cache_hit)``. A fresh run, crashed or
+    not, is recorded into the store so the next study (or the CI smoke's
+    second pass) is a pure cache run; a crashed run raises ConfigError.
     """
-    cell = config.calibration_cell(gc)
-    if store is not None:
-        cached = store.get_run(cell.digest())
-        if cached is not None:
-            return calibrate(cached, config.calibration_ops), True
-    result = run_calibration_cell(cell)
-    if result.crashed:
+    run, hit = serve_cell(config.calibration_cell(gc), store,
+                          run_calibration_cell)
+    if run.crashed:
         raise ConfigError(
-            f"calibration run for {gc} crashed: {result.crash_reason}")
-    if store is not None:
-        store.record_ok(cell, result)
-    return calibrate(result, config.calibration_ops), False
+            f"calibration run for {gc} crashed: {run.crash_reason}")
+    return calibrate(run, config.calibration_ops), hit
 
 
 # ----------------------------------------------------------------------
@@ -274,15 +264,15 @@ def simulate_policy(config: FleetStudyConfig, gc: str, policy_name: str,
 
 
 @dataclass
-class FleetStudyResult:
+class FleetStudyResult(StudyResult):
     """All outcomes plus the knobs that produced them."""
 
     config: FleetStudyConfig
     outcomes: List[PolicyOutcome] = field(default_factory=list)
     #: Calibration cache accounting (not part of the canonical JSON —
     #: a cached rerun must stay byte-identical to the original).
-    calibration_hits: int = 0
-    calibration_total: int = 0
+    cache_hits: int = 0
+    cells_total: int = 0
 
     def outcome(self, gc: str, policy: str) -> PolicyOutcome:
         """The outcome for one (collector, policy) pair."""
@@ -320,11 +310,6 @@ class FleetStudyResult:
             },
             "outcomes": [o.to_dict() for o in self.outcomes],
         }
-
-    def to_json(self) -> str:
-        """Byte-stable serialization (same seed ⇒ identical bytes)."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
 
     # -- rendering -------------------------------------------------------
 
@@ -422,8 +407,8 @@ def run_fleet_study(config: FleetStudyConfig, store=None,
     result = FleetStudyResult(config=config)
     for gc in config.gcs:
         cal, hit = calibrate_collector(config, gc, store=store)
-        result.calibration_total += 1
-        result.calibration_hits += int(hit)
+        result.cells_total += 1
+        result.cache_hits += int(hit)
         for policy in config.policies:
             result.outcomes.append(
                 simulate_policy(config, gc, policy, cal, tracer=tracer))

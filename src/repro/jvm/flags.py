@@ -89,10 +89,16 @@ class JVMConfig:
         # takes n_threads only when set (it checks, then int()s it), a
         # collector int()s gc_threads unless a placement sizes an unset
         # or zero pool, and the heap compares survivor_ratio with 1.
+        # A thread count must also be a number: "" or False would run
+        # as 0 and "2" or True as 2 or 1, each under a digest of its own.
+        def number(n) -> bool:
+            return isinstance(n, (int, float)) and not isinstance(n, bool)
+
         for name, accept in (
-                ("n_threads", lambda n: not n or n >= 1 and int(n) >= 1),
-                ("gc_threads", lambda n: n is None or self.gc_placement and not n
-                 or int(n) >= 1),
+                ("n_threads", lambda n: n is None or number(n) and (
+                    not n or n >= 1 and int(n) >= 1)),
+                ("gc_threads", lambda n: n is None or number(n) and (
+                    self.gc_placement and not n or int(n) >= 1)),
                 ("survivor_ratio", lambda n: not n < 1)):
             value = getattr(self, name)
             try:

@@ -290,7 +290,7 @@ PAPER_CLIENT = MachineTopology(
 #: Exists purely as the byte-identity witness: every collector/workload
 #: cell must simulate identically on this topology and on
 #: :data:`PAPER_SERVER` (see tests/test_energy_identity.py and the CI
-#: ``energy-smoke`` job).
+#: ``study-smoke`` job).
 PAPER_SERVER_1CLASS = AsymmetricTopology(
     name="paper-48core-1class",
     sockets=4,

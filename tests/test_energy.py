@@ -1,7 +1,7 @@
 """repro.energy: placement policies, the joules ledger, the Pareto study.
 
 The micro-grid used by ``TestStudy`` (1 collector x 2 placements x
-asym-hybrid x 2 seeds on xalan) is a subset of the CI ``energy-smoke``
+asym-hybrid x 2 seeds on xalan) is a subset of the CI ``study-smoke``
 recipe, so these tests and the workflow enforce the same contract:
 100% cache hits on a rerun, byte-identical JSON, and the qualitative
 ordering P-pinned tails < E-pinned tails while E-pinned GC joules <
@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.study import PauseTail
 from repro.campaign.store import ResultStore, merge_stores
 from repro.energy.model import (ENERGY_COUNTERS, ENERGY_PHASES, GC_PHASE_MAP,
                                 EnergyAccount, EnergyModel, UJ_PER_J,
@@ -212,7 +213,7 @@ class TestAccountRun:
         assert e_account.uj("stw", "P") == 0
 
     def test_pareto_orderings(self, pinned):
-        """The CI energy-smoke assertions, in-suite: P-pinning buys the
+        """The CI study-smoke assertions, in-suite: P-pinning buys the
         shorter tail, E-pinning the lower GC energy."""
         (p_res, p_account), (e_res, e_account) = pinned
         assert max(x.duration for x in p_res.gc_log.pauses) < \
@@ -252,7 +253,7 @@ class TestStudyConfig:
 class TestParetoFrontier:
     def _combo(self, gc, placement, p999, j_per_gb):
         c = ComboResult(topology="asym-hybrid", gc=gc, placement=placement,
-                        pause_percentiles={"p99.9": p999},
+                        pauses=PauseTail(percentiles={"p99.9": p999}),
                         allocated_bytes=1 * GB)
         c.energy.add_uj("stw", "P", int(j_per_gb * UJ_PER_J))
         return c
@@ -268,7 +269,7 @@ class TestParetoFrontier:
         a = self._combo("A", "p-cores", 0.1, 10.0)
         crashed = ComboResult(topology="asym-hybrid", gc="B",
                               placement="e-cores",
-                              pause_percentiles={"p99.9": 0.0})
+                              pauses=PauseTail(percentiles={"p99.9": 0.0}))
         assert pareto_frontier([a, crashed]) == [a]
 
 
@@ -303,7 +304,7 @@ class TestStudy:
     def test_orderings(self, cold):
         p = cold.combo("asym-hybrid", "ParallelOldGC", "p-cores")
         e = cold.combo("asym-hybrid", "ParallelOldGC", "e-cores")
-        assert p.pause_percentiles["p99.9"] < e.pause_percentiles["p99.9"]
+        assert p.pauses.percentiles["p99.9"] < e.pauses.percentiles["p99.9"]
         assert e.energy.gc_uj < p.energy.gc_uj
         assert e.gc_j_per_gb < p.gc_j_per_gb
 

@@ -5,7 +5,7 @@
 *exactly* — every collector x workload cell produces byte-identical GC
 logs, execution times and traces. Likewise a placement policy on a
 homogeneous machine resolves to scale 1.0 everywhere and must not
-perturb a single simulated byte. The CI ``energy-smoke`` job proves the
+perturb a single simulated byte. The CI ``study-smoke`` job proves the
 same property end-to-end with ``cmp`` on ``repro-dacapo --gc-log``
 output.
 """

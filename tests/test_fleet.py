@@ -13,7 +13,10 @@ from repro.fleet import (AutoscalerConfig, DiurnalTraffic, FleetBalancer,
                          ReactiveAutoscaler, RoundRobinPolicy, TrafficConfig,
                          calibrate_collector, make_policy, run_fleet_study,
                          split_ops)
+from repro.fleet import study as fleet_study
 from repro.fleet.study import PolicyOutcome
+from repro.jvm import JVM, JVMConfig
+from repro.workloads.dacapo import get_benchmark
 
 
 def synthetic_cal(**kw):
@@ -72,6 +75,25 @@ class TestCalibration:
         assert cal.full_seconds_per_byte > 0
         assert 0 < cal.full_residual < 1
         assert len(cal.young_pauses) == len(cal.promoted) > 0
+
+    def test_crashed_calibration_is_a_config_error(self, tmp_path,
+                                                   monkeypatch):
+        """The crashed run is stored, as the other studies store theirs
+        (a crash at a cell's coordinates is deterministic), and the
+        cached crash raises the same error as the fresh one."""
+        crashed = JVM(JVMConfig(gc="ParallelOld", heap="64m", seed=1)).run(
+            get_benchmark("xalan"), iterations=2)
+        assert crashed.crashed
+        monkeypatch.setattr(fleet_study, "run_calibration_cell",
+                            lambda cell: crashed)
+        store = ResultStore(tmp_path)
+        config = study_config()
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="calibration run for "
+                               "ParallelOld crashed: OutOfMemoryError"):
+                calibrate_collector(config, "ParallelOld", store=store)
+            cell = config.calibration_cell("ParallelOld")
+            assert store.get_run(cell.digest()).crashed
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -347,7 +369,7 @@ class TestFleetStudy:
         # Second run hits the calibration cache and must reproduce the
         # study JSON byte for byte.
         again = run_fleet_study(study_config(), store=study_store)
-        assert again.calibration_hits == again.calibration_total == 1
+        assert again.cache_hits == again.cells_total == 1
         assert again.to_json() == study.to_json()
 
     def test_json_round_trip_preserves_rendering(self, study):

@@ -69,7 +69,9 @@ class TestJVMConfig:
         ``JVM``: the check must refuse exactly the values that fail there,
         so a job the JVM refuses is refused at submit, and every value
         that runs (``n_threads: 0`` for one thread per core, a placement
-        sizing an unset or zero GC pool, ``gc_threads: 2.0``) still does."""
+        sizing an unset or zero GC pool, ``gc_threads: 2.0``) still does,
+        except a thread count that is not a number
+        (``test_thread_counts_must_be_numbers``)."""
         base = JVMConfig(gc="G1", heap="1g", gc_placement=placement)
         unchecked = base.with_()
         object.__setattr__(unchecked, name, value)
@@ -83,7 +85,22 @@ class TestJVMConfig:
             accepted = True
         except ConfigError:
             accepted = False
-        assert accepted == constructs
+        number = value is None or type(value) in (int, float)
+        assert accepted == (constructs and (name == "survivor_ratio" or number))
+
+    @pytest.mark.parametrize("name,value,placement", [
+        ("n_threads", "", ""), ("n_threads", {}, ""), ("n_threads", [], ""),
+        ("n_threads", False, ""), ("n_threads", True, ""),
+        ("gc_threads", "2", ""), ("gc_threads", True, ""),
+        ("gc_threads", "", "adaptive"),
+    ])
+    def test_thread_counts_must_be_numbers(self, name, value, placement):
+        """Each of these ran as a number does (``n_threads`` "" as 0 and
+        True as 1, ``gc_threads`` "2" as 2, True as 1 and "" under a
+        placement as unset), but under a digest of its own."""
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+            JVMConfig(gc="G1", heap="1g", gc_placement=placement,
+                      **{name: value})
 
     def test_mutator_threads_default_one_per_core(self):
         assert JVMConfig().mutator_threads == PAPER_SERVER.cores

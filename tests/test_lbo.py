@@ -2,7 +2,7 @@
 
 The micro-grid used here (2 collectors x 3 heaps x 2 seeds on xalan,
 18 cells with the implicit EpsilonGC baseline) is the same recipe the
-CI ``lbo-smoke`` job runs, so these tests and the workflow enforce the
+CI ``study-smoke`` job runs, so these tests and the workflow enforce the
 same contract: 100% cache hits on a rerun and byte-identical JSON.
 """
 
@@ -102,8 +102,8 @@ class TestStudy:
         noise-immune qualitative result the CI smoke job asserts)."""
         zgc = cold.distillate("ZGC")
         po = cold.distillate("ParallelOld")
-        assert zgc.pause_percentiles["p99.9"] < po.pause_percentiles["p99.9"]
-        assert zgc.max_pause < po.max_pause / 10
+        assert zgc.pauses.percentiles["p99.9"] < po.pauses.percentiles["p99.9"]
+        assert zgc.pauses.max < po.pauses.max / 10
 
     def test_lbo_floor_and_heap(self, cold):
         for d in cold.distillates:

@@ -96,10 +96,20 @@ class TestJobValidation:
         ({"overrides": {"gc_threads": 0}}, "gc_threads must be >= 1"),
         ({"overrides": {"survivor_ratio": "a"}}, "survivor_ratio must be >= 1"),
         ({"overrides": {"survivor_ratio": 0}}, "survivor_ratio must be >= 1"),
+        # These ran, as a number would, under digests of their own.
+        ({"overrides": {"n_threads": ""}}, "n_threads must be >= 1"),
+        ({"overrides": {"n_threads": True}}, "n_threads must be >= 1"),
+        ({"overrides": {"gc_threads": "2"}}, "gc_threads must be >= 1"),
+        ({"overrides": {"gc_threads": True}}, "gc_threads must be >= 1"),
+        ({"overrides": {"gc_threads": "", "gc_placement": "adaptive"}},
+         "gc_threads must be >= 1"),
     ], ids=["nan-pause-target", "unknown-override", "young-over-heap",
             "unknown-benchmark", "no-iterations", "negative-n-threads",
             "gc-threads-not-a-number", "no-gc-threads",
-            "survivor-ratio-not-a-number", "no-survivor-ratio"])
+            "survivor-ratio-not-a-number", "no-survivor-ratio",
+            "n-threads-empty-string", "n-threads-bool",
+            "gc-threads-numeric-string", "gc-threads-bool",
+            "gc-threads-empty-string-placed"])
     def test_jobs_the_simulator_refuses_are_400(self, fields, fragment):
         """Each of these passed admission once, and only its run failed:
         the harness crashed the run, or the worker raised and the
@@ -128,6 +138,17 @@ class TestJobValidation:
                 {"benchmark": "lusearch", "gc": "CMS", "heap": "1g",
                  "young": "256m", "iterations": 2,
                  "overrides": {"survivor_ratio": 8.0, "gc_threads": 0,
+                               "gc_placement": "adaptive"}},
+            # The numbers that refused non-numbers ran as, recorded
+            # before thread counts had to be numbers.
+            "523a85294cc8446779f1f02950e1cd41ca70918b2883c27379643192fd52abab":
+                {"benchmark": "xalan", "gc": "G1", "heap": "1g",
+                 "iterations": 2,
+                 "overrides": {"n_threads": 1, "gc_threads": 1}},
+            "ba0c486e74d6c48cd0eacd3be1021ccba9021fd25c73cb60e37a5168e40542a2":
+                {"benchmark": "xalan", "gc": "G1", "heap": "1g",
+                 "iterations": 2,
+                 "overrides": {"n_threads": 2.0, "gc_threads": 2,
                                "gc_placement": "adaptive"}},
         }
         for digest, job in jobs.items():

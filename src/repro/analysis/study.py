@@ -251,9 +251,18 @@ class StudyCLI:
             print(f"study written to {args.out}")
 
     def load(self, path: str):
-        """The study result a ``run --out`` JSON holds."""
-        with open(path) as fh:
-            return self.result.from_dict(json.load(fh))
+        """The study result a ``run --out`` JSON holds. A file that cannot
+        be read, is no JSON or holds another shape is a refused config."""
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        try:
+            return self.result.from_dict(doc)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{path} is not a {self.prog} study "
+                              f"({type(exc).__name__}: {exc})") from exc
 
     def main(self, argv: Optional[List[str]] = None) -> int:
         """Run one subcommand: exit 0, or 2 for a refused config."""

@@ -14,7 +14,9 @@ step" visible at the start of the paper's Figure 4.
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 
+from ..heap.heap import running_sum
 from .config import CassandraConfig
 
 
@@ -47,19 +49,26 @@ class CommitLog:
         self.pending_bytes += n_bytes
         self.appended_bytes += n_bytes
 
+    def pending_after(self, n_bytes: float, every: int = 1):
+        """:attr:`pending_bytes` after every *every* further :meth:`append`
+        calls of *n_bytes*, lazily."""
+        return running_sum(self.pending_bytes, n_bytes, every)
+
     def append_rounds(self, n_bytes: float, times: int) -> None:
         """*times* rounds of :meth:`append` and a :meth:`materialize` that
-        finds no segment due (the caller's guarantee), added up in local
-        variables; :meth:`recycle` runs only when it would act."""
+        finds no segment due (the caller's guarantee); :meth:`recycle`
+        runs after each append where it would act. Pending bytes only
+        grow, so none does unless the last append leaves the log over
+        its cap."""
         cap = self.config.commitlog_cap_bytes
-        pending, appended = self.pending_bytes, self.appended_bytes
-        for _ in range(times):
-            pending += n_bytes
-            appended += n_bytes
-            if self._segment_bytes + pending > cap and len(self.segments) > 1:
-                self.pending_bytes = pending
-                self.recycle()
-        self.pending_bytes, self.appended_bytes = pending, appended
+        last = next(self.pending_after(n_bytes, times))
+        if len(self.segments) > 1 and self._segment_bytes + last > cap:
+            for pending in islice(self.pending_after(n_bytes), times):
+                if self._segment_bytes + pending > cap and len(self.segments) > 1:
+                    self.pending_bytes = pending
+                    self.recycle()
+        self.pending_bytes = last
+        self.appended_bytes = next(running_sum(self.appended_bytes, n_bytes, times))
 
     def materialize(self, allocate_segment):
         """Turn pending bytes into pinned segment cohorts (generator).

@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import ConfigError
+from ..heap.heap import running_sum
 from .config import CassandraConfig
 
 
@@ -47,7 +48,13 @@ class Memtable:
     @property
     def needs_flush(self) -> bool:
         """True when the memtable exceeded its cap."""
-        return self.heap_bytes >= self.config.memtable_cap_bytes
+        return self.flush_due(self.pending_bytes)
+
+    def flush_due(self, pending: float) -> bool:
+        """Whether the memtable is over its cap with *pending* bytes beside
+        its chunks. Releases only shrink the chunks, so before writes that
+        may release one, True means *may*."""
+        return self._chunk_bytes + pending >= self.config.memtable_cap_bytes
 
     def write(self, n_records: float, *, update_fraction: float = 0.0) -> float:
         """Record *n_records* writes; returns heap bytes to be allocated.
@@ -61,23 +68,28 @@ class Memtable:
         self.obsolete_bytes += obsolete
         return new_bytes
 
+    def pending_after(self, new_bytes: float, every: int = 1):
+        """:attr:`pending_bytes` after every *every* further :meth:`write`
+        calls that add *new_bytes* each, lazily."""
+        return running_sum(self.pending_bytes, new_bytes, every)
+
     def write_rounds(self, n_records: float, *, update_fraction: float,
                      times: int) -> None:
         """*times* rounds of :meth:`write` and a :meth:`materialize` that
-        finds no chunk due (the caller's guarantee), added up in local
-        variables; :meth:`release_obsolete` runs only when it would act."""
+        finds no chunk due (the caller's guarantee);
+        :meth:`release_obsolete` runs after each write where it would act."""
         new_bytes, records, obsolete = self._deltas(n_records, update_fraction)
         chunk = self.config.memtable_chunk_bytes
-        pending, count, stale = self.pending_bytes, self.record_count, self.obsolete_bytes
+        self.pending_bytes = next(self.pending_after(new_bytes, times))
+        self.record_count += records * times
+        stale = self.obsolete_bytes
         for _ in range(times):
-            pending += new_bytes
-            count += records
             stale += obsolete
             if stale >= chunk and self.chunks:
                 self.obsolete_bytes = stale
                 self.release_obsolete()
                 stale = self.obsolete_bytes
-        self.pending_bytes, self.record_count, self.obsolete_bytes = pending, count, stale
+        self.obsolete_bytes = stale
 
     def _deltas(self, n_records: float, update_fraction: float):
         """One :meth:`write`'s pending bytes, records and obsolete bytes."""

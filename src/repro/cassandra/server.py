@@ -98,13 +98,13 @@ class CassandraServer(Workload):
         ``read_fraction`` + ``update_fraction`` <= 1; the remainder are
         inserts (the YCSB *load* phase is pure inserts).
         """
-        # `not x >= 0` also rejects NaN.
+        # A comparison with NaN is false, so these refuse NaN too.
         if not quantum > 0:
             raise ConfigError(f"quantum must be positive, got {quantum}")
-        if not duration >= 0:
-            raise ConfigError(f"duration must be >= 0, got {duration}")
-        if not ops_per_second >= 0:
-            raise ConfigError(f"ops_per_second must be >= 0, got {ops_per_second}")
+        for name, value in (("duration", duration),
+                            ("ops_per_second", ops_per_second)):
+            if not 0.0 <= value < float("inf"):
+                raise ConfigError(f"{name} must be finite and >= 0, got {value}")
         for name, fraction in (("read_fraction", read_fraction),
                                ("update_fraction", update_fraction)):
             if not 0.0 <= fraction <= 1.0:
@@ -213,6 +213,7 @@ class _Serving:
         self.spans = fastpath.ENABLED
         self.groups: List = []   # every group's MutatorContext
         self._plan = None        # this span's (work delay, sites)
+        self._admits = None      # this span's admission test
         #: Card writes this span has replayed but not yet applied; they
         #: reach the heap as one repeated write before old-generation
         #: occupancy can move.
@@ -299,12 +300,13 @@ class _Serving:
         transient = site(self.transient, self.transient_objects, speed)
         self._plan = (work_delay, site(cfg.commitlog_segment_bytes, 1, speed),
                       site(cfg.memtable_chunk_bytes, 1, speed), transient)
+        n = len(order)
+        self._admits = self._admission(n, horizon)
         # An admitted round with nothing due is *quiet* when every group
         # wakes at one instant and queues just a work and an allocation event.
         quiet = work_delay is not None and transient.delay is not None
-        n = len(order)
         now = first = last = jvm.now
-        pinned = self._admit(first, last, n, horizon)
+        pinned = self._admit(first, last)
         if pinned is None:
             return False
         # Round one starts every quantum now, the lead's first; negative
@@ -315,13 +317,13 @@ class _Serving:
         while True:
             # A quiet run ends where the next round is not quiet.
             if pinned == (0, 0) and quiet and first == last:
-                due, seq, final, pinned = self._quiet_run(order, due, seq, horizon)
+                due, seq, final, pinned = self._quiet_run(order, due, seq)
             else:
                 heapq.heapify(due)
                 due, seq, final = world.replay_round(order, lanes, due, seq)
                 if final:
                     first, last = min(due)[0], max(due)[0]
-                    pinned = self._admit(first, last, n, horizon)
+                    pinned = self._admit(first, last)
             # A wake-up that would not end its idle loop goes back to
             # the engine, which repeats the wait as the plain loop does.
             if not final or pinned is None:
@@ -395,76 +397,111 @@ class _Serving:
             self.jvm.heap.dirty_cards(self.dirty_bytes, repeat=self._cards)
             self._cards = 0
 
-    def _admit(self, first: float, last: float, n: int, horizon: float):
-        """Whether a round of the *n* groups' quanta, starting between
-        *first* and *last*, provably stays on the plain path: no group
-        leaves the loop, every quantum ends idle before the next round
-        and before *horizon*, and every allocation fits where the plain
-        loop would put it. Returns the most commit-log segments and
-        memtable chunks one group can start allocating in the round, or
-        None when the round is not admitted."""
-        if not last - self.start < self.duration:
-            return None
-        work_delay, segment, chunk, transient = self._plan
-        if transient.old:
-            return None
-        # A group starts its k-th allocation only once k - 1 of the
-        # round's have left the pending bytes, which n appends raise.
-        server = self.server
-        segments = _due(server.commitlog.pending_bytes, n * self.log_bytes,
-                        segment.n_bytes)
-        chunks = _due(server.memtable.pending_bytes, n * self.table_bytes,
-                      chunk.n_bytes)
-        busy = ((work_delay or 0.0) + (transient.delay or 0.0)
-                + segments * (segment.delay or 0.0)
-                + chunks * (chunk.delay or 0.0) + self.SLACK)
-        if not (last - first + busy < self.quantum and last + busy < horizon):
-            return None
-        eden = n * transient.n_bytes
-        old = 0.0
-        for site, count in ((segment, segments), (chunk, chunks)):
-            if site.old:
-                old += n * count * site.n_bytes
-            else:
-                eden += n * count * site.n_bytes
-        heap = self.jvm.heap
-        if eden + 1.0 <= heap.eden_free and old + 1.0 <= heap.old_free_effective:
-            return segments, chunks
-        return None
+    def _admit(self, first: float, last: float):
+        """Whether a round of the span's quanta, starting between *first*
+        and *last*, provably stays on the plain path (:meth:`_admission`),
+        judged from the modules' state."""
+        server, heap = self.server, self.jvm.heap
+        return self._admits(first, last, server.commitlog.pending_bytes,
+                            server.memtable.pending_bytes, heap.eden_free,
+                            heap.old_free_effective)
 
-    def _quiet_run(self, order, due, seq: int, horizon: float):
-        """Quiet rounds from here on in one call, each next one admitted
-        by :meth:`_admit` from the state the run has advanced (DESIGN.md
-        §12.1). A round's work events, then its allocation events, pop in
-        queue order, which holds from round to round. Returns the wake-ups,
-        the sequence counter, whether the last wait ends its idle loop,
-        and the admission of the round after the run."""
+    def _admission(self, n: int, horizon: float):
+        """The span's admission test of a round of the *n* groups' quanta:
+        no group leaves the loop, every quantum ends idle before the next
+        round and before *horizon*, and every allocation fits where the
+        plain loop would put it. It takes the round's first and last
+        start, the commit log's and the memtable's pending bytes and the
+        room in eden and in the old generation, and returns the most
+        commit-log segments and memtable chunks one group can start
+        allocating in the round, or None when the round is not admitted."""
+        work_delay, segment, chunk, transient = self._plan
+        begin, duration, quantum = self.start, self.duration, self.quantum
+        log_bytes, table_bytes = n * self.log_bytes, n * self.table_bytes
+        quiet = (work_delay or 0.0) + (transient.delay or 0.0)
+        segment_delay, chunk_delay = segment.delay or 0.0, chunk.delay or 0.0
+        slack = self.SLACK
+
+        def admit(first, last, log, table, eden_free, old_free):
+            if not last - begin < duration or transient.old:
+                return None
+            # The most allocations of a size a materialize loop can start
+            # while n appends raise its pending bytes (one byte of slack
+            # for rounding): a group starts its k-th allocation only once
+            # k - 1 of the round's have left the pending bytes.
+            segments = max(0, int((log + log_bytes + 1.0) // segment.n_bytes))
+            chunks = max(0, int((table + table_bytes + 1.0) // chunk.n_bytes))
+            busy = quiet + segments * segment_delay + chunks * chunk_delay + slack
+            if not (last - first + busy < quantum and last + busy < horizon):
+                return None
+            eden = n * transient.n_bytes
+            old = 0.0
+            for site, count in ((segment, segments), (chunk, chunks)):
+                if site.old:
+                    old += n * count * site.n_bytes
+                else:
+                    eden += n * count * site.n_bytes
+            if eden + 1.0 <= eden_free and old + 1.0 <= old_free:
+                return segments, chunks
+            return None
+        return admit
+
+    def _quiet_run(self, order, due, seq: int):
+        """Quiet rounds from here on in one call, a block at a time
+        (DESIGN.md §12.1). Pass 1 walks a block's start times and admits
+        each next round by the span's test from the pending bytes and eden
+        room the modules say the rounds before it leave; it changes no
+        state. The block ends at a round that may flush or is not
+        followed by an admitted one. Pass 2 commits the block's rounds
+        with one bulk step per module. A round's work events, then its
+        allocation events, pop in queue order, which holds from round to
+        round. Returns the wake-ups, the sequence counter, whether the
+        last wait ends its idle loop, and the admission of the round after
+        the run."""
         server, heap, tracer = self.server, self.jvm.heap, self.jvm.world.tracer
         commitlog, memtable = server.commitlog, server.memtable
         work_delay, _, _, transient = self._plan
         hooks = tracer.enabled and transient.refills is not None
-        quantum, writes, dist = self.quantum, self.writes, self.dist
+        quantum, writes, delay = self.quantum, self.writes, transient.delay
+        admit = self._admits
+        old_free = heap.old_free_effective   # no quiet round moves it
         due.sort()
         queue = [order[i] for _, _, i in due]
         n, start, rounds = len(queue), due[0][0], 0
         while True:
-            t_work = start + work_delay
-            t_alloc = t_work + transient.delay
+            works, allocs = [], []
+            for log, table, room in zip(
+                    commitlog.pending_after(self.log_bytes, n),
+                    memtable.pending_after(self.table_bytes, n),
+                    heap.eden_free_after(transient.n_bytes, n)):
+                t_work = start + work_delay
+                t_alloc = t_work + delay
+                works.append(t_work)
+                allocs.append(t_alloc)
+                deadline = t_alloc + float(quantum - (t_alloc - start))
+                start = t_alloc + (deadline - t_alloc)   # the wake-up
+                final = not start < deadline - 1e-12
+                flush = memtable.flush_due(table)
+                pinned = (admit(start, start, log, table, room, old_free)
+                          if final and not flush else None)
+                if pinned != (0, 0):
+                    break
+            k = len(works)
             if writes > 0:
-                commitlog.append_rounds(self.log_bytes, n)
+                commitlog.append_rounds(self.log_bytes, k * n)
                 memtable.write_rounds(writes, update_fraction=self.update_share,
-                                      times=n)
-            for _ in queue if hooks else ():
-                tracer.tlab_refill(t_work, transient.refills, transient.tlab_size)
-            heap.allocate_bumps(t_alloc, transient.n_bytes, dist, count=n,
+                                      times=k * n)
+            for t_work in works if hooks else ():
+                for _ in queue:
+                    tracer.tlab_refill(t_work, transient.refills, transient.tlab_size)
+            heap.allocate_bumps(allocs, transient.n_bytes, self.dist, count=n,
                                 n_objects=transient.n_objects, window=quantum)
-            if memtable.needs_flush:   # a flush empties it for the rest
-                self._flush(t_alloc)
-            rounds += 1
-            deadline = t_alloc + float(quantum - (t_alloc - start))
-            start = t_alloc + (deadline - t_alloc)   # the wake-up
-            final = not start < deadline - 1e-12
-            pinned = self._admit(start, start, n, horizon) if final else None
+            rounds += k
+            if flush:
+                if memtable.needs_flush:   # a flush empties it for the rest
+                    self._flush(t_alloc)
+                if final:
+                    pinned = self._admit(start, start)
             if pinned != (0, 0):
                 break
         self._cards += n * rounds
@@ -477,10 +514,3 @@ class _Serving:
         for k, (_, _, i) in enumerate(due, 1):
             wakes[i] = (start, seq - n + k, i)
         return wakes, seq, final, pinned
-
-
-def _due(pending: float, appended: float, size: float) -> int:
-    """Most allocations of *size* a materialize loop can start while
-    *pending* bytes grow by at most *appended* (one byte of slack for
-    rounding)."""
-    return max(0, int((pending + appended + 1.0) // size))

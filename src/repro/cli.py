@@ -43,6 +43,7 @@ from .analysis.latency import latency_band_stats
 from .analysis.pauses import pause_stats
 from .analysis.report import render_table
 from .cassandra import CassandraServer, default_config, stress_config
+from .errors import ConfigError
 from .gc.registry import GC_HELP
 from .jvm import JVM, JVMConfig
 from .jvm.gclog import format_gc_log, parse_gc_log
@@ -84,6 +85,12 @@ def _build_config(args) -> JVMConfig:
     )
 
 
+def _refused(parser: argparse.ArgumentParser, exc: ConfigError) -> int:
+    """A configuration refused before the run: one line, exit 2."""
+    print(f"{parser.prog}: {exc}", file=sys.stderr)
+    return 2
+
+
 def dacapo_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-dacapo``."""
     parser = argparse.ArgumentParser(
@@ -111,7 +118,10 @@ def dacapo_main(argv: Optional[List[str]] = None) -> int:
         from .telemetry import Tracer
 
         tracer = Tracer()
-    jvm = JVM(_build_config(args), tracer=tracer)
+    try:
+        jvm = JVM(_build_config(args), tracer=tracer)
+    except ConfigError as exc:
+        return _refused(parser, exc)
     auditor = None
     if args.audit:
         from .lint import InvariantAuditor
@@ -178,14 +188,19 @@ def cassandra_main(argv: Optional[List[str]] = None) -> int:
     parser.set_defaults(heap="64g", young="12g")
     args = parser.parse_args(argv)
 
-    config = _build_config(args)
-    heap_bytes = config.heap_bytes
-    cass = stress_config(heap_bytes) if args.stress else default_config(heap_bytes)
-    workload = (LOAD_PHASE if args.phase == "load" else WORKLOAD_A_LIKE).with_(
-        operations_per_second=args.ops
-    )
-    client = YCSBClient(workload, seed=args.seed)
-    trace = client.run(config, cass, duration=args.duration)
+    try:
+        config = _build_config(args)
+        heap_bytes = config.heap_bytes
+        cass = stress_config(heap_bytes) if args.stress else default_config(heap_bytes)
+        workload = (LOAD_PHASE if args.phase == "load" else WORKLOAD_A_LIKE).with_(
+            operations_per_second=args.ops
+        )
+        client = YCSBClient(workload, seed=args.seed)
+        # The run checks its duration and builds its JVM before it
+        # simulates anything.
+        trace = client.run(config, cass, duration=args.duration)
+    except ConfigError as exc:
+        return _refused(parser, exc)
     server = trace.server_result
     print(server.summary())
     if args.gc_log:

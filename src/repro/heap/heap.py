@@ -20,6 +20,7 @@ Space accounting invariants (exercised by the property tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, islice, repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -174,6 +175,13 @@ def _running_total(values: np.ndarray) -> float:
     if not len(values):
         return 0.0
     return float(np.add.accumulate(values)[-1]) + 0.0
+
+
+def running_sum(start: float, step: float, every: int = 1):
+    """The values ``total = start`` takes after every *every* steps of
+    ``total += step``, lazily and without end: one float addition a step,
+    in order."""
+    return islice(accumulate(repeat(step), initial=start), every, None, every)
 
 
 def _tail_cut(lives: np.ndarray, allocated: np.ndarray,
@@ -366,19 +374,27 @@ class GenerationalHeap:
         eden = self.eden
         eden.used = min(eden.used + n_bytes, eden.capacity)
 
-    def allocate_bumps(self, now: float, n_bytes: float, dist, *, count: int,
+    def allocate_bumps(self, times, n_bytes: float, dist, *, count: int,
                        n_objects: float, window: float) -> None:
-        """*count* :meth:`allocate_bump` calls at *now*, with the rows in
-        one write and eden's occupancy added one row at a time."""
-        self.eden_cohorts.append_rows(count, now - window, now, n_bytes, dist,
+        """*count* :meth:`allocate_bump` calls at each of *times* in turn,
+        with the rows in one write and eden's occupancy added one row at
+        a time (a running sum never falls: once over capacity it stays
+        over, as the capped loop stays at capacity)."""
+        rows = count * len(times)
+        # One time needs no array: append_rows takes it as a scalar.
+        t1 = times[0] if len(times) == 1 else np.repeat(times, count)
+        self.eden_cohorts.append_rows(rows, t1 - window, t1, n_bytes, dist,
                                       n_objects)
         eden = self.eden
-        used, capacity = eden.used, eden.capacity
-        for _ in range(count):
-            used += n_bytes
-            if used > capacity:   # min(), without the call
-                used = capacity
-        eden.used = used
+        eden.used = min(next(running_sum(eden.used, n_bytes, rows)), eden.capacity)
+
+    def eden_free_after(self, n_bytes: float, every: int):
+        """:attr:`eden_free` after every *every* further bump rows of
+        *n_bytes*, lazily (see :meth:`allocate_bumps`)."""
+        eden = self.eden
+        room, capacity = eden.capacity - self.tlabs.expected_waste, eden.capacity
+        return (room - min(used, capacity)
+                for used in running_sum(eden.used, n_bytes, every))
 
     def allocate_old(
         self,

@@ -355,10 +355,11 @@ class InvariantAuditor:
 
         orig_alloc_bumps = heap.allocate_bumps
 
-        def audited_alloc_bumps(now, n_bytes, *args, count, **kwargs):
-            for _ in range(count):
-                record_mutator_allocation(now)
-            return orig_alloc_bumps(now, n_bytes, *args, count=count, **kwargs)
+        def audited_alloc_bumps(times, n_bytes, *args, count, **kwargs):
+            for now in times:
+                for _ in range(count):
+                    record_mutator_allocation(now)
+            return orig_alloc_bumps(times, n_bytes, *args, count=count, **kwargs)
 
         orig_alloc_obj = heap.allocate_object
 

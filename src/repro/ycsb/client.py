@@ -118,8 +118,8 @@ class YCSBClient:
         (the paper records >1 M points per run; the server-side memory
         behaviour is driven by the workload's full offered rate).
         """
-        if duration <= 0:
-            raise ConfigError("duration must be positive")
+        if not 0.0 < duration < float("inf"):
+            raise ConfigError(f"duration must be finite and > 0, got {duration}")
         _check_rate(samples_per_second)
         w = self.workload
         server = CassandraServer(cassandra_config)

@@ -41,8 +41,11 @@ class CoreWorkload:
             raise ConfigError(f"operation proportions must sum to 1 (got {total})")
         if self.key_distribution not in ("zipfian", "uniform"):
             raise ConfigError(f"unknown key distribution {self.key_distribution!r}")
-        if self.operations_per_second <= 0 or self.client_threads < 1:
-            raise ConfigError("rate and client_threads must be positive")
+        if not 0.0 < self.operations_per_second < float("inf"):
+            raise ConfigError("operations_per_second must be finite and > 0, "
+                              f"got {self.operations_per_second}")
+        if self.client_threads < 1:
+            raise ConfigError("client_threads must be positive")
 
     def with_(self, **changes) -> "CoreWorkload":
         """Return a modified copy."""

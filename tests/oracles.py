@@ -30,7 +30,10 @@ agree with them exactly, float for float and byte for byte.
   :func:`latency_band_stats_by_mean` — histogram recording over a whole
   1-D array of values below 2**63 units, and before that counting
   buckets with ``np.unique``, and the band statistics with ``.mean()``
-  shares.
+  shares;
+* :func:`quiet_run_by_rounds` — the Cassandra server's quiet run one
+  round at a time: each round takes its bulk step from every module and
+  is admitted from the state the round before it committed.
 """
 
 from __future__ import annotations
@@ -425,3 +428,47 @@ def latency_band_stats_by_mean(op_times, latencies_ms, pause_intervals, *,
             _pause_band_pct_by_mean(peaks, factor * avg, float("inf"))))
         factor *= 2.0
     return stats
+
+
+def quiet_run_by_rounds(serving, order, due, seq: int):
+    """``_Serving._quiet_run`` one round at a time: every round commits
+    its appends, writes and bump rows, checks for a flush, and then
+    :meth:`_Serving._admit` admits the next one from the modules' state."""
+    server, heap, tracer = serving.server, serving.jvm.heap, serving.jvm.world.tracer
+    commitlog, memtable = server.commitlog, server.memtable
+    work_delay, _, _, transient = serving._plan
+    hooks = tracer.enabled and transient.refills is not None
+    quantum, writes, dist = serving.quantum, serving.writes, serving.dist
+    due.sort()
+    queue = [order[i] for _, _, i in due]
+    n, start, rounds = len(queue), due[0][0], 0
+    while True:
+        t_work = start + work_delay
+        t_alloc = t_work + transient.delay
+        if writes > 0:
+            commitlog.append_rounds(serving.log_bytes, n)
+            memtable.write_rounds(writes, update_fraction=serving.update_share,
+                                  times=n)
+        for _ in queue if hooks else ():
+            tracer.tlab_refill(t_work, transient.refills, transient.tlab_size)
+        heap.allocate_bumps([t_alloc], transient.n_bytes, dist, count=n,
+                            n_objects=transient.n_objects, window=quantum)
+        if memtable.needs_flush:   # a flush empties it for the rest
+            serving._flush(t_alloc)
+        rounds += 1
+        deadline = t_alloc + float(quantum - (t_alloc - start))
+        start = t_alloc + (deadline - t_alloc)   # the wake-up
+        final = not start < deadline - 1e-12
+        pinned = serving._admit(start, start) if final else None
+        if pinned != (0, 0):
+            break
+    serving._cards += n * rounds
+    serving._count(server.stats, serving.ops, n * rounds)
+    for ctx in queue:
+        ctx.book(transient, rounds)
+        ctx.deadline = deadline
+    seq += 3 * n * rounds   # each round's work, allocation and wake-up events
+    wakes = [None] * n
+    for k, (_, _, i) in enumerate(due, 1):
+        wakes[i] = (start, seq - n + k, i)
+    return wakes, seq, final, pinned

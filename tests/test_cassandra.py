@@ -1,5 +1,8 @@
 """Tests for the Cassandra substrate: memtable, commit log, server."""
 
+import dataclasses
+from itertools import islice
+
 import pytest
 
 from repro import JVM, JVMConfig
@@ -152,6 +155,78 @@ class TestMemtable:
                            m.heap_bytes, [c.released for c in allocated]))
         assert states[0] == states[1]
         assert states[1][-1] == [True, True, False]   # one release each side
+
+    @pytest.mark.parametrize("at", [1, 7, 13])
+    def test_write_rounds_releases_where_writes_do(self, at):
+        """13 writes of a fractional size; the obsolete bytes reach a
+        chunk on the first, a middle or the last one. pending_after
+        gives the pending bytes each write leaves."""
+        states = []
+        for bulk in (False, True):
+            m = Memtable(tiny_cassandra())
+            allocated = []
+            m.write(8000, update_fraction=0.45)
+            drain(m.materialize(pinned_allocator(allocated)))
+            step = 100.3 * m.config.record_heap_bytes * 0.9
+            m.obsolete_bytes = m.config.memtable_chunk_bytes - (at - 0.5) * step
+            ahead = list(islice(m.pending_after(100.3 * m.config.record_heap_bytes), 13))
+            if bulk:
+                m.write_rounds(100.3, update_fraction=0.9, times=13)
+            else:
+                pending = []
+                for _ in range(13):
+                    m.write(100.3, update_fraction=0.9)
+                    drain(m.materialize(no_allocation))
+                    pending.append(m.pending_bytes)
+                assert ahead == pending
+            states.append((m.pending_bytes, m.obsolete_bytes, m.record_count,
+                           m.heap_bytes, [c.released for c in allocated]))
+        assert states[0] == states[1]
+        assert states[1][-1][:1] == [True]
+
+
+class TestDriveArguments:
+    @pytest.mark.parametrize("name", ["duration", "ops_per_second"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_refused_before_the_run(self, name, value):
+        """Checked at the driver's first step, before it touches the JVM
+        (an infinite duration would serve forever)."""
+        server = CassandraServer(default_config(2 * GB))
+        with pytest.raises(ConfigError, match=name):
+            next(server.drive(None, None, **{name: value}))
+
+
+class TestCommitLogRounds:
+    @pytest.mark.parametrize("at", [1, 6, 12])
+    def test_append_rounds_recycles_where_appends_do(self, at):
+        """12 appends of a fractional size; the log goes over its cap on
+        the first, a middle or the last one. pending_after gives the
+        pending bytes each append leaves."""
+        states = []
+        step = 0.3 * MB + 0.1
+        for bulk in (False, True):
+            log = CommitLog(tiny_cassandra(commitlog_cap_bytes=64 * MB,
+                                           commitlog_segment_bytes=8 * MB))
+            allocated = []
+            log.append(17 * MB)   # two segments and 1 MB pending
+            drain(log.materialize(pinned_allocator(allocated)))
+            ahead = list(islice(log.pending_after(step), 12))
+            log.config = dataclasses.replace(
+                log.config, commitlog_cap_bytes=log._segment_bytes
+                + ([log.pending_bytes] + ahead)[at - 1])
+            if bulk:
+                log.append_rounds(step, 12)
+            else:
+                pending = []
+                for _ in range(12):
+                    log.append(step)
+                    drain(log.materialize(no_allocation))
+                    pending.append(log.pending_bytes)
+                assert ahead == pending
+            states.append((log.pending_bytes, log.appended_bytes, log.heap_bytes,
+                           log.recycled_segments, [c.released for c in allocated]))
+        assert states[0] == states[1]
+        assert states[1][3] == 1
 
 
 class TestCommitLog:

@@ -43,6 +43,14 @@ class TestDaCapoCLI:
         with pytest.raises(SystemExit):
             dacapo_main(["not-a-benchmark"])
 
+    @pytest.mark.parametrize("argv", [["--young", "128g"], ["--gc", "Foo"],
+                                      ["--heap", "1x"]])
+    def test_refused_config_exits_2(self, argv, capsys):
+        assert dacapo_main(["lusearch", "-n", "1", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("repro-dacapo: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestCassandraCLI:
     def test_short_run(self, capsys):
@@ -75,6 +83,21 @@ class TestCassandraCLI:
         header = next(i for i, line in enumerate(lines)
                       if line.startswith("#pauses(full)"))
         assert lines[header + 2].split()[0] == f"{log.count}({log.full_count})"
+
+
+    # No infinite duration here: a tree that accepted one would serve
+    # forever. The driver's and the client's own tests check it.
+    @pytest.mark.parametrize("argv", [
+        ["--duration", "nan"], ["--duration", "-1"], ["--ops", "nan"],
+        ["--ops", "inf"], ["--ops", "0"], ["--young", "128g"]])
+    def test_refused_config_exits_2(self, argv, capsys):
+        """Refused before any JVM is built: one line on stderr, exit 2."""
+        rc = cassandra_main(["--phase", "run", "--duration", "60", "--heap", "2g",
+                             "--young", "512m", *argv])
+        out, err = capsys.readouterr()
+        assert rc == 2
+        assert out == "" and err.startswith("repro-cassandra: ")
+        assert len(err.splitlines()) == 1
 
 
 class TestReportCLI:

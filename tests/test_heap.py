@@ -1,5 +1,7 @@
 """Tests for the generational heap: allocation + collection mechanics."""
 
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,6 +79,38 @@ class TestAllocation:
         h = make_heap()
         h.allocate_object(1 * MB, root=True)
         assert h.eden.used == 1 * MB
+
+
+class TestBumpRows:
+    @pytest.mark.parametrize("rounds", [1, 2, 5])
+    @pytest.mark.parametrize("fill", [0.0, 0.97])
+    def test_allocate_bumps_matches_allocate_bump(self, rounds, fill):
+        """Three rows at each of *rounds* times, of a fractional size: the
+        rows and eden's occupancy of one allocate_bump each, capped at
+        capacity when eden overfills; eden_free_after gives eden_free
+        after every three rows."""
+        size, dist = 1.37 * MB + 0.1, Exponential(2.0)
+        times = [10.0 + 2.1 * r for r in range(rounds)]
+        ends = []
+        for bulk in (False, True):
+            h = make_heap()
+            h.eden.used = fill * h.eden.capacity + 0.3
+            ahead = list(islice(h.eden_free_after(size, 3), rounds))
+            if bulk:
+                h.allocate_bumps(times, size, dist, count=3, n_objects=4.0,
+                                 window=2.0)
+            else:
+                free = []
+                for t in times:
+                    for _ in range(3):
+                        h.allocate_bump(t, size, dist, n_objects=4.0, window=2.0)
+                    free.append(h.eden_free)
+                assert ahead == free
+            cols = h.eden_cohorts
+            ends.append((h.eden.used, [getattr(cols, name)[:cols.n].tobytes()
+                                       for name in ("t0", "t1", "allocated",
+                                                    "n_objects", "group")]))
+        assert ends[0] == ends[1]
 
 
 class TestMinorCollection:

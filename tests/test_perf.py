@@ -227,9 +227,9 @@ def _card_state(jvm: JVM):
 
 def _hidden_state(jvm: JVM, result, server: CassandraServer) -> str:
     """What a span must leave as the plain loop does, though no GC log or
-    trace shows it: every heap space's cohort columns byte for byte, the
-    run's allocation totals, and the commit log's and the memtable's
-    counters. The ``cid`` column is left out: handle ids count up across
+    trace shows it: every heap space's cohort columns byte for byte and
+    its occupancy, the run's allocation totals, and the commit log's and
+    the memtable's counters. The ``cid`` column is left out: handle ids count up across
     the process, and the plain loop gives every allocation a handle
     where a span appends handle-less bump rows."""
     heap = jvm.heap
@@ -238,7 +238,9 @@ def _hidden_state(jvm: JVM, result, server: CassandraServer) -> str:
                              heap.old_cohorts)
                for name, _ in COLUMNS if name != "cid"]
     log, table = server.commitlog, server.memtable
-    return repr((columns, result.allocated_bytes, result.alloc_overhead_time,
+    return repr((columns, [space.used for space in (heap.eden, heap.survivor,
+                                                    heap.old)],
+                 result.allocated_bytes, result.alloc_overhead_time,
                  log.pending_bytes, log.appended_bytes, log.recycled_segments,
                  len(log.segments), table.pending_bytes, table.obsolete_bytes,
                  table.record_count, len(table.chunks)))
@@ -299,11 +301,20 @@ class TestServerSpan:
         # No writes: quiet runs touch neither commit log nor memtable.
         pytest.param("G1", {}, {"read_fraction": 1.0, "update_fraction": 0.0},
                      1 * GB, id="reads-only"),
+        # Eden holds many quanta, so quiet runs form: some of one round,
+        # some ended by eden's room, with commit-log recycles and chunk
+        # releases inside them; byte counts are fractions.
+        pytest.param("CMS", {"heap": 4 * GB, "young": 2 * GB},
+                     {"ops_per_second": 1111.1, "read_fraction": 0.1}, 1 * GB,
+                     id="quiet-runs"),
+        pytest.param("G1", {"heap": 4 * GB, "young": 2 * GB},
+                     {"ops_per_second": 1111.1, "read_fraction": 0.1}, 100 * MB,
+                     id="quiet-run-flushes"),
     ])
     def test_edge_cells_identical(self, gc, config, drive, memtable_cap):
         """Spans over one group, without TLABs, beside vm-op safepoints,
-        on a quantum that is no binary fraction, across flushes, and with
-        reads only."""
+        on a quantum that is no binary fraction, across flushes, with
+        reads only, and over quiet runs that recycle, release and flush."""
         cass = default_config(2 * GB, memtable_cap_bytes=memtable_cap,
                               commitlog_cap_bytes=64 * MB)
         logs = []
@@ -313,8 +324,8 @@ class TestServerSpan:
                 jvm = JVM(JVMConfig(**{"gc": gc, "heap": 2 * GB,
                                        "young": 256 * MB, "seed": 9, **config}))
                 server = CassandraServer(cass)
-                result = jvm.run(server, duration=300.0, ops_per_second=2000.0,
-                                 **{"update_fraction": 0.4, **drive})
+                result = jvm.run(server, duration=300.0, **{
+                    "ops_per_second": 2000.0, "update_fraction": 0.4, **drive})
             finally:
                 fastpath.set_enabled(previous)
             assert not result.crashed, result.crash_reason

@@ -162,6 +162,26 @@ def test_refused_config_exits_2(study, argv, tmp_path):
     assert not store.exists()
 
 
+@pytest.mark.parametrize("study", sorted(RECIPES))
+@pytest.mark.parametrize("content", [None, "not json", '{"a": 1}', "[1, 2]",
+                                     '{"config": {}}'],
+                         ids=["missing", "bad-json", "foreign", "list",
+                              "empty-config"])
+def test_report_of_no_study_exits_2(study, content, tmp_path):
+    """``report`` (and the fleet's ``plot``) of a file that is missing, no
+    JSON, or no such study: one ``error:`` line and exit 2."""
+    path = tmp_path / "study.json"
+    if content is not None:
+        path.write_text(content)
+    commands = [["report", str(path)]]
+    if study == "fleet":
+        commands.append(["plot", str(path), "--gc", "CMS"])
+    for argv in commands:
+        code, out = drive(RECIPES[study].main, argv)
+        assert code == 2
+        assert out.startswith("error: ") and out.count("\n") == 1
+
+
 def test_lbo_cli_runs_as_a_module(tmp_path):
     """``python -m repro.analysis.lbo_cli`` runs the CLI, as
     ``python -m repro.energy`` and ``python -m repro.fleet`` do."""

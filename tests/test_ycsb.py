@@ -92,6 +92,11 @@ class TestCoreWorkload:
         with pytest.raises(ConfigError):
             CoreWorkload(name="x", key_distribution="gaussian")
 
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+    def test_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ConfigError, match="operations_per_second"):
+            WORKLOAD_A_LIKE.with_(operations_per_second=rate)
+
 
 @pytest.fixture
 def small_client_run(tiny_topology):
@@ -170,6 +175,19 @@ class TestClientSynthesis:
                        samples_per_second=rate)
         with pytest.raises(ConfigError):
             client.synthesize(config, None, None, samples_per_second=rate)
+
+    @pytest.mark.parametrize("duration", [0.0, -5.0, float("nan"), float("inf")])
+    def test_bad_duration_rejected(self, duration, monkeypatch):
+        """Before the server run is built: an infinite one never ends."""
+        import repro.ycsb.client as client_module
+
+        def no_jvm(*args, **kwargs):
+            raise AssertionError("a bad duration must be rejected before the run")
+
+        monkeypatch.setattr(client_module, "JVM", no_jvm)
+        with pytest.raises(ConfigError, match="duration"):
+            YCSBClient(WORKLOAD_A_LIKE, seed=1).run(
+                JVMConfig(gc="CMS"), CassandraConfig(), duration=duration)
 
     def test_deterministic(self, tiny_topology):
         def one():

@@ -119,6 +119,12 @@ def dacapo_main(argv: Optional[List[str]] = None) -> int:
 
         tracer = Tracer()
     try:
+        # The driver refuses these too, but inside the run, which
+        # reports a refusal there as a crash.
+        for name, count in (("iterations", args.iterations),
+                            ("threads", args.threads)):
+            if count is not None and count < 1:
+                raise ConfigError(f"{name} must be >= 1, got {count}")
         jvm = JVM(_build_config(args), tracer=tracer)
     except ConfigError as exc:
         return _refused(parser, exc)

@@ -60,9 +60,14 @@ JOB_FIELDS = ("benchmark", "gc", "heap", "young", "seed", "iterations",
               "system_gc", "tlab_enabled", "overrides")
 
 
+def canonical(value: object) -> bytes:
+    """*value* as canonical JSON bytes (compact, sorted keys)."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
 def encode(msg: Dict[str, object]) -> bytes:
-    """One canonical wire line for *msg* (compact, sorted keys)."""
-    return (json.dumps(msg, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    """One canonical wire line for *msg*."""
+    return canonical(msg) + b"\n"
 
 
 def decode(line: bytes, *, max_bytes: int = MAX_LINE_BYTES) -> Dict[str, object]:
@@ -178,6 +183,21 @@ def result_msg(rid, digest: str, run: Dict[str, object], *, cached: bool,
     """Terminal success for a submit; ``run`` is the encoded RunResult."""
     return _resp("result", rid, digest=digest, cached=cached, run=run,
                  meta=meta)
+
+
+#: What follows the run in every ``result`` line: sorted keys put
+#: ``run``, ``type`` and ``v`` last.
+_RESULT_TAIL = f',"type":"result","v":{PROTOCOL_VERSION}}}\n'.encode()
+
+
+def result_line(rid, digest: str, run_json: bytes, *, cached: bool,
+                meta: Dict[str, object]) -> bytes:
+    """``encode(result_msg(rid, digest, run, ...))`` byte for byte, for a
+    run already serialised as ``run_json = canonical(run)``: the
+    envelope is encoded around a one-byte stand-in, which the run's
+    bytes replace."""
+    head = encode(result_msg(rid, digest, 0, cached=cached, meta=meta))
+    return head[:-len(_RESULT_TAIL) - 1] + run_json + _RESULT_TAIL
 
 
 def failed_msg(rid, digest: str, failure: Dict[str, object], *,

@@ -29,7 +29,7 @@ import asyncio
 import contextlib
 import os
 import signal
-from typing import Callable, Dict, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple, Union
 
 from ..errors import ProtocolError
 from ..telemetry.metrics import MetricsRegistry
@@ -47,17 +47,19 @@ class Connection:
         self.closed = False
         self.subscribed = False     #: receives the server's events
 
-    async def send(self, msg: Dict[str, object]) -> bool:
-        """Write one message; False (never an exception) if the client
-        has gone away — a subscriber hanging up mid-stream must not take
-        a worker or the server loop down with it."""
+    async def send(self, msg: Union[Dict[str, object], bytes]) -> bool:
+        """Write one message, or one line already encoded; False (never
+        an exception) if the client has gone away — a subscriber hanging
+        up mid-stream must not take a worker or the server loop down
+        with it."""
         if self.closed:
             return False
+        line = msg if isinstance(msg, bytes) else protocol.encode(msg)
         async with self._lock:
             if self.closed:
                 return False
             try:
-                self.writer.write(protocol.encode(msg))
+                self.writer.write(line)
                 await self.writer.drain()
                 return True
             except (ConnectionError, RuntimeError, OSError):

@@ -21,7 +21,9 @@ Architecture (DESIGN.md §13)::
 * **Caching**: results are read from and written to the same
   content-addressed :class:`~repro.campaign.store.ResultStore` the
   campaign runner uses (appends run under the store's advisory file
-  lock), so the service and ``repro-campaign`` share one cache.
+  lock), so the service and ``repro-campaign`` share one cache. A hit
+  is answered from a per-digest memo of the stored run's reply bytes
+  and energy account (DESIGN.md §13.3).
 * **Supervision**: worker failures (:class:`CellFailure` — crash,
   timeout, broken pool) are retried up to ``retries`` times, then the
   cell is quarantined exactly as the campaign runner would; a dead
@@ -49,13 +51,14 @@ import functools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..campaign.cells import CellSpec, encode_run, run_cell
 from ..campaign.executors import CellFailure, get_executor
 from ..campaign.store import ResultStore, store_status
-from ..energy.model import ENERGY_COUNTERS, energy_section
+from ..energy.model import ENERGY_COUNTERS, EnergyModel, energy_section
 from ..errors import ConfigError
+from ..jvm.jvm import RunResult
 from . import protocol
 from .protocol import PROTOCOL_VERSION
 from .server import Connection, NdjsonServer
@@ -63,6 +66,9 @@ from .server import Connection, NdjsonServer
 #: Default clock (referenced, not called, at import time — the service is
 #: observational infrastructure; simulated results never see it).
 WALL_CLOCK: Callable[[], float] = time.monotonic
+
+#: ``EnergyAccount.items()`` of one run: (phase, core class, microjoules).
+EnergyItems = Tuple[Tuple[str, str, int], ...]
 
 
 @dataclass
@@ -128,6 +134,8 @@ class ExperimentService(NdjsonServer):
                                      workers=config.pool_workers)
         self._queue: "asyncio.Queue[_Job]" = asyncio.Queue()
         self._inflight: Dict[str, _Job] = {}
+        #: digest -> (the store's run, its reply bytes, its energy items)
+        self._hits: Dict[str, Tuple[RunResult, bytes, EnergyItems]] = {}
         self._workers: List[asyncio.Task] = []
         self._offload: Optional[ThreadPoolExecutor] = None
 
@@ -245,16 +253,17 @@ class ExperimentService(NdjsonServer):
         cell = protocol.job_to_cell(job)
         digest = cell.digest()
 
-        hit = self.store.get_run(digest) if self.store is not None else None
+        hit = self._hit(digest)
         if hit is not None:
+            run, run_json, energy = hit
             m.counter("cache.hits").inc()
-            self._observe_pauses(hit)
+            self._observe_pauses(run, energy)
             meta = {"cached": True, "attempts": 0, "queued_s": 0.0,
                     "exec_s": 0.0, "exec_interval": None}
             self._publish("cache-hit", digest=digest[:12],
                           benchmark=cell.benchmark, gc=cell.gc)
-            await conn.send(protocol.result_msg(
-                rid, digest, encode_run(hit), cached=True, meta=meta))
+            await conn.send(protocol.result_line(
+                rid, digest, run_json, cached=True, meta=meta))
             return
 
         existing = self._inflight.get(digest)
@@ -292,7 +301,7 @@ class ExperimentService(NdjsonServer):
                             future: asyncio.Future) -> None:
         kind, digest, payload, meta = await future
         if kind == "result":
-            await conn.send(protocol.result_msg(
+            await conn.send(protocol.result_line(
                 rid, digest, payload, cached=False, meta=meta))
         elif kind == "cancelled":
             # Every waiter coalesced onto the digest learns the job was
@@ -394,7 +403,7 @@ class ExperimentService(NdjsonServer):
         """Loop-side completion (the store write already happened on the
         offload thread in :meth:`_worker_loop`)."""
         m = self.metrics
-        self._observe_pauses(result)
+        self._observe_pauses(result, _energy_items(result))
         meta = self._job_meta(job, finished)
         m.counter("jobs.simulated").inc()
         m.histogram("service.exec_s", unit=1e-6).record(meta["exec_s"])
@@ -408,10 +417,10 @@ class ExperimentService(NdjsonServer):
                       max_pause_s=round(log.max_pause, 6),
                       total_pause_s=round(log.total_pause, 6),
                       crashed=result.crashed)
-        encoded = encode_run(result)
+        run_json = protocol.canonical(encode_run(result))
         for future in job.futures:
             if not future.done():
-                future.set_result(("result", job.digest, encoded, meta))
+                future.set_result(("result", job.digest, run_json, meta))
 
     def _quarantine(self, job: _Job, failure: CellFailure,
                     finished: float) -> None:
@@ -428,24 +437,43 @@ class ExperimentService(NdjsonServer):
             if not future.done():
                 future.set_result(("failed", job.digest, payload, meta))
 
-    def _observe_pauses(self, result) -> None:
-        """Merge a served run's pause durations into the service-wide
-        pause histogram (the status endpoint's P50/P99/P99.9 source)."""
-        hist = self.metrics.histogram("gc.pause_seconds")
-        for pause in result.gc_log.pauses:
-            hist.record(pause.duration)
-        self._observe_energy(result)
+    def _hit(self, digest: str,
+             ) -> Optional[Tuple[RunResult, bytes, EnergyItems]]:
+        """The memo entry for *digest*'s stored run, or None on a miss.
 
-    def _observe_energy(self, result) -> None:
-        """Fold a served run's energy account into the service counters.
+        An entry is derived once from the run :meth:`ResultStore.get_run`
+        returns and rebuilt only when it returns another object, so a
+        record replaced by a write, merge or clear is never served stale.
+        """
+        run = self.store.get_run(digest) if self.store is not None else None
+        if run is None:
+            return None
+        hit = self._hits.get(digest)
+        if hit is None or hit[0] is not run:
+            hit = (run, protocol.canonical(encode_run(run)),
+                   _energy_items(run))
+            self._hits[digest] = hit
+        return hit
 
-        Integer microjoules per phase — counters sum exactly, so the
+    def _observe_pauses(self, result: RunResult,
+                        energy: EnergyItems) -> None:
+        """Fold a served run into the service-wide observations.
+
+        Its pause histogram (``GCLog.pause_hist``, the same unit and
+        digits) merges into ``gc.pause_seconds``, the status endpoint's
+        P50/P99/P99.9 source: counts, ``sum_units``, min and max merge
+        exactly, as recording each pause would. Its energy account adds
+        integer microjoules per phase — counters sum exactly, so the
         cluster coordinator's scatter-gather totals (which add per-node
         counters) fold service energy with the same bit-exactness as
         the pause histograms.
         """
-        from ..energy.model import EnergyModel
-
-        account = EnergyModel.for_config(result.config).account_run(result)
-        for phase, _core_class, uj in account.items():
+        self.metrics.histogram("gc.pause_seconds").merge(
+            result.gc_log.pause_hist)
+        for phase, _core_class, uj in energy:
             self.metrics.counter(f"energy.{phase}_uj").inc(uj)
+
+
+def _energy_items(result: RunResult) -> EnergyItems:
+    """Price one run under its own configuration's energy model."""
+    return EnergyModel.for_config(result.config).account_run(result).items()

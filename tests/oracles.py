@@ -33,7 +33,11 @@ agree with them exactly, float for float and byte for byte.
   shares;
 * :func:`quiet_run_by_rounds` — the Cassandra server's quiet run one
   round at a time: each round takes its bulk step from every module and
-  is admitted from the state the round before it committed.
+  is admitted from the state the round before it committed;
+* :func:`observe_run_by_pauses` — the experiment service's observation
+  of a served run with each pause recorded one at a time and the run
+  priced again on every serve, which merging the run's pause histogram
+  and pricing each stored run once replace.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ from scipy import special
 
 from repro.analysis.latency import (BandStat, LatencyBandStats,
                                     _pause_peak_latencies)
+from repro.energy.model import EnergyModel
 from repro.errors import ConfigError
 from repro.heap.cohort import TAIL_CUTOFF
 from repro.heap.heap import batch_live_bytes
@@ -472,3 +477,15 @@ def quiet_run_by_rounds(serving, order, due, seq: int):
     for k, (_, _, i) in enumerate(due, 1):
         wakes[i] = (start, seq - n + k, i)
     return wakes, seq, final, pinned
+
+
+def observe_run_by_pauses(metrics, result) -> None:
+    """``ExperimentService._observe_pauses`` for one served run: every
+    pause recorded into ``gc.pause_seconds`` and the run priced under its
+    configuration's energy model into the ``energy.*_uj`` counters."""
+    hist = metrics.histogram("gc.pause_seconds")
+    for pause in result.gc_log.pauses:
+        hist.record(pause.duration)
+    account = EnergyModel.for_config(result.config).account_run(result)
+    for phase, _core_class, uj in account.items():
+        metrics.counter(f"energy.{phase}_uj").inc(uj)

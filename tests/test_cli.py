@@ -44,7 +44,8 @@ class TestDaCapoCLI:
             dacapo_main(["not-a-benchmark"])
 
     @pytest.mark.parametrize("argv", [["--young", "128g"], ["--gc", "Foo"],
-                                      ["--heap", "1x"]])
+                                      ["--heap", "1x"], ["-n", "0"],
+                                      ["-n", "-2"], ["-t", "0"]])
     def test_refused_config_exits_2(self, argv, capsys):
         assert dacapo_main(["lusearch", "-n", "1", *argv]) == 2
         out, err = capsys.readouterr()

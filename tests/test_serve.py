@@ -12,19 +12,25 @@ import json
 import os
 import pathlib
 import signal
+import socket
 import subprocess
 import sys
 import threading
 
 import pytest
 
-from repro.campaign import CellSpec, ResultStore, encode_run, run_campaign, run_cell
+from repro.campaign import (CellSpec, ResultStore, encode_run, merge_stores,
+                            run_campaign, run_cell)
 from repro.campaign.spec import CampaignSpec
 from repro.cluster import ClusterConfig, ClusterCoordinator
+from repro.energy.model import ENERGY_COUNTERS, EnergyModel
 from repro.errors import ConfigError
 from repro.serve import ExperimentService, ServiceConfig, ServiceClient
-from repro.serve import protocol
+from repro.serve import protocol, service as service_module
+from repro.serve.server import Connection
 from repro.studies import GridSpec
+from repro.telemetry.metrics import MetricsRegistry
+from tests.oracles import observe_run_by_pauses
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -32,6 +38,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 JOB = {"benchmark": "lusearch", "gc": "Serial", "heap": "1g",
        "young": "256m", "seed": 0, "iterations": 2}
 CELL = CellSpec.from_axes("lusearch", "Serial", "1g", "256m", 0, iterations=2)
+#: Another cell's run, stored under CELL's digest to tell records apart.
+OTHER = CellSpec.from_axes("lusearch", "Serial", "1g", "256m", 1, iterations=2)
 
 
 def canon(d):
@@ -177,6 +185,143 @@ class TestDeterminism:
         rec = store.get(CELL.digest())
         assert rec["status"] == "ok"
         assert canon(rec["run"]) == canon(resp["run"])
+
+
+@pytest.fixture(scope="module")
+def stored_runs():
+    """CELL's run and OTHER's, simulated once per module."""
+    return run_cell(CELL), run_cell(OTHER)
+
+
+class OracleService(ExperimentService):
+    """The service observing each served run as it did before its hit
+    memo: every pause recorded and the run priced on every serve."""
+
+    def _observe_pauses(self, result, energy):
+        observe_run_by_pauses(self.metrics, result)
+
+
+class TestHitMemo:
+    """A hit is a store lookup, a memo read and one write: its reply
+    bytes, pause histogram and energy account come from the stored run."""
+
+    def test_hit_is_encoded_and_priced_once(self, tmp_path, monkeypatch,
+                                            stored_runs):
+        calls = {"encode_run": 0, "account_run": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+            return wrapper
+
+        monkeypatch.setattr(service_module, "encode_run",
+                            counted("encode_run", encode_run))
+        monkeypatch.setattr(EnergyModel, "account_run",
+                            counted("account_run", EnergyModel.account_run))
+        ResultStore(tmp_path / "store").record_ok(CELL, stored_runs[0])
+
+        async def main():
+            async with service(tmp_path) as svc:
+                client = await ServiceClient.connect(svc.config.socket_path)
+                replies = [await client.submit(JOB, timeout=60)
+                           for _ in range(3)]
+                await client.close()
+                return replies
+
+        replies = asyncio.run(main())
+        assert all(r["cached"] is True for r in replies)
+        assert len({canon(r["run"]) for r in replies}) == 1
+        assert calls == {"encode_run": 1, "account_run": 1}
+
+    @pytest.mark.parametrize("replace", ["failure-then-ok", "new-result",
+                                         "merge", "clear"])
+    def test_hit_follows_the_current_record(self, tmp_path, stored_runs,
+                                            replace):
+        run, other = stored_runs
+
+        async def main():
+            async with service(tmp_path) as svc:
+                store = svc.store
+                store.record_ok(CELL, run)
+                client = await ServiceClient.connect(svc.config.socket_path)
+                first = await client.submit(JOB, timeout=60)
+                if replace == "failure-then-ok":
+                    store.record_failure(CELL, "timeout", "budget",
+                                         attempts=1)
+                    store.record_ok(CELL, other)
+                elif replace == "new-result":
+                    store.record_ok(CELL, other)
+                elif replace == "merge":
+                    store.record_failure(CELL, "timeout", "budget",
+                                         attempts=1)
+                    src = ResultStore(tmp_path / "src")
+                    src.record_ok(CELL, other)
+                    assert merge_stores([src], store).superseded == 1
+                else:
+                    assert store.clear() == 1
+                    store.record_ok(CELL, other)
+                second = await client.submit(JOB, timeout=60)
+                stats = await client.status(timeout=10)
+                await client.close()
+                return first, second, stats
+
+        first, second, stats = asyncio.run(main())
+        assert first["cached"] is True and second["cached"] is True
+        assert canon(first["run"]) == canon(encode_run(run))
+        assert canon(second["run"]) == canon(encode_run(other))
+        oracle = MetricsRegistry()
+        observe_run_by_pauses(oracle, run)
+        observe_run_by_pauses(oracle, other)
+        assert stats["pauses"]["hist"] == \
+            oracle.histogram("gc.pause_seconds").to_dict()
+        counters = stats["metrics"]["counters"]
+        assert {name: counters[name] for name in ENERGY_COUNTERS} == \
+            {name: oracle.counter(name).value for name in ENERGY_COUNTERS}
+
+    def test_observations_match_the_oracles(self, tmp_path, stored_runs):
+        """Hits, misses and a coalesced submit leave the status pauses,
+        energy and metrics blocks that the oracle observations leave."""
+        jobs = [dict(JOB, gc=gc, seed=2) for gc in ("G1", "ZGC")]
+
+        async def mix(root, cls):
+            ResultStore(root / "store").record_ok(CELL, stored_runs[0])
+            gate = threading.Event()
+            svc = cls(ServiceConfig(store=str(root / "store"),
+                                    socket_path=str(root / "serve.sock")),
+                      cell_fn=gated(gate), clock=lambda: 0.0)
+            await svc.start()
+            try:
+                client = await ServiceClient.connect(svc.config.socket_path)
+                replies = [await client.submit(JOB, timeout=60)]
+                misses = [asyncio.ensure_future(client.submit(job, timeout=60))
+                          for job in (jobs[0], jobs[0], jobs[1])]
+                await wait_until(
+                    lambda: svc.metrics.counter("jobs.coalesced").value == 1
+                    and svc.metrics.counter("jobs.accepted").value == 2,
+                    what="misses admitted")
+                gate.set()
+                replies += await asyncio.gather(*misses)
+                for job in (JOB, jobs[0], jobs[1], jobs[0]):
+                    replies.append(await client.submit(job, timeout=60))
+                stats = await client.status(timeout=10)
+                await client.close()
+            finally:
+                await svc.close()
+            return replies, stats
+
+        for name in ("memo", "oracle"):
+            (tmp_path / name).mkdir()
+        replies, stats = asyncio.run(mix(tmp_path / "memo", ExperimentService))
+        oracle_replies, oracle_stats = asyncio.run(
+            mix(tmp_path / "oracle", OracleService))
+        assert [r["cached"] for r in replies] == \
+            [True, False, False, False, True, True, True, True]
+        assert [canon(r) for r in replies] == \
+            [canon(r) for r in oracle_replies]
+        for block in ("pauses", "energy", "metrics", "cache"):
+            assert stats[block] == oracle_stats[block], block
+        assert stats["metrics"]["counters"]["jobs.coalesced"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -421,9 +566,22 @@ class TestWireRobustness:
         async with service(tmp_path, **kw) as svc:
             yield svc, svc
 
-    def test_disconnect_mid_line_does_not_kill_service(self, tmp_path):
+    def test_disconnect_mid_line_does_not_kill_service(self, tmp_path,
+                                                       monkeypatch):
+        sends = []
+        send = Connection.send
+
+        async def recorded(conn, msg):
+            ok = await send(conn, msg)
+            line = msg if isinstance(msg, bytes) else protocol.encode(msg)
+            sends.append((json.loads(line)["type"], ok, conn.closed))
+            return ok
+
+        monkeypatch.setattr(Connection, "send", recorded)
+
         async def main():
-            async with self.servers(tmp_path) as (front, _):
+            async with self.servers(tmp_path) as (front, worker):
+                worker.store.record_ok(CELL, run_cell(CELL))
                 reader, writer = await asyncio.open_unix_connection(
                     front.config.socket_path)
                 writer.write(b'{"op": "submit", "job": {"bench')  # no \n
@@ -433,13 +591,29 @@ class TestWireRobustness:
                 await wait_until(
                     lambda: front.metrics.counter("connections.closed").value
                     == 1, what="server-side cleanup")
+                # A client hangs up while its hit is looked up, so the
+                # reply's write fails.
+                lookup = worker.store.get_run
+                with socket.socket(socket.AF_UNIX) as sock:
+                    def hang_up(digest):
+                        sock.close()
+                        return lookup(digest)
+
+                    worker.store.get_run = hang_up
+                    sock.connect(front.config.socket_path)
+                    sock.sendall(protocol.encode({"op": "submit", "job": JOB}))
+                    await wait_until(lambda: ("result", False, True) in sends,
+                                     what="the hit's failed write")
+                worker.store.get_run = lookup
                 client = await ServiceClient.connect(front.config.socket_path)
                 pong = await client.ping(timeout=10)
+                hit = await client.submit(JOB, timeout=60)
                 await client.close()
-                return pong, front.metrics.counter("protocol.errors").value
+                return pong, hit, front.metrics.counter("protocol.errors").value
 
-        pong, errors = asyncio.run(main())
+        pong, hit, errors = asyncio.run(main())
         assert pong["type"] == "pong"
+        assert hit["type"] == "result" and hit["cached"] is True
         assert errors == 0                       # half a line is no request
 
     def test_disconnect_with_job_in_flight(self, tmp_path):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.campaign.cells import CellSpec
+from repro.campaign.cells import CellSpec, encode_run, run_cell
 from repro.errors import ProtocolError
 from repro.serve import protocol
 
@@ -181,6 +181,44 @@ class TestResponses:
     def test_rejection_codes_visible(self):
         msg = protocol.rejected_msg(1, 429, "admission queue full (2 jobs)")
         assert msg["code"] == 429 and "queue full" in msg["reason"]
+
+
+class TestResultLine:
+    """A result line spliced from a run's canonical bytes is the encoded
+    result message, byte for byte."""
+
+    CELLS = [
+        CellSpec.from_axes("xalan", gc, "1g", None, 0, iterations=2)
+        for gc in ("ParallelOld", "G1", "ZGC", "Shenandoah")
+    ] + [
+        CellSpec.from_axes("xalan", "CMS", "1g", None, 0, iterations=2,
+                           overrides={"topology": "asym-hybrid",
+                                      "gc_placement": "e-cores"}),
+    ]
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        return [(cell.digest(), encode_run(run_cell(cell)))
+                for cell in self.CELLS]
+
+    @pytest.mark.parametrize("rid", [None, 7, "req-7"],
+                             ids=["no-id", "int-id", "str-id"])
+    def test_spliced_line_is_the_encoded_message(self, runs, rid):
+        metas = [
+            {"cached": True, "attempts": 0, "queued_s": 0.0, "exec_s": 0.0,
+             "exec_interval": None},
+            {"cached": False, "attempts": 2, "queued_s": 0.25,
+             "exec_s": 1.5, "exec_interval": [0.25, 1.75]},
+        ]
+        for digest, run in runs:
+            for cached, meta in zip((True, False), metas):
+                want = protocol.encode(protocol.result_msg(
+                    rid, digest, run, cached=cached, meta=meta))
+                got = protocol.result_line(
+                    rid, digest, protocol.canonical(run), cached=cached,
+                    meta=meta)
+                assert got == want
+                assert protocol.decode(got)["run"] == run
 
 
 class TestWireCompat:

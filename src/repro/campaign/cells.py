@@ -82,9 +82,14 @@ class CellSpec:
         )
 
     def key(self) -> CellKey:
-        """The :class:`~repro.studies.CellKey` this cell produces."""
-        return CellKey(benchmark=self.benchmark, gc=self.gc, heap=self.heap,
-                       young=self.young, seed=self.seed)
+        """The :class:`~repro.studies.CellKey` this cell produces, built
+        once per instance and kept beside the fields like :meth:`digest`."""
+        key = self.__dict__.get("_key")
+        if key is None:
+            key = CellKey(benchmark=self.benchmark, gc=self.gc, heap=self.heap,
+                          young=self.young, seed=self.seed)
+            object.__setattr__(self, "_key", key)
+        return key
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe representation (used by the store and the digest)."""

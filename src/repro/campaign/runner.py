@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Union
 from ..errors import ConfigError
 from ..jvm import RunResult
 from ..studies import GridResult
+from ..units import check_budget
 from .cells import CellSpec, run_cell
 from .executors import CellFailure, get_executor
 from .progress import ProgressReporter
@@ -111,6 +112,7 @@ def run_campaign(spec: CampaignSpec, *,
     """
     if retries < 0:
         raise ConfigError("retries must be >= 0")
+    check_budget("timeout", timeout)
     if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
         store = ResultStore(store)
     if isinstance(executor, str):

@@ -53,20 +53,25 @@ class CampaignSpec:
         return sum(g.size for g in self.grids)
 
     def cell_specs(self) -> List[List[CellSpec]]:
-        """Per-grid lists of canonical :class:`CellSpec`s, in grid order."""
-        out: List[List[CellSpec]] = []
-        overrides = dict(self.overrides)
-        for grid in self.grids:
-            cells = [
-                CellSpec.from_axes(
-                    benchmark, gc, heap, young, seed,
-                    iterations=grid.iterations, system_gc=grid.system_gc,
-                    tlab_enabled=grid.tlab_enabled, overrides=overrides,
+        """Per-grid lists of canonical :class:`CellSpec`s, in grid order:
+        expanded once per (immutable) instance and kept beside the fields
+        like :meth:`CellSpec.digest`; every call returns fresh lists."""
+        expanded = self.__dict__.get("_cells")
+        if expanded is None:
+            overrides = dict(self.overrides)
+            expanded = tuple(
+                tuple(
+                    CellSpec.from_axes(
+                        benchmark, gc, heap, young, seed,
+                        iterations=grid.iterations, system_gc=grid.system_gc,
+                        tlab_enabled=grid.tlab_enabled, overrides=overrides,
+                    )
+                    for benchmark, gc, heap, young, seed in grid.cells()
                 )
-                for benchmark, gc, heap, young, seed in grid.cells()
-            ]
-            out.append(cells)
-        return out
+                for grid in self.grids
+            )
+            object.__setattr__(self, "_cells", expanded)
+        return [list(cells) for cells in expanded]
 
     # -- serialization --------------------------------------------------
 
@@ -88,9 +93,14 @@ class CampaignSpec:
         )
 
     def digest(self) -> str:
-        """Identity of the sweep: sha256 over the canonical spec JSON."""
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """Identity of the sweep: sha256 over the canonical spec JSON,
+        computed once per instance and kept beside the fields."""
+        digest = self.__dict__.get("_digest")
+        if digest is None:
+            blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(blob.encode()).hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
 
 
 def grid_to_dict(grid: GridSpec) -> Dict[str, object]:

@@ -54,6 +54,9 @@ class ResultStore:
         #: Digests deliberately removed here (``drop_failures``) — kept so
         #: a merging :meth:`compact` does not resurrect them from disk.
         self._dropped: set = set()
+        #: ``(signature, manifest)``: the manifest :meth:`register_campaign`
+        #: last read or wrote, with :meth:`_manifest_signature` then.
+        self._manifest: Optional[Tuple[Optional[Tuple[int, int, int]], dict]] = None
         self.quarantined_lines = 0
         self._load()
 
@@ -284,6 +287,14 @@ class ResultStore:
             )
         return manifest
 
+    def _manifest_signature(self) -> Optional[Tuple[int, int, int]]:
+        """``(st_ino, st_mtime_ns, st_size)`` of the manifest, or None."""
+        try:
+            st = os.stat(self.manifest_path)
+        except FileNotFoundError:
+            return None
+        return st.st_ino, st.st_mtime_ns, st.st_size
+
     def register_campaign(self, entry: dict) -> None:
         """Idempotently add a campaign entry (keyed by its spec digest).
 
@@ -292,20 +303,32 @@ class ResultStore:
         entries. The entry moves last (``resume`` takes the last entry as
         the most recent); a manifest that would not change is left as it
         is, file and all.
+
+        The manifest last read or written here is used again while the
+        file keeps that moment's signature (DESIGN.md §10.2): writers
+        replace the file, so another process's registration is read.
         """
         with self.locked():
-            manifest = self.read_manifest()
+            sig = self._manifest_signature()
+            kept = self._manifest
+            if kept is not None and kept[0] == sig:
+                manifest = kept[1]
+            else:
+                manifest = self.read_manifest()
+                self._manifest = (sig, manifest)
             campaigns = [c for c in manifest.get("campaigns", [])
                          if c.get("digest") != entry.get("digest")]
             campaigns.append(entry)
             updated = dict(manifest, campaigns=campaigns, version=STORE_VERSION)
             if updated == manifest:
                 return
+            text = json.dumps(updated, indent=2, sort_keys=True) + "\n"
             tmp = self.manifest_path.with_suffix(".json.tmp")
             with open(tmp, "w") as fh:
-                json.dump(updated, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+                fh.write(text)
             tmp.replace(self.manifest_path)
+            # Kept as a read of the file would return it.
+            self._manifest = (self._manifest_signature(), json.loads(text))
 
     # -- export ---------------------------------------------------------
 

@@ -51,6 +51,7 @@ from ..serve.client import ServiceClient
 from ..serve.protocol import COORDINATOR_OPS, PROTOCOL_VERSION
 from ..serve.server import Connection, NdjsonServer
 from ..telemetry.tracer import NULL_TRACER
+from ..units import check_budget
 from .membership import Membership, NodeSpec
 from .ring import DEFAULT_REPLICAS
 
@@ -87,13 +88,11 @@ class ClusterConfig:
     def __post_init__(self):
         if self.queue_limit < 1:
             raise ConfigError("queue_limit must be >= 1")
-        if self.steal_interval <= 0:
+        if not self.steal_interval > 0:
             raise ConfigError("steal_interval must be > 0")
         if self.steal_threshold < 1:
             raise ConfigError("steal_threshold must be >= 1")
-        if self.forward_timeout is not None and self.forward_timeout <= 0:
-            raise ConfigError(
-                "forward_timeout must be > 0 (or None for no budget)")
+        check_budget("forward_timeout", self.forward_timeout)
 
 
 class _Forward:

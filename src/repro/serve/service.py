@@ -59,6 +59,7 @@ from ..campaign.store import ResultStore, store_status
 from ..energy.model import ENERGY_COUNTERS, EnergyModel, energy_section
 from ..errors import ConfigError
 from ..jvm.jvm import RunResult
+from ..units import check_budget
 from . import protocol
 from .protocol import PROTOCOL_VERSION
 from .server import Connection, NdjsonServer
@@ -94,8 +95,7 @@ class ServiceConfig:
             raise ConfigError("workers must be >= 1")
         if self.retries < 0:
             raise ConfigError("retries must be >= 0")
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigError("timeout must be > 0 (or None for no budget)")
+        check_budget("timeout", self.timeout)
 
 
 class _Job:

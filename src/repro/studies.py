@@ -35,7 +35,12 @@ from .jvm import RunResult
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Specification of an experiment grid (paper §3.1 methodology)."""
+    """Specification of an experiment grid (paper §3.1 methodology).
+
+    Each axis is stored as a tuple, whatever sequence it was given as, so
+    a spec is a hashable value and a list the caller changes later does
+    not change its cells.
+    """
 
     benchmarks: Sequence[str]
     gcs: Sequence[str] = ("ParallelOld",)
@@ -51,8 +56,10 @@ class GridSpec:
         # Every axis must be non-empty: an empty `youngs` or `seeds` would
         # silently make the product zero cells, not fail loudly.
         for axis in ("benchmarks", "gcs", "heaps", "youngs", "seeds"):
-            if not getattr(self, axis):
+            values = tuple(getattr(self, axis))
+            if not values:
                 raise ConfigError(f"grid axis {axis!r} must be non-empty")
+            object.__setattr__(self, axis, values)
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
 

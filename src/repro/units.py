@@ -3,12 +3,15 @@
 All heap quantities in the simulator are plain floats in **bytes** and all
 times are floats in **seconds** of simulated time. These helpers keep the
 configuration code readable (``64 * GB``, ``parse_size("5600m")``) and the
-reports compact (``fmt_bytes``, ``fmt_time``).
+reports compact (``fmt_bytes``, ``fmt_time``). ``check_budget`` holds the one
+rule for wall-clock budgets (per-cell, per-job and per-forward timeouts).
 """
 
 from __future__ import annotations
 
+import math
 import re
+from typing import Optional
 
 from .errors import ConfigError
 
@@ -56,6 +59,15 @@ def parse_size(value) -> float:
         raise ConfigError(f"malformed size flag: {value!r}")
     number, suffix = m.groups()
     return float(number) * _SUFFIX[suffix.lower()]
+
+
+def check_budget(name: str, seconds: Optional[float]) -> None:
+    """Refuse a wall-clock budget that is neither None (no budget) nor a
+    positive finite number of seconds: zero, negatives, NaN and infinity
+    raise :class:`~repro.errors.ConfigError`."""
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise ConfigError(f"{name} must be a positive finite number of "
+                          f"seconds (or None for no budget), got {seconds!r}")
 
 
 def fmt_bytes(n: float) -> str:

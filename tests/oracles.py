@@ -37,7 +37,10 @@ agree with them exactly, float for float and byte for byte.
 * :func:`observe_run_by_pauses` — the experiment service's observation
   of a served run with each pause recorded one at a time and the run
   priced again on every serve, which merging the run's pause histogram
-  and pricing each stored run once replace.
+  and pricing each stored run once replace;
+* :func:`cell_specs_by_axes` — a campaign's cells built afresh through
+  ``CellSpec.from_axes`` on every call, which expanding each
+  ``CampaignSpec`` once replaces.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from scipy import special
 
 from repro.analysis.latency import (BandStat, LatencyBandStats,
                                     _pause_peak_latencies)
+from repro.campaign.cells import CellSpec
 from repro.energy.model import EnergyModel
 from repro.errors import ConfigError
 from repro.heap.cohort import TAIL_CUTOFF
@@ -489,3 +493,18 @@ def observe_run_by_pauses(metrics, result) -> None:
     account = EnergyModel.for_config(result.config).account_run(result)
     for phase, _core_class, uj in account.items():
         metrics.counter(f"energy.{phase}_uj").inc(uj)
+
+
+def cell_specs_by_axes(spec) -> List[List[CellSpec]]:
+    """``CampaignSpec.cell_specs``: per-grid lists of the cells each
+    grid's axes give, every cell normalized by ``CellSpec.from_axes``."""
+    overrides = dict(spec.overrides)
+    return [
+        [CellSpec.from_axes(benchmark, gc, heap, young, seed,
+                            iterations=grid.iterations,
+                            system_gc=grid.system_gc,
+                            tlab_enabled=grid.tlab_enabled,
+                            overrides=overrides)
+         for benchmark, gc, heap, young, seed in grid.cells()]
+        for grid in spec.grids
+    ]

@@ -27,6 +27,7 @@ from repro.campaign import (
 from repro.campaign.cells import CELL_SCHEMA_VERSION
 from repro.studies import GridSpec, run_grid
 from repro.units import GB, MB
+from tests.oracles import cell_specs_by_axes
 
 #: One tiny, fast grid reused across the suite (2 cells).
 TINY = GridSpec(benchmarks=["lusearch", "batik"], gcs=["Serial"], heaps=["1g"],
@@ -348,6 +349,33 @@ class TestResultStore:
         assert store.read_manifest()["campaigns"][-1]["cells"] == 3
         assert path.stat().st_ino != ino
 
+    def test_cached_reruns_expand_once_and_read_manifest_once(
+            self, tmp_path, tiny_runs, monkeypatch):
+        root = tmp_path / "s"
+        store = ResultStore(root)
+        for cell, run in tiny_runs:
+            store.record_ok(cell, run)
+        first = run_campaign(tiny_campaign(), store=store, executor="serial")
+        path = store.manifest_path
+        st = path.stat()
+        before = (path.read_bytes(), st.st_ino, st.st_mtime_ns)
+
+        expanded, reads = [], []
+        from_axes, read_manifest = CellSpec.from_axes, ResultStore.read_manifest
+        monkeypatch.setattr(CellSpec, "from_axes", classmethod(
+            lambda cls, *a, **kw: expanded.append(a) or from_axes(*a, **kw)))
+        monkeypatch.setattr(ResultStore, "read_manifest", lambda self: (
+            reads.append(self) or read_manifest(self)))
+        spec, store = tiny_campaign(), ResultStore(root)
+        for _ in range(50):
+            result = run_campaign(spec, store=store, executor="serial")
+            assert result.stats.cached == 2 and result.stats.simulated == 0
+            assert result.grid(0).runs == first.grid(0).runs
+        assert len(expanded) <= spec.size
+        assert len(reads) <= 2
+        st = path.stat()
+        assert (path.read_bytes(), st.st_ino, st.st_mtime_ns) == before
+
 
 # ----------------------------------------------------------------------
 # CampaignSpec
@@ -375,6 +403,50 @@ class TestCampaignSpec:
         back = CampaignSpec.from_dict(spec.to_dict())
         assert back.digest() == spec.digest()
         assert back.cell_specs() == spec.cell_specs()
+
+    def test_cell_specs_match_fresh_expansion(self):
+        spec = CampaignSpec("x", [
+            GridSpec(benchmarks=["xalan", "h2"], gcs=["g1", "cms", "Serial"],
+                     heaps=["1g", 2 * GB], youngs=[None, "256m"],
+                     seeds=[0, 3], iterations=2, system_gc=False),
+            # g1 spelled canonically: the third grid's cell repeats one of
+            # the first grid's; the second's differs in its TLAB flag.
+            GridSpec(benchmarks=["xalan"], gcs=["G1GC"], heaps=["1g"],
+                     seeds=[0], iterations=2, tlab_enabled=False),
+            GridSpec(benchmarks=["xalan"], gcs=["G1GC"], heaps=["1g"],
+                     seeds=[0], iterations=2, system_gc=False),
+        ], overrides={"gc_threads": 4, "misc_safepoints": False})
+        oracle = cell_specs_by_axes(spec)
+        first = spec.cell_specs()
+        assert first == oracle
+        assert [[c.digest() for c in cells] for cells in first] == \
+            [[c.digest() for c in cells] for cells in oracle]
+        assert [[c.key() for c in cells] for cells in first] == \
+            [[c.key() for c in cells] for cells in oracle]
+        assert first[2][0] in first[0] and first[1][0] not in first[0]
+        # Callers own the lists they get; the next call is unchanged.
+        first[0].clear()
+        first[1].append(first[2][0])
+        first.append([])
+        assert spec.cell_specs() == oracle
+        assert spec.digest() == CampaignSpec.from_dict(spec.to_dict()).digest()
+
+    def test_spec_from_list_axes_is_hashable(self):
+        spec = tiny_campaign("x")          # TINY's axes are lists
+        assert {spec: 1}[tiny_campaign("x")] == 1
+
+    def test_caller_lists_changed_later_change_nothing(self):
+        benchmarks = ["lusearch", "batik"]
+        spec = CampaignSpec("x", [GridSpec(
+            benchmarks=benchmarks, gcs=["Serial"], heaps=["1g"],
+            youngs=["256m"], seeds=[0], iterations=2)])
+        # Taken before and after: a spec whose cells are not expanded yet
+        # must not see the append either.
+        digest = spec.digest()
+        benchmarks.append("xalan")
+        assert spec.size == 2
+        assert [c.benchmark for c in spec.cell_specs()[0]] == ["lusearch", "batik"]
+        assert spec.digest() == digest == tiny_campaign("x").digest()
 
 
 # ----------------------------------------------------------------------

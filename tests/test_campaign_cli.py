@@ -55,6 +55,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "cells 2/2" in err
 
+    @pytest.mark.parametrize("executor", ["process", "serial"])
+    @pytest.mark.parametrize("timeout", ["0", "-5", "nan", "inf"])
+    def test_bad_timeout_refused(self, tmp_path, capsys, executor, timeout):
+        store = tmp_path / "s"
+        args = (["run", "--name", "x", "--store", str(store)] + BASE
+                + ["--executor", executor, f"--timeout={timeout}"])
+        assert campaign_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: timeout must be a positive")
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not (store / "records.jsonl").exists()
+        assert not (store / "manifest.json").exists()
+
     def test_empty_axis_rejected(self, tmp_path, capsys):
         args = (["run", "--name", "x", "--benchmarks", "lusearch",
                  "--gcs", "Serial", "--heaps", "1g",
@@ -83,6 +96,14 @@ class TestStatusResumeClean:
         out = capsys.readouterr().out
         assert "resuming campaign 'smoke'" in out
         assert "cached 2/2" in out
+
+    @pytest.mark.parametrize("timeout", ["0", "nan", "inf"])
+    def test_resume_bad_timeout_refused(self, populated_store, capsys, timeout):
+        records = (populated_store / "records.jsonl").read_bytes()
+        assert campaign_main(["resume", "--store", str(populated_store),
+                              f"--timeout={timeout}"]) == 2
+        assert capsys.readouterr().err.startswith("error: timeout must be")
+        assert (populated_store / "records.jsonl").read_bytes() == records
 
     def test_resume_empty_store_fails(self, tmp_path, capsys):
         assert campaign_main(["resume", "--store", str(tmp_path / "empty"),

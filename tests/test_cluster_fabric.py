@@ -419,6 +419,8 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"queue_limit": 0}, {"steal_interval": 0}, {"steal_threshold": 0},
         {"forward_timeout": 0}, {"forward_timeout": -1.0},
+        {"forward_timeout": float("nan")}, {"forward_timeout": float("inf")},
+        {"steal_interval": float("nan")},
     ])
     def test_bad_config_rejected(self, kw):
         with pytest.raises(ConfigError):

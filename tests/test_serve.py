@@ -735,7 +735,8 @@ class TestEvents:
 class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"queue_limit": 0}, {"workers": 0}, {"retries": -1},
-        {"timeout": 0}, {"timeout": -1.0},
+        {"timeout": 0}, {"timeout": -1.0}, {"timeout": float("nan")},
+        {"timeout": float("inf")},
     ])
     def test_bad_config_rejected(self, kw):
         with pytest.raises(ConfigError):

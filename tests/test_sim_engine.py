@@ -160,6 +160,23 @@ class TestLockstepSpanPrimitives:
         eng.run()
         assert seen == [None]
 
+    def test_horizon_refused_while_an_event_wakes_several_waiters(self):
+        """The first of two waiters on one event must not open a span: the
+        second has not queued its next event (due at 1.5) yet, so the
+        horizon the queue shows (5.0) would let the span run past it."""
+        eng = Engine()
+        seen = []
+        shared = Timeout(eng, 1.0)
+        siblings = self._group(eng, [], lambda e: None)
+        shared.callbacks.append(
+            lambda e: seen.append(eng.span_horizon(siblings)))
+        shared.callbacks.append(lambda e: Timeout(eng, 0.5))
+        # Once the event has woken its last waiter, spans open again.
+        siblings[0].callbacks.append(
+            lambda e: seen.append(eng.span_horizon(siblings[1:])))
+        eng.run()
+        assert seen == [None, (1.5, [4])]
+
     def test_requeue_orders_by_exact_sequence_and_credits(self):
         from repro.telemetry import Tracer
         from repro.telemetry.events import ENGINE_RUN

@@ -108,3 +108,38 @@ class TestCompactMerge:
         # The lock file never pollutes the record scan.
         store.record_failure(_cell(0, 0), "timeout", "x", attempts=1)
         assert len(ResultStore(store.root)) == 1
+
+
+def _entry(name: str) -> dict:
+    return {"name": name, "digest": f"digest-{name}", "spec": {}, "cells": 1}
+
+
+def _names(store: ResultStore) -> list:
+    return [c["name"] for c in store.read_manifest()["campaigns"]]
+
+
+class TestKeptManifest:
+    """A store keeps the manifest it last read or wrote; another handle's
+    registration (a stand-in for another process) must still be seen."""
+
+    def test_other_handles_registration_is_read(self, tmp_path):
+        a = ResultStore(tmp_path / "store")
+        b = ResultStore(tmp_path / "store")
+        a.register_campaign(_entry("X"))
+        a.register_campaign(_entry("X"))      # served from a's kept manifest
+        b.register_campaign(_entry("Y"))
+        a.register_campaign(_entry("X"))      # must move X after Y
+        assert _names(a) == ["Y", "X"]
+
+    def test_manifest_rewritten_in_place_is_read(self, tmp_path):
+        a = ResultStore(tmp_path / "store")
+        a.register_campaign(_entry("X"))
+        path = a.manifest_path
+        ino = path.stat().st_ino
+        text = json.dumps({"version": 1,
+                           "campaigns": [_entry("X"), _entry("Y")]},
+                          indent=2, sort_keys=True) + "\n"
+        path.write_text(text)                 # same inode, another size
+        assert path.stat().st_ino == ino
+        a.register_campaign(_entry("X"))
+        assert _names(a) == ["Y", "X"]

@@ -30,6 +30,14 @@ class TestGridSpec:
         spec = GridSpec(benchmarks=["a"], gcs=["x", "y"], heaps=[1], seeds=[0])
         assert len(list(spec.cells())) == 2
 
+    def test_list_axes_equal_tuple_axes(self):
+        lists = GridSpec(benchmarks=["a", "b"], gcs=["x"], heaps=[1],
+                         youngs=[None], seeds=[0, 1])
+        tuples = GridSpec(benchmarks=("a", "b"), gcs=("x",), heaps=(1,),
+                          youngs=(None,), seeds=(0, 1))
+        assert lists == tuples and hash(lists) == hash(tuples)
+        assert lists.benchmarks == ("a", "b")
+
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):
             GridSpec(benchmarks=[], gcs=["x"])

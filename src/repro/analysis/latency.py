@@ -246,19 +246,6 @@ class LatencySummary:
         """Histogram percentile (never under-estimates)."""
         return self.hist.percentile(q)
 
-    def count_above(self, threshold_ms: float) -> int:
-        """Operations in buckets entirely above *threshold_ms*.
-
-        Band shares over a merged summary resolve at bucket granularity
-        (the straddling bucket is excluded), which keeps the answer a
-        deterministic function of the merged counts alone.
-        """
-        n = 0
-        for lo, _hi, count in self.hist.iter_buckets():
-            if lo >= threshold_ms:
-                n += count
-        return n
-
     def rows(self) -> List[Tuple[str, float]]:
         """Report rows in the paper's AVG/MAX/MIN + percentile order."""
         out = [

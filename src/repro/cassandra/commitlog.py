@@ -92,7 +92,3 @@ class CommitLog:
             self._segment_bytes -= oldest.resident
             oldest.release()
             self.recycled_segments += 1
-
-    def replay_bytes(self) -> float:
-        """Bytes a startup replay must process to rebuild the memtable."""
-        return self.heap_bytes

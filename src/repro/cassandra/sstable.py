@@ -43,13 +43,3 @@ class SSTableSet:
     def total_bytes(self) -> float:
         """Total on-disk bytes."""
         return sum(t.data_bytes for t in self.tables)
-
-    def read_amplification(self) -> float:
-        """How many tables a read may need to consult (>= 1).
-
-        A crude LSM model: bloom filters skip most tables, so the
-        amplification grows with the logarithm of the table count.
-        """
-        import math
-
-        return 1.0 + math.log2(1 + self.count)

@@ -22,6 +22,7 @@ study's own coordinates via :mod:`repro.seeding`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -80,21 +81,21 @@ class FleetStudyConfig:
             Axis("policies", "policy")))
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
-        if self.duration <= 0 or self.tick <= 0:
-            raise ConfigError("duration and tick must be positive")
-        if self.duration < self.tick:
-            raise ConfigError("duration must cover at least one tick")
-        if self.calibration_duration <= 0 or self.calibration_ops <= 0:
-            raise ConfigError("calibration duration and rate must be positive")
-        if self.report_interval < self.tick:
-            raise ConfigError("report_interval must be >= tick")
         # Normalize numerics so to_json() is identical whether the
         # config came from Python literals (64 * GB is an int) or from
-        # a parsed study JSON (floats).
+        # a parsed study JSON (floats). `not 0 < x < inf` also rejects
+        # NaN, which every comparison fails.
         for name in ("duration", "tick", "calibration_heap",
                      "calibration_young", "calibration_duration",
                      "calibration_ops", "report_interval"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite: {value!r}")
+            object.__setattr__(self, name, float(value))
+        if self.duration < self.tick:
+            raise ConfigError("duration must cover at least one tick")
+        if self.report_interval < self.tick:
+            raise ConfigError("report_interval must be >= tick")
         for p in self.policies:
             make_policy(p)      # fail fast on unknown names
 

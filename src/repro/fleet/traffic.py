@@ -18,15 +18,15 @@ Closed-form expectation: ``E[arrivals(tick)] = envelope(t) * dt`` (the
 noise factor has mean 1 by construction, and Poisson sampling preserves
 the mean), which is what the traffic tests pin against fixed-seed draws.
 
-Valleys and peaks are defined on the *diurnal factor only* (bursts and
-noise excluded): a Monk controller must not mistake a transient burst
-lull for night time.
+Valleys are defined on the *diurnal factor only* (bursts and noise
+excluded): a Monk controller must not mistake a transient burst lull for
+night time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Tuple
 
 import numpy as np
 
@@ -63,27 +63,30 @@ class TrafficConfig:
     burst_duration: float = 180.0
     burst_magnitude: float = 1.8
     #: ``diurnal_factor`` below ``1 - valley_fraction * amplitude`` is a
-    #: valley; above ``1 + peak_fraction * amplitude`` is a peak.
+    #: valley.
     valley_fraction: float = 0.7
-    peak_fraction: float = 0.7
 
     def __post_init__(self) -> None:
-        if self.users < 1:
-            raise ConfigError("users must be >= 1")
-        if self.ops_per_user_day <= 0:
-            raise ConfigError("ops_per_user_day must be positive")
-        if self.period <= 0:
-            raise ConfigError("period must be positive")
+        # Each test also rejects NaN, which every comparison fails.
+        if not 1 <= self.users < math.inf:
+            raise ConfigError(f"users must be >= 1 and finite: {self.users!r}")
+        for name in ("ops_per_user_day", "period", "burst_duration"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ConfigError(f"{name} must be positive and finite: {value!r}")
         if not 0.0 <= self.amplitude < 1.0:
             raise ConfigError("amplitude must be in [0, 1)")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be >= 0")
-        if self.bursts_per_period < 0 or self.burst_duration <= 0:
-            raise ConfigError("burst parameters must be positive")
-        if self.burst_magnitude < 1.0:
-            raise ConfigError("burst_magnitude must be >= 1")
-        if not (0 < self.valley_fraction <= 1 and 0 < self.peak_fraction <= 1):
-            raise ConfigError("valley/peak fractions must be in (0, 1]")
+        if not math.isfinite(self.phase):
+            raise ConfigError(f"phase must be finite: {self.phase!r}")
+        for name in ("noise_sigma", "bursts_per_period"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigError(f"{name} must be >= 0 and finite: {value!r}")
+        if not 1.0 <= self.burst_magnitude < math.inf:
+            raise ConfigError("burst_magnitude must be >= 1 and finite: "
+                              f"{self.burst_magnitude!r}")
+        if not 0 < self.valley_fraction <= 1:
+            raise ConfigError("valley_fraction must be in (0, 1]")
 
     @property
     def mean_rate(self) -> float:
@@ -137,35 +140,12 @@ class DiurnalTraffic:
         return (self.config.mean_rate * self.diurnal_factor(t)
                 * self.burst_factor(t))
 
-    # -- valley / peak detection ----------------------------------------
+    # -- valley detection -----------------------------------------------
 
     def is_valley(self, t) -> np.ndarray:
         """True where the diurnal factor is within the valley band."""
         c = self.config
         return self.diurnal_factor(t) <= 1.0 - c.valley_fraction * c.amplitude
-
-    def is_peak(self, t) -> np.ndarray:
-        """True where the diurnal factor is within the peak band."""
-        c = self.config
-        return self.diurnal_factor(t) >= 1.0 + c.peak_fraction * c.amplitude
-
-    def valley_intervals(self, t0: float, t1: float,
-                         dt: float = 60.0) -> List[Tuple[float, float]]:
-        """Maximal ``[start, end)`` valley intervals in ``[t0, t1)``,
-        sampled on a *dt* grid."""
-        ticks = np.arange(t0, t1, dt)
-        mask = np.asarray(self.is_valley(ticks), dtype=bool)
-        intervals: List[Tuple[float, float]] = []
-        start = None
-        for t, v in zip(ticks, mask):
-            if v and start is None:
-                start = float(t)
-            elif not v and start is not None:
-                intervals.append((start, float(t)))
-                start = None
-        if start is not None:
-            intervals.append((start, float(t1)))
-        return intervals
 
     # -- open-loop arrivals ---------------------------------------------
 

@@ -1,7 +1,7 @@
 """The six OpenJDK 8 garbage collectors (paper Table 1), and beyond.
 
-Every collector really traces the simulated heap (cohorts + object graph)
-and converts the work it performed into stop-the-world pause durations via
+Every collector collects the simulated heap's analytic cohorts and
+converts the work it performed into stop-the-world pause durations via
 the machine cost model. Structural properties of the paper's six match
 HotSpot in OpenJDK 8. The extensions are the concurrent-copying family
 (one cycle in :mod:`repro.gc.concurrent`: ZGC and Shenandoah from the

@@ -1,11 +1,7 @@
-"""Simulated JVM heap: generations, TLABs, cohorts and an object graph.
+"""Simulated JVM heap: generations, TLABs and cohorts.
 
-Two complementary resolutions (see DESIGN.md §2):
-
-* **Analytic cohorts** — the bulk of allocated bytes, with closed-form
-  expected survival (O(#cohorts) per collection).
-* **Explicit object graph** — real objects with references, traced by the
-  collectors; used for structured live sets and correctness tests.
+Every allocated byte belongs to an **analytic cohort** with closed-form
+expected survival (O(#cohorts) per collection; see DESIGN.md §2).
 """
 
 from .lifetime import (
@@ -19,7 +15,6 @@ from .lifetime import (
 )
 from .cards import CARD_SIZE, CardTable, RememberedSet, cards_for
 from .cohort import Cohort
-from .object_model import HeapObject, ObjectGraph
 from .spaces import Space, SpaceKind
 from .tlab import TLABConfig, TLABManager
 from .heap import GenerationalHeap, HeapConfig
@@ -37,8 +32,6 @@ __all__ = [
     "RememberedSet",
     "cards_for",
     "Cohort",
-    "HeapObject",
-    "ObjectGraph",
     "Space",
     "SpaceKind",
     "TLABConfig",

@@ -1,9 +1,9 @@
 """The generational heap facade.
 
-Wires together spaces, cohorts, the object graph, TLAB accounting and a
-card-table model, and implements the *mechanics* of collections (what
-moves where, what is freed). Collection *policy and timing* live in the
-collectors (:mod:`repro.gc`), which call the ``minor_collection`` /
+Wires together spaces, cohorts, TLAB accounting and a card-table model,
+and implements the *mechanics* of collections (what moves where, what is
+freed). Collection *policy and timing* live in the collectors
+(:mod:`repro.gc`), which call the ``minor_collection`` /
 ``full_collection`` / ``sweep_old`` primitives and convert the returned
 work volumes into pause durations via the machine cost model.
 
@@ -30,7 +30,6 @@ from ..units import MB, fmt_bytes
 from .cards import CardTable, RememberedSet
 from .cohort import TAIL_CUTOFF, Cohort, CohortColumns, CohortStore
 from .lifetime import LifetimeDistribution
-from .object_model import ObjectGraph
 from .spaces import Space, SpaceKind
 from .tlab import TLABConfig, TLABManager
 
@@ -255,7 +254,7 @@ class CollectionVolumes:
 
 
 class GenerationalHeap:
-    """A generational heap with analytic cohorts plus an object graph."""
+    """A generational heap of analytic cohorts."""
 
     def __init__(self, config: HeapConfig, n_mutator_threads: int = 1):
         self.config = config
@@ -267,7 +266,6 @@ class GenerationalHeap:
         self.eden_cohorts = CohortColumns(store)
         self.survivor_cohorts = CohortColumns(store)
         self.old_cohorts = CohortColumns(store)
-        self.graph = ObjectGraph()
         self.tlabs = TLABManager(config.tlab, config.eden_bytes, n_mutator_threads)
         #: Nominal young geometry (updated by :meth:`resize_young`); the
         #: live capacities may deviate temporarily when survivor overflow
@@ -323,7 +321,7 @@ class GenerationalHeap:
 
     def live_estimate(self, now: float) -> float:
         """Expected live bytes across the whole heap at *now*."""
-        total = self.graph.total_bytes
+        total = 0.0
         for cohorts in (self.eden_cohorts, self.survivor_cohorts, self.old_cohorts):
             total += float(batch_live_bytes(cohorts, now).sum())
         return total
@@ -421,18 +419,6 @@ class GenerationalHeap:
         self.old.add(n_bytes)
         return cohort
 
-    def allocate_object(self, size: float, refs=(), root: bool = False):
-        """Allocate an explicit graph object in eden (fine-grained model).
-
-        Raises :class:`~repro.errors.AllocationFailure` when eden is full,
-        like :meth:`allocate`.
-        """
-        if size > self.eden_free + 1e-6:
-            raise AllocationFailure(size)
-        obj = self.graph.allocate(size, refs=refs, root=root)
-        self.eden.add(size)
-        return obj
-
     def dirty_cards(self, n_bytes: float, repeat: int = 1) -> None:
         """Record *n_bytes* of old-generation data written by mutators,
         *repeat* times over.
@@ -509,7 +495,7 @@ class GenerationalHeap:
         vol = CollectionVolumes(kind="minor")
         vol.old_occupancy_before = self.old.occupancy
         if self.card_fidelity:
-            vol.cards_scanned = self.card_table.dirty_bytes
+            vol.cards_scanned = float(self.card_table.dirty_bytes)
         else:
             vol.cards_scanned = self.dirty_card_bytes
 
@@ -518,20 +504,10 @@ class GenerationalHeap:
         vol.eden_freed, vol.survivor_freed, _ = self._collect_young(now)
         eden = self.eden_cohorts
 
-        # 2. Object graph young collection.
-        g = self.graph.minor_collect(tenuring_threshold)
-        vol.eden_freed += g.freed_bytes
-        vol.copied_to_survivor += g.copied_bytes
-        vol.promoted += g.promoted_bytes
-        vol.cards_scanned += g.cards_scanned_bytes
-        graph_survivor_bytes = g.copied_bytes
-
-        # 3. Tenuring + survivor-space packing (oldest promoted first).
+        # 2. Tenuring + survivor-space packing (oldest promoted first).
         # Rows are candidate indices; sums run over plain floats in the
         # order the rows are listed.
-        survivor_cap = max(
-            0.0, self.survivor.capacity * survivor_target_fraction - graph_survivor_bytes
-        )
+        survivor_cap = max(0.0, self.survivor.capacity * survivor_target_fraction)
         ages = eden.age
         resident = eden.resident.tolist()
         tenured = np.flatnonzero(ages > tenuring_threshold).tolist()
@@ -548,13 +524,11 @@ class GenerationalHeap:
                 tenured.append(i)
         vol.copied_to_survivor += packed_bytes
 
-        # 4. Promote tenured cohorts into the old generation.
+        # 3. Promote tenured cohorts into the old generation.
         promoted_bytes = sum([resident[i] for i in tenured])
         vol.promoted += promoted_bytes
         small = (eden.mean_object_size() < 256 * 1024).tolist()
-        vol.promoted_small += g.promoted_bytes + sum(
-            [resident[i] for i in tenured if small[i]]
-        )
+        vol.promoted_small += sum([resident[i] for i in tenured if small[i]])
         total_promoted = vol.promoted
         if total_promoted > self.old_free_effective + 1e-6:
             vol.promotion_failed = True
@@ -572,18 +546,18 @@ class GenerationalHeap:
             tenured = fits
             promoted_bytes = sum([resident[i] for i in tenured])
 
-        # 5. Commit the move.
+        # 4. Commit the move.
         self.survivor_cohorts.extend(eden, np.array(packed, dtype=np.intp))
         self.old_cohorts.extend(eden, np.array(tenured, dtype=np.intp))
         eden.clear()
         self.eden.reset()
         self.survivor.used = 0.0
-        self._commit_survivor(packed_bytes + graph_survivor_bytes)
-        if promoted_bytes + g.promoted_bytes > 0:
-            self.old.add(min(promoted_bytes + g.promoted_bytes, self.old.free))
+        self._commit_survivor(packed_bytes)
+        if promoted_bytes > 0:
+            self.old.add(min(promoted_bytes, self.old.free))
 
         # Promoted data starts out with some dirty references into young.
-        redirty = 0.15 * (promoted_bytes + g.promoted_bytes)
+        redirty = 0.15 * promoted_bytes
         self.dirty_card_bytes = redirty
         self._reset_card_structures(redirty)
         vol.marked = vol.copied_to_survivor + vol.promoted
@@ -607,12 +581,9 @@ class GenerationalHeap:
             self._collect_young(now, old=True)
         eden, old = self.eden_cohorts, self.old_cohorts
 
-        g = self.graph.full_collect()
-        vol.eden_freed += g.freed_bytes  # graph doesn't split young/old freed
         young = eden.resident.tolist()
         old_resident = sum(old.resident.tolist())
-        cohort_live = sum(young) + old_resident
-        live = cohort_live + self.graph.total_bytes
+        live = float(sum(young) + old_resident)
         vol.marked = live
         vol.swept = self.old.used + self.young_used
         if compacting:
@@ -627,7 +598,7 @@ class GenerationalHeap:
         # Promote young survivors into the compacted old gen, oldest first;
         # whatever does not fit stays in the young generation (HotSpot keeps
         # live young data in place when the old gen is tight).
-        room = self.old.capacity - (old_resident + self.graph.old_bytes)
+        room = self.old.capacity - old_resident
         promoted: List[int] = []
         stranded: List[int] = []
         # Oldest first; the stable sort keeps equal ages in row order.
@@ -637,7 +608,7 @@ class GenerationalHeap:
                 room -= young[i]
             else:
                 stranded.append(i)
-        vol.promoted = sum([young[i] for i in promoted]) + g.promoted_bytes
+        vol.promoted = float(sum([young[i] for i in promoted]))
 
         old.extend(eden, np.array(promoted, dtype=np.intp))
         self.survivor_cohorts.extend(eden, np.array(stranded, dtype=np.intp))
@@ -646,10 +617,7 @@ class GenerationalHeap:
         stranded_bytes = sum([young[i] for i in stranded])
         self.survivor.used = 0.0
         self._commit_survivor(stranded_bytes)
-        self.old.used = min(
-            sum(old.resident.tolist()) + self.graph.old_bytes,
-            self.old.capacity,
-        )
+        self.old.used = min(float(sum(old.resident.tolist())), self.old.capacity)
         self.dirty_card_bytes = 0.0
         self._reset_card_structures(0.0)
         return vol
@@ -711,7 +679,7 @@ class GenerationalHeap:
         """Expected live bytes in the old generation (*lives*: as above)."""
         if lives is None:
             lives = batch_live_bytes(self.old_cohorts, now)
-        return float(lives.sum()) + self.graph.old_bytes
+        return float(lives.sum())
 
     # ------------------------------------------------------------------
     # Dynamic young sizing (G1)
@@ -762,8 +730,7 @@ class GenerationalHeap:
                 f"survivor cohorts {surv_resident} exceed "
                 f"survivor.used {self.survivor.used}"
             )
-        old_resident = (sum(self.old_cohorts.resident.tolist())
-                        + self.graph.old_bytes)
+        old_resident = sum(self.old_cohorts.resident.tolist())
         if old_resident > self.old.used + _EPSILON:
             raise HeapError(
                 f"old cohorts {old_resident} exceed old.used {self.old.used}"
@@ -789,4 +756,3 @@ class GenerationalHeap:
                 f"remset cards {self.remset.total_cards} out of sync with "
                 f"card table {self.card_table.dirty_cards_count}"
             )
-        self.graph.check_invariants()

@@ -361,12 +361,6 @@ class InvariantAuditor:
                     record_mutator_allocation(now)
             return orig_alloc_bumps(times, n_bytes, *args, count=count, **kwargs)
 
-        orig_alloc_obj = heap.allocate_object
-
-        def audited_alloc_obj(size, *args, **kwargs):
-            record_mutator_allocation(jvm.engine.now)
-            return orig_alloc_obj(size, *args, **kwargs)
-
         orig_dirty = heap.dirty_cards
 
         def audited_dirty(n_bytes, *args, **kwargs):
@@ -384,7 +378,6 @@ class InvariantAuditor:
         self._patch(heap, "allocate_old", audited_alloc_old)
         self._patch(heap, "allocate_bump", audited_alloc_bump)
         self._patch(heap, "allocate_bumps", audited_alloc_bumps)
-        self._patch(heap, "allocate_object", audited_alloc_obj)
         self._patch(heap, "dirty_cards", audited_dirty)
 
     # ------------------------------------------------------------------

@@ -166,11 +166,6 @@ class LintConfig:
         return (p == prefix or p.startswith(prefix + "/")
                 or f"/{prefix}/" in f"/{p}")
 
-    def is_excluded(self, path) -> bool:
-        """Whether *path* falls under an ``exclude`` prefix."""
-        p = pathlib.PurePath(path).as_posix()
-        return any(self._under(p, ex) for ex in self.exclude)
-
     def profile_for(self, path) -> Optional[Set[str]]:
         """Rule-id subset for *path*, or None for the full rule set.
 

@@ -2,7 +2,7 @@
 
 SARIF (Static Analysis Results Interchange Format, OASIS standard) is
 what code-scanning UIs ingest — GitHub's ``upload-sarif`` action turns
-the file this module writes into inline PR annotations. The emitted
+the document this module renders into inline PR annotations. The emitted
 subset is deliberately small and fully spec-conformant:
 
 * one ``run`` with a ``tool.driver`` listing every active rule
@@ -22,7 +22,6 @@ conformance without a ``jsonschema`` dependency.
 
 from __future__ import annotations
 
-import json
 import pathlib
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -106,14 +105,6 @@ def to_sarif(result: LintResult, rules: Sequence[Rule],
             "columnKind": "utf16CodeUnits",
         }],
     }
-
-
-def write_sarif(path, result: LintResult, rules: Sequence[Rule]) -> dict:
-    """Serialize :func:`to_sarif` output to *path*; returns the dict."""
-    doc = to_sarif(result, rules)
-    pathlib.Path(path).write_text(
-        json.dumps(doc, indent=2, sort_keys=False) + "\n", encoding="utf-8")
-    return doc
 
 
 # ----------------------------------------------------------------------

@@ -159,13 +159,3 @@ class SuppressionTable:
     def unused(self) -> List[Directive]:
         """Directives that matched no finding during this run."""
         return [d for d in self.directives if not d.used]
-
-    # -- compatibility views (older tests/introspection) -----------------
-
-    @property
-    def file_wide(self) -> Set[str]:
-        out: Set[str] = set()
-        for d in self.directives:
-            if d.kind == "disable-file":
-                out.update(d.rules)
-        return out

@@ -152,27 +152,6 @@ class MachineTopology:
         """
         return (CoreClass(name="uniform", count=self.cores),)
 
-    def core_class(self, name: str) -> CoreClass:
-        """Look up a core class by name (:class:`ConfigError` if absent)."""
-        for cls in self.core_class_layout():
-            if cls.name == name:
-                return cls
-        known = [c.name for c in self.core_class_layout()]
-        raise ConfigError(f"unknown core class {name!r} on {self.name}; known: {known}")
-
-    def class_offset(self, name: str) -> int:
-        """Index of the first core of class *name* (packed class layout).
-
-        Classes occupy contiguous core ranges in declaration order:
-        class *i* starts right after the last core of class *i-1*.
-        """
-        offset = 0
-        for cls in self.core_class_layout():
-            if cls.name == name:
-                return offset
-            offset += cls.count
-        raise ConfigError(f"unknown core class {name!r} on {self.name}")
-
     def nodes_spanned(self, n_threads: int) -> int:
         """How many NUMA nodes *n_threads* threads occupy (packed placement).
 
@@ -186,32 +165,6 @@ class MachineTopology:
             raise ConfigError("n_threads must be >= 1")
         n_threads = min(n_threads, self.cores)
         return -(-n_threads // self.cores_per_numa_node)  # ceil division
-
-    def class_nodes_spanned(self, class_name: str, n_threads: int) -> int:
-        """NUMA nodes spanned by *n_threads* packed into class *class_name*.
-
-        The per-class variant of :meth:`nodes_spanned`: threads start at
-        the class's first core (classes are laid out contiguously in
-        declaration order) and fill consecutive cores, so a class that
-        straddles a node boundary can span one node more than the same
-        thread count packed from core 0 would. Thread counts above the
-        class size clamp to the class size.
-        """
-        if n_threads <= 0:
-            raise ConfigError("n_threads must be >= 1")
-        cls = self.core_class(class_name)
-        offset = self.class_offset(class_name)
-        n_threads = min(n_threads, cls.count)
-        cpn = self.cores_per_numa_node
-        first_node = offset // cpn
-        last_node = (offset + n_threads - 1) // cpn
-        return last_node - first_node + 1
-
-    def sockets_spanned(self, n_threads: int) -> int:
-        """How many sockets *n_threads* threads occupy (packed placement)."""
-        per_socket = self.numa_nodes_per_socket * self.cores_per_numa_node
-        n_threads = min(max(n_threads, 1), self.cores)
-        return -(-n_threads // per_socket)
 
     def describe(self) -> str:
         """Human-readable one-line summary."""
@@ -233,8 +186,7 @@ class AsymmetricTopology(MachineTopology):
     ``gc_bw_scale=1.0`` every simulation output is byte-identical to
     the homogeneous equivalent (pinned in tests and CI).
 
-    Classes occupy contiguous core ranges in declaration order; their
-    counts must sum to ``cores`` exactly.
+    The class counts must sum to ``cores`` exactly.
     """
 
     core_classes: Tuple[CoreClass, ...] = ()

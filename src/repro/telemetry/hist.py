@@ -27,7 +27,7 @@ beyond the sparse count dict; the scalar and vectorized
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 
@@ -207,12 +207,6 @@ class LogHistogram:
     def percentiles(self, qs: Sequence[float] = (50, 90, 99, 100)) -> Dict[str, float]:
         """``{"p50": ..., "p99.9": ...}`` for each quantile in *qs*."""
         return {f"p{q:g}": self.percentile(q) for q in qs}
-
-    def iter_buckets(self) -> Iterator[Tuple[float, float, int]]:
-        """Yield ``(low, high, count)`` per non-empty bucket, ascending."""
-        for idx in sorted(self._counts):
-            lo, hi = self._decode(idx)
-            yield lo * self.unit, hi * self.unit, self._counts[idx]
 
     # -- merging (exactly associative) ----------------------------------
 

@@ -21,6 +21,7 @@ Example::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -51,10 +52,18 @@ class AllocationPhase:
     quanta: int = 8
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ConfigError(f"phase {self.name!r}: duration must be positive")
-        if self.alloc_rate < 0 or self.dirty_rate < 0:
-            raise ConfigError(f"phase {self.name!r}: rates must be >= 0")
+        # Each test also rejects NaN, which every comparison fails.
+        if not 0 < self.duration < math.inf:
+            raise ConfigError(
+                f"phase {self.name!r}: duration must be positive and finite")
+        if not (0 <= self.alloc_rate < math.inf
+                and 0 <= self.dirty_rate < math.inf):
+            raise ConfigError(f"phase {self.name!r}: rates must be >= 0 and finite")
+        if not 0 < self.mean_object_size < math.inf:
+            raise ConfigError(f"phase {self.name!r}: mean_object_size must be "
+                              "positive and finite")
+        if not math.isfinite(self.pinned_growth):
+            raise ConfigError(f"phase {self.name!r}: pinned_growth must be finite")
         if self.quanta < 1:
             raise ConfigError(f"phase {self.name!r}: quanta must be >= 1")
 
@@ -81,6 +90,9 @@ class SyntheticWorkload(Workload):
                  threads: Optional[int] = None, name: str = "synthetic"):
         if not phases:
             raise ConfigError("a synthetic workload needs at least one phase")
+        if threads is not None and not threads >= 1:
+            raise ConfigError(f"threads must be None (one per core) or >= 1: "
+                              f"{threads!r}")
         self.phases = list(phases)
         self.threads = threads
         self.name = name

@@ -274,11 +274,6 @@ class TestCommitLog:
         assert states[0] == states[1]
         assert states[1][3] == 3   # two before the rounds, one inside them
 
-    def test_replay_bytes(self):
-        log = CommitLog(tiny_cassandra())
-        log.append(3 * MB)
-        assert log.replay_bytes() == pytest.approx(3 * MB)
-
 
 class TestSSTables:
     def test_add_and_totals(self):
@@ -287,13 +282,6 @@ class TestSSTables:
         s.add(20.0, 50 * MB, 500)
         assert s.count == 2
         assert s.total_bytes == pytest.approx(150 * MB)
-
-    def test_read_amplification_grows(self):
-        s = SSTableSet()
-        base = s.read_amplification()
-        for i in range(8):
-            s.add(float(i), 1 * MB, 10)
-        assert s.read_amplification() > base
 
 
 class TestServerRuns:

@@ -1,6 +1,7 @@
 """Fleet subsystem: nodes, routing, scaling, and the study deliverable."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -418,3 +419,13 @@ class TestFleetStudy:
             study_config(n_nodes=0)
         with pytest.raises(ConfigError):
             study_config(duration=0.5)   # below one tick
+        # NaN and inf pass a `<= 0` test: refuse them before any
+        # calibration run, not in a traceback from np.arange.
+        for field in ("duration", "calibration_heap", "calibration_young",
+                      "calibration_duration", "calibration_ops",
+                      "report_interval"):
+            for value in (math.nan, math.inf):
+                with pytest.raises(ConfigError):
+                    study_config(**{field: value})
+        with pytest.raises(ConfigError):
+            study_config(tick=math.nan)

@@ -30,6 +30,7 @@ import pytest
 from repro import GB, JVM, MB, JVMConfig
 from repro.campaign import encode_run
 from repro.cassandra import CassandraServer, stress_config
+from repro.gc import GCType
 from repro.workloads.dacapo import get_benchmark
 
 #: collector -> (sha256 of the canonical JSON gc_log, execution_time)
@@ -123,3 +124,23 @@ def test_dacapo_run_matches_golden(gc, bench, heap_gb):
 @pytest.mark.parametrize("gc,bench", sorted(GOLDEN_DACAPO_250M))
 def test_stranding_full_gc_run_matches_golden(gc, bench):
     check_dacapo_run(gc, bench, 250 * MB, GOLDEN_DACAPO_250M[(gc, bench)])
+
+
+@pytest.mark.parametrize("bench,heap", [("xalan", 16 * GB), ("h2", 250 * MB),
+                                        ("tomcat", 250 * MB)],
+                         ids=["xalan-16g", "h2-250m", "tomcat-250m"])
+@pytest.mark.parametrize("gc", [t.value for t in GCType])
+def test_gc_log_numbers_are_floats(gc, bench, heap):
+    """Every number in the encoded GC log is a float, on any interpreter.
+
+    A byte total summed over no rows is the int 0, which encodes as
+    ``0`` where the pinned logs hold ``0.0``; at 250m many full
+    collections promote nothing. The pins above skip on CPython 3.12+,
+    so this is the check that runs there.
+    """
+    jvm = JVM(JVMConfig(gc=gc, heap=heap, seed=1))
+    result = jvm.run(get_benchmark(bench), iterations=3, system_gc=True)
+    log = encode_run(result)["gc_log"]
+    numbers = [x for rows in log.values() for row in rows for x in row
+               if not isinstance(x, str)]
+    assert all(type(x) is float for x in numbers)

@@ -75,11 +75,6 @@ class TestAllocation:
         with pytest.raises(ConfigError):
             make_heap().allocate(0.0, -1, Exponential(1.0))
 
-    def test_allocate_object_accounts_eden(self):
-        h = make_heap()
-        h.allocate_object(1 * MB, root=True)
-        assert h.eden.used == 1 * MB
-
 
 class TestBumpRows:
     @pytest.mark.parametrize("rounds", [1, 2, 5])

@@ -100,11 +100,6 @@ class TestSummaryQueries:
         assert s.count == 0
         assert s.min_ms == 0.0 and s.max_ms == 0.0
 
-    def test_count_above_bucket_granularity(self):
-        s = LatencySummary.of_values(np.array([0.5, 0.5, 400.0, 900.0]))
-        assert s.count_above(100.0) == 2
-        assert s.count_above(1e6) == 0
-
     def test_rows_shape(self):
         s = LatencySummary.of_values(np.array([1.0, 2.0]))
         labels = [r[0] for r in s.rows()]

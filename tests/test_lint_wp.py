@@ -18,7 +18,7 @@ from repro.lint import (
 from repro.lint.graph import build_import_map, module_name_for
 from repro.lint.rules import WallClockRule
 from repro.lint.rules_wp import WP_RULES_BY_ID
-from repro.lint.sarif import to_sarif, validate, write_sarif
+from repro.lint.sarif import to_sarif, validate
 from repro.lint.taint import SOURCES, SOURCE_PREFIXES
 
 FIX = pathlib.Path(__file__).parent / "fixtures" / "lint_wp"
@@ -291,12 +291,6 @@ class TestSarif:
         doc = to_sarif(second, default_wp_rules())
         states = {r.get("baselineState") for r in doc["runs"][0]["results"]}
         assert states == {"unchanged"}
-        assert validate(doc) == []
-
-    def test_write_sarif_emits_valid_json(self, tmp_path):
-        out = tmp_path / "lint.sarif"
-        write_sarif(out, wp_result(), default_wp_rules())
-        doc = json.loads(out.read_text())
         assert validate(doc) == []
 
     def test_validator_rejects_broken_documents(self):

@@ -35,10 +35,6 @@ class TestTopology:
     def test_nodes_spanned_clamps_to_machine(self):
         assert PAPER_SERVER.nodes_spanned(1000) == 8
 
-    def test_sockets_spanned(self):
-        assert PAPER_SERVER.sockets_spanned(12) == 1
-        assert PAPER_SERVER.sockets_spanned(13) == 2
-
     def test_nodes_spanned_rejects_zero(self):
         with pytest.raises(ConfigError):
             PAPER_SERVER.nodes_spanned(0)
@@ -99,29 +95,10 @@ topologies = st.builds(
 )
 
 
-@st.composite
-def asym_topologies(draw):
-    """A random two-class asymmetric box with counts summing to cores."""
-    base = draw(topologies)
-    cores = base.cores
-    if cores < 2:
-        classes = (CoreClass(name="P", count=cores),)
-    else:
-        p = draw(st.integers(1, cores - 1))
-        classes = (CoreClass(name="P", count=p, gc_bw_scale=1.0),
-                   CoreClass(name="E", count=cores - p, gc_bw_scale=0.6))
-    return AsymmetricTopology(
-        sockets=base.sockets,
-        numa_nodes_per_socket=base.numa_nodes_per_socket,
-        cores_per_numa_node=base.cores_per_numa_node,
-        core_classes=classes,
-    )
-
-
 class TestNodesSpannedProperties:
     """S1: packed placement is monotone and clamped — more threads never
     occupy fewer NUMA nodes, and no thread count spans more nodes than
-    the machine (or the class) has."""
+    the machine has."""
 
     @given(topo=topologies, n=st.integers(1, 256))
     @settings(max_examples=100, deadline=None)
@@ -137,40 +114,6 @@ class TestNodesSpannedProperties:
     def test_matches_ceiling_division(self, topo, n):
         clamped = min(n, topo.cores)
         assert topo.nodes_spanned(n) == -(-clamped // topo.cores_per_numa_node)
-
-    @given(topo=asym_topologies(), n=st.integers(1, 256))
-    @settings(max_examples=100, deadline=None)
-    def test_per_class_monotone_and_clamped(self, topo, n):
-        for cls in topo.core_class_layout():
-            spanned = topo.class_nodes_spanned(cls.name, n)
-            assert 1 <= spanned <= topo.numa_nodes
-            assert spanned <= topo.class_nodes_spanned(cls.name, n + 1)
-            assert topo.class_nodes_spanned(cls.name, cls.count) == \
-                topo.class_nodes_spanned(cls.name, cls.count + 1000)
-
-    @given(topo=asym_topologies(), n=st.integers(1, 256))
-    @settings(max_examples=100, deadline=None)
-    def test_class_spans_at_most_one_extra_node(self, topo, n):
-        """Packing from a class offset instead of core 0 can straddle at
-        most one extra node boundary."""
-        for cls in topo.core_class_layout():
-            clamped = min(n, cls.count)
-            from_zero = topo.nodes_spanned(clamped)
-            spanned = topo.class_nodes_spanned(cls.name, n)
-            assert from_zero <= spanned <= from_zero + 1
-
-    def test_single_class_variant_equals_homogeneous(self):
-        for n in (1, 6, 7, 47, 48, 1000):
-            assert PAPER_SERVER.nodes_spanned(n) == \
-                PAPER_SERVER.class_nodes_spanned("uniform", n)
-
-    def test_class_nodes_spanned_rejects_zero(self):
-        with pytest.raises(ConfigError):
-            PAPER_SERVER.class_nodes_spanned("uniform", 0)
-
-    def test_unknown_class_rejected(self):
-        with pytest.raises(ConfigError):
-            PAPER_SERVER.class_nodes_spanned("P", 4)
 
 
 class TestAsymmetricTopology:
@@ -190,14 +133,6 @@ class TestAsymmetricTopology:
             AsymmetricTopology(
                 cores_per_numa_node=4,
                 core_classes=(CoreClass(name="P", count=3),))
-
-    def test_class_offsets_are_contiguous(self):
-        topo = AsymmetricTopology(
-            cores_per_numa_node=6,
-            core_classes=(CoreClass(name="P", count=2),
-                          CoreClass(name="E", count=4)))
-        assert topo.class_offset("P") == 0
-        assert topo.class_offset("E") == 2
 
     def test_describe_mentions_classes(self):
         topo = AsymmetricTopology(

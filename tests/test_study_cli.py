@@ -150,10 +150,16 @@ def with_flag(study, flag, *values):
     with_flag("fleet", "--gcs", "CMS", "ConcMarkSweepGC"),
     with_flag("fleet", "--policies", "monk", "monk"),
     with_flag("fleet", "--nodes", "0"),
+    with_flag("fleet", "--period", "nan"),
+    with_flag("fleet", "--period", "inf"),
+    with_flag("fleet", "--duration", "nan"),
+    with_flag("fleet", "--duration", "inf"),
 ], ids=["lbo-gc-twice", "lbo-heap-twice", "lbo-seed-twice", "lbo-ideal-gc",
         "lbo-no-iterations", "energy-placement-twice",
         "energy-benchmark-twice", "energy-unknown-topology",
-        "fleet-gc-twice", "fleet-policy-twice", "fleet-no-nodes"])
+        "fleet-gc-twice", "fleet-policy-twice", "fleet-no-nodes",
+        "fleet-period-nan", "fleet-period-inf", "fleet-duration-nan",
+        "fleet-duration-inf"])
 def test_refused_config_exits_2(study, argv, tmp_path):
     store = tmp_path / "store"
     code, out = drive(RECIPES[study].main, argv + ["--store", str(store)])

@@ -1,5 +1,7 @@
 """Tests for the synthetic phase-structured workload builder."""
 
+import math
+
 import pytest
 
 from repro import JVM
@@ -25,12 +27,44 @@ class TestValidation:
             SyntheticWorkload([])
 
     def test_bad_duration_rejected(self):
-        with pytest.raises(ConfigError):
-            AllocationPhase("x", duration=0, alloc_rate=1.0)
+        # Unrefused, NaN runs a zero-length phase and inf crashes the run.
+        for duration in (0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                AllocationPhase("x", duration=duration, alloc_rate=1.0)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ConfigError):
             AllocationPhase("x", duration=1.0, alloc_rate=-1.0)
+        # Unrefused, a NaN rate allocates nothing and reports success.
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                AllocationPhase("x", duration=1.0, alloc_rate=rate)
+            with pytest.raises(ConfigError):
+                AllocationPhase("x", duration=1.0, alloc_rate=1.0,
+                                dirty_rate=rate)
+
+    def test_bad_object_size_rejected(self):
+        # Unrefused, 0 divides by zero inside JVM.run.
+        for size in (0, -4.0, math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                AllocationPhase("x", duration=1.0, alloc_rate=1.0,
+                                mean_object_size=size)
+
+    def test_non_finite_pinned_growth_rejected(self):
+        for growth in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                AllocationPhase("x", duration=1.0, alloc_rate=1.0,
+                                pinned_growth=growth)
+        AllocationPhase("x", duration=1.0, alloc_rate=1.0,
+                        pinned_growth=-64 * MB)   # a release
+
+    def test_bad_thread_count_rejected(self):
+        # Unrefused, -3 allocates nothing; None, not 0, means one per core.
+        phases = [AllocationPhase("x", duration=1.0, alloc_rate=1.0)]
+        for threads in (-3, 0, math.nan):
+            with pytest.raises(ConfigError):
+                SyntheticWorkload(phases, threads=threads)
+        assert SyntheticWorkload(phases).threads is None
 
     def test_default_lifetime_short(self):
         phase = AllocationPhase("x", duration=1.0, alloc_rate=1.0)

@@ -14,56 +14,20 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured comparison of every table and figure.
 """
 
-from .errors import (
-    AllocationFailure,
-    BenchmarkCrash,
-    ConfigError,
-    HeapError,
-    OutOfMemoryError,
-    PromotionFailure,
-    ReproError,
-    SimulationError,
-)
-from .gc import GCType, GC_NAMES
-from .jvm import JVM, JVMConfig, RunResult
-from .jvm.flags import baseline_config
-from .machine import (
-    AsymmetricTopology,
-    CoreClass,
-    CostModel,
-    MachineTopology,
-    PAPER_CLIENT,
-    PAPER_SERVER,
-    resolve_topology,
-)
-from .units import GB, KB, MB
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "JVM",
-    "JVMConfig",
-    "RunResult",
-    "baseline_config",
-    "GCType",
-    "GC_NAMES",
-    "MachineTopology",
-    "AsymmetricTopology",
-    "CoreClass",
-    "CostModel",
-    "PAPER_SERVER",
-    "PAPER_CLIENT",
-    "resolve_topology",
-    "KB",
-    "MB",
-    "GB",
-    "ReproError",
-    "ConfigError",
-    "HeapError",
-    "OutOfMemoryError",
-    "AllocationFailure",
-    "PromotionFailure",
-    "SimulationError",
-    "BenchmarkCrash",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".jvm.jvm": ("JVM", "RunResult"),
+    ".jvm.flags": ("JVMConfig", "baseline_config"),
+    ".gc.registry": ("GCType", "GC_NAMES"),
+    ".machine.topology": ("MachineTopology", "AsymmetricTopology", "CoreClass",
+                          "PAPER_SERVER", "PAPER_CLIENT", "resolve_topology"),
+    ".machine.costs": ("CostModel",),
+    ".units": ("KB", "MB", "GB"),
+    ".errors": ("ReproError", "ConfigError", "HeapError", "OutOfMemoryError",
+                "AllocationFailure", "PromotionFailure", "SimulationError",
+                "BenchmarkCrash"),
+})
+__all__.append("__version__")

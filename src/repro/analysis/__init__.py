@@ -13,44 +13,20 @@ Each module maps to one artefact family:
 * :mod:`~repro.analysis.report`    — plain-text table / series rendering.
 """
 
-from .stability import rsd, stability_table
-from .pauses import (PauseStats, heap_occupancy_series, inter_pause_intervals,
-                     pause_percentiles, pause_scatter, pause_stats)
-from .tlab import TLABInfluence, classify_tlab
-from .ranking import RankingResult, rank_by_wins
-from .latency import (LatencyBandStats, LatencySummary, latency_band_stats,
-                      gc_overlap_fraction)
-from .summary import GCVerdict, qualitative_summary
-from .lbo import (IDEAL_GC, LBOConfig, LBOStudyResult, nearest_rank,
-                  run_lbo_study)
-from .report import render_table, render_series
-from .ascii_plot import scatter_plot
+from .._lazy import lazy_exports
 
-__all__ = [
-    "rsd",
-    "stability_table",
-    "PauseStats",
-    "pause_stats",
-    "pause_scatter",
-    "heap_occupancy_series",
-    "inter_pause_intervals",
-    "pause_percentiles",
-    "TLABInfluence",
-    "classify_tlab",
-    "RankingResult",
-    "rank_by_wins",
-    "LatencyBandStats",
-    "LatencySummary",
-    "latency_band_stats",
-    "gc_overlap_fraction",
-    "GCVerdict",
-    "qualitative_summary",
-    "IDEAL_GC",
-    "LBOConfig",
-    "LBOStudyResult",
-    "nearest_rank",
-    "run_lbo_study",
-    "render_table",
-    "render_series",
-    "scatter_plot",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".stability": ("rsd", "stability_table"),
+    ".pauses": ("PauseStats", "pause_stats", "pause_scatter",
+                "heap_occupancy_series", "inter_pause_intervals",
+                "pause_percentiles"),
+    ".tlab": ("TLABInfluence", "classify_tlab"),
+    ".ranking": ("RankingResult", "rank_by_wins"),
+    ".latency": ("LatencyBandStats", "LatencySummary", "latency_band_stats",
+                 "gc_overlap_fraction"),
+    ".summary": ("GCVerdict", "qualitative_summary"),
+    ".lbo": ("IDEAL_GC", "LBOConfig", "LBOStudyResult", "run_lbo_study"),
+    ".study": ("nearest_rank",),
+    ".report": ("render_table", "render_series"),
+    ".ascii_plot": ("scatter_plot",),
+})

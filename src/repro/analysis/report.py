@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence
 
-import numpy as np
-
 from ..errors import ConfigError
 
 
@@ -36,8 +34,8 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence], title: str = 
 
 
 def render_series(
-    xs: np.ndarray,
-    ys: np.ndarray,
+    xs: Sequence[float],
+    ys: Sequence[float],
     *,
     label: str = "",
     max_points: int = 24,
@@ -47,6 +45,9 @@ def render_series(
     Used by benches for figure-shaped artefacts (pause scatters, latency
     traces): prints up to *max_points* representative points.
     """
+    # Imported here: render_table prints every client's status.
+    import numpy as np
+
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape:

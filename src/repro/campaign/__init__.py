@@ -29,36 +29,14 @@ The package splits into focused modules:
 ========================  ==============================================
 """
 
-from .cells import CellSpec, decode_run, encode_run, run_cell
-from .executors import (
-    CellFailure,
-    ProcessExecutor,
-    SerialExecutor,
-    default_workers,
-    get_executor,
-)
-from .progress import ProgressReporter
-from .runner import CampaignResult, CampaignStats, run_campaign
-from .spec import CampaignSpec
-from .store import MergeStats, ResultStore, merge_stores, store_status
+from .._lazy import lazy_exports
 
-__all__ = [
-    "store_status",
-    "MergeStats",
-    "merge_stores",
-    "CampaignResult",
-    "CampaignSpec",
-    "CampaignStats",
-    "CellFailure",
-    "CellSpec",
-    "ProcessExecutor",
-    "ProgressReporter",
-    "ResultStore",
-    "SerialExecutor",
-    "decode_run",
-    "default_workers",
-    "encode_run",
-    "get_executor",
-    "run_campaign",
-    "run_cell",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cells": ("CellSpec", "decode_run", "encode_run", "run_cell"),
+    ".executors": ("CellFailure", "ProcessExecutor", "SerialExecutor",
+                   "default_workers", "get_executor"),
+    ".progress": ("ProgressReporter",),
+    ".runner": ("CampaignResult", "CampaignStats", "run_campaign"),
+    ".spec": ("CampaignSpec",),
+    ".store": ("MergeStats", "ResultStore", "merge_stores", "store_status"),
+})

@@ -14,6 +14,9 @@ Examples::
     repro-campaign status --store /tmp/camp
     repro-campaign resume --store /tmp/camp --workers 2
     repro-campaign clean --store /tmp/camp --failures-only
+
+``status`` and ``clean`` read the store only; the runner, executors and
+grid expansion load when ``run`` or ``resume`` needs them.
 """
 
 from __future__ import annotations
@@ -22,16 +25,16 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..analysis.report import render_campaign_summary, render_table
 from ..errors import ReproError
 from ..gc.registry import GC_HELP
-from ..studies import GridSpec
-from .progress import ProgressReporter
-from .runner import CampaignResult, run_campaign
-from .spec import CampaignSpec
 from .store import ResultStore, store_status
+
+if TYPE_CHECKING:
+    from .runner import CampaignResult
+    from .spec import CampaignSpec
 
 
 def _add_grid_args(parser: argparse.ArgumentParser) -> None:
@@ -73,6 +76,9 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args) -> CampaignSpec:
+    from ..studies import GridSpec
+    from .spec import CampaignSpec
+
     grid = GridSpec(
         benchmarks=args.benchmarks,
         gcs=args.gcs,
@@ -87,6 +93,9 @@ def _spec_from_args(args) -> CampaignSpec:
 
 
 def _execute(spec: CampaignSpec, args, store: Optional[ResultStore]) -> int:
+    from .progress import ProgressReporter
+    from .runner import run_campaign
+
     reporter = ProgressReporter(spec.size) if args.progress else None
     result = run_campaign(
         spec, store=store, executor=args.executor, workers=args.workers,
@@ -115,6 +124,8 @@ def run_cmd(args) -> int:
 
 def resume_cmd(args) -> int:
     """``repro-campaign resume``: re-run the spec recorded in the store."""
+    from .spec import CampaignSpec
+
     store = ResultStore(args.store)
     campaigns = store.read_manifest().get("campaigns", [])
     if not campaigns:

@@ -8,31 +8,14 @@ sized like the heap so nothing is ever flushed — is
 :func:`stress_config`.
 """
 
-from .config import CassandraConfig, default_config, stress_config
-from .commitlog import CommitLog
-from .memtable import Memtable
-from .sstable import SSTableSet
-from .server import CassandraServer, ServerStats
-from .cluster import (
-    ClusterConfig,
-    ClusterResult,
-    DownEvent,
-    detect_down_events,
-    run_cluster_study,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CassandraConfig",
-    "default_config",
-    "stress_config",
-    "CommitLog",
-    "Memtable",
-    "SSTableSet",
-    "CassandraServer",
-    "ServerStats",
-    "ClusterConfig",
-    "ClusterResult",
-    "DownEvent",
-    "detect_down_events",
-    "run_cluster_study",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".config": ("CassandraConfig", "default_config", "stress_config"),
+    ".commitlog": ("CommitLog",),
+    ".memtable": ("Memtable",),
+    ".sstable": ("SSTableSet",),
+    ".server": ("CassandraServer", "ServerStats"),
+    ".cluster": ("ClusterConfig", "ClusterResult", "DownEvent",
+                 "detect_down_events", "run_cluster_study"),
+})

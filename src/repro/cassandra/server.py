@@ -19,8 +19,8 @@ Memory behaviour per operation:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from ..errors import ConfigError
 from ..heap.lifetime import Exponential, Immortal, Mixture, Weibull

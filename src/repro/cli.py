@@ -30,26 +30,25 @@
 ``repro-dacapo --audit`` additionally attaches the runtime
 :class:`~repro.lint.audit.InvariantAuditor` to the run — the simulator's
 ``-XX:+VerifyBeforeGC``/``-XX:+VerifyAfterGC``.
+
+Every script enters through this module, so it imports at the top only
+what parsing arguments needs; each ``*_main`` imports what its command
+runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from . import GB
-from .analysis.latency import latency_band_stats
-from .analysis.pauses import pause_stats
 from .analysis.report import render_table
-from .cassandra import CassandraServer, default_config, stress_config
 from .errors import ConfigError
 from .gc.registry import GC_HELP
-from .jvm import JVM, JVMConfig
-from .jvm.gclog import format_gc_log, parse_gc_log
 from .units import parse_size
-from .workloads.dacapo import ALL_BENCHMARKS, get_benchmark
-from .ycsb import YCSBClient, WORKLOAD_A_LIKE, LOAD_PHASE
+
+if TYPE_CHECKING:
+    from .jvm.flags import JVMConfig
 
 
 def _jvm_args(parser: argparse.ArgumentParser) -> None:
@@ -69,6 +68,7 @@ def _jvm_args(parser: argparse.ArgumentParser) -> None:
 
 def _build_config(args) -> JVMConfig:
     from .heap.tlab import TLABConfig
+    from .jvm.flags import JVMConfig
 
     kw = {}
     if getattr(args, "topology", None):
@@ -93,6 +93,10 @@ def _refused(parser: argparse.ArgumentParser, exc: ConfigError) -> int:
 
 def dacapo_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-dacapo``."""
+    from .jvm.gclog import format_gc_log
+    from .jvm.jvm import JVM
+    from .workloads.dacapo import ALL_BENCHMARKS, get_benchmark
+
     parser = argparse.ArgumentParser(
         prog="repro-dacapo", description="Run a synthetic DaCapo benchmark."
     )
@@ -175,6 +179,12 @@ def dacapo_main(argv: Optional[List[str]] = None) -> int:
 
 def cassandra_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-cassandra``."""
+    from .analysis.latency import latency_band_stats
+    from .analysis.pauses import pause_stats
+    from .cassandra import default_config, stress_config
+    from .jvm.gclog import format_gc_log
+    from .ycsb import LOAD_PHASE, WORKLOAD_A_LIKE, YCSBClient
+
     parser = argparse.ArgumentParser(
         prog="repro-cassandra",
         description="Run the Cassandra server under a YCSB workload.",
@@ -228,6 +238,9 @@ def cassandra_main(argv: Optional[List[str]] = None) -> int:
 
 def report_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-report``: analyse a GC log file."""
+    from .analysis.pauses import pause_stats
+    from .jvm.gclog import parse_gc_log
+
     parser = argparse.ArgumentParser(
         prog="repro-report", description="Analyse a repro GC log file."
     )
@@ -250,6 +263,7 @@ def report_main(argv: Optional[List[str]] = None) -> int:
 
 def specjbb_main(argv: Optional[List[str]] = None) -> int:
     """Entry point for ``repro-specjbb``: warehouse throughput ramp."""
+    from .jvm.jvm import JVM
     from .workloads.specjbb import SPECjbbWorkload
 
     parser = argparse.ArgumentParser(

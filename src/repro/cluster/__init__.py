@@ -18,16 +18,10 @@ fabric adds exactly three mechanisms on top of the single-node service
   stores into one byte-identical to a serial run's.
 """
 
-from .coordinator import ClusterConfig, ClusterCoordinator
-from .membership import Membership, NodeSpec
-from .ring import DEFAULT_REPLICAS, HashRing, digest_point
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterCoordinator",
-    "DEFAULT_REPLICAS",
-    "HashRing",
-    "Membership",
-    "NodeSpec",
-    "digest_point",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".coordinator": ("ClusterConfig", "ClusterCoordinator"),
+    ".membership": ("Membership", "NodeSpec"),
+    ".ring": ("DEFAULT_REPLICAS", "HashRing", "digest_point"),
+})

@@ -17,7 +17,8 @@ one connection — routing, coalescing and stealing happen server-side);
 ``merge`` folds per-shard result stores into one, byte-identical to a
 serial run's compacted store. ``failures`` is the original GC-vs-
 failure-detector study this command name used to run, preserved as a
-subcommand.
+subcommand. Each subcommand imports what it runs: ``status`` and
+``drain`` load neither the coordinator nor the simulator.
 """
 
 from __future__ import annotations
@@ -32,14 +33,14 @@ from ..analysis.report import render_table
 from ..errors import ConfigError
 from ..gc.registry import GC_HELP
 from ..serve.cli import call, conn_args, run_cli
-from ..studies import GridSpec
-from .coordinator import ClusterConfig, ClusterCoordinator
 
 
 # -- serve ---------------------------------------------------------------
 
 
 def serve_cmd(args) -> int:
+    from .coordinator import ClusterConfig, ClusterCoordinator
+
     if not args.node:
         raise ConfigError("need at least one --node worker address")
     config = ClusterConfig(
@@ -87,6 +88,8 @@ def _grid_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _grid_jobs(args) -> List[dict]:
+    from ..studies import GridSpec
+
     grid = GridSpec(
         benchmarks=args.benchmarks, gcs=args.gcs, heaps=args.heaps,
         youngs=args.youngs if args.youngs is not None else [None],

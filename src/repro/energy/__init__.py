@@ -22,18 +22,12 @@ al.'s NUMA studies:
 See DESIGN.md §18.
 """
 
-from .model import ENERGY_PHASES, EnergyAccount, EnergyModel, GC_PHASE_MAP
-from .placement import GCPlacementPolicy, PLACEMENT_NAMES, resolve_placement
-from .study import EnergyStudyConfig, run_energy_study
+from .._lazy import lazy_exports
 
-__all__ = [
-    "EnergyAccount",
-    "EnergyModel",
-    "ENERGY_PHASES",
-    "GC_PHASE_MAP",
-    "GCPlacementPolicy",
-    "PLACEMENT_NAMES",
-    "resolve_placement",
-    "EnergyStudyConfig",
-    "run_energy_study",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".model": ("EnergyAccount", "EnergyModel", "ENERGY_PHASES",
+               "GC_PHASE_MAP"),
+    ".placement": ("GCPlacementPolicy", "PLACEMENT_NAMES",
+                   "resolve_placement"),
+    ".study": ("EnergyStudyConfig", "run_energy_study"),
+})

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError
+from ..gc.registry import collector_class
 from ..machine.topology import CoreClass, MachineTopology
 from .placement import (GCPlacementPolicy, effective_gc_threads,
                         resolve_placement)
@@ -164,12 +165,6 @@ class EnergyAccount:
         return f"EnergyAccount({self.joules():.3f} J, gc={self.gc_uj / UJ_PER_J:.3f} J)"
 
 
-def _collector_class(collector: str):
-    """The collector class (for its parallel_young/parallel_full flags)."""
-    from ..gc.registry import collector_class
-    return collector_class(collector)
-
-
 @dataclass(frozen=True)
 class EnergyModel:
     """Prices a finished run's phases in joules on its machine."""
@@ -195,7 +190,7 @@ class EnergyModel:
                      if config.gc_placement else None)
         gc_threads = effective_gc_threads(topo, placement, config.gc_threads)
         conc_threads = max(1, (gc_threads + 3) // 4)
-        gc_cls = _collector_class(config.gc.value)
+        gc_cls = collector_class(config.gc)
         return cls(
             topology=topo,
             collector=config.gc.value,

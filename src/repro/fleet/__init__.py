@@ -20,42 +20,17 @@ pieces:
 Everything is deterministic: same seed ⇒ byte-identical study JSON.
 """
 
-from .autoscaler import AutoscalerConfig, ReactiveAutoscaler, ScaleEvent
-from .balancer import FleetBalancer, split_ops
-from .node import FleetNode, GCCalibration, NodeModelConfig, calibrate
-from .policies import (LeastOutstandingPolicy, MonkPolicy, POLICY_NAMES,
-                       PausePredictivePolicy, Policy, RoundRobinPolicy,
-                       make_policy)
-from .study import (FLEET_BENCHMARK, FleetStudyConfig, FleetStudyResult,
-                    PolicyOutcome, calibrate_collector, run_fleet_study,
-                    simulate_policy)
-from .traffic import DAY, DiurnalTraffic, TrafficConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DAY",
-    "TrafficConfig",
-    "DiurnalTraffic",
-    "GCCalibration",
-    "NodeModelConfig",
-    "FleetNode",
-    "calibrate",
-    "Policy",
-    "RoundRobinPolicy",
-    "LeastOutstandingPolicy",
-    "PausePredictivePolicy",
-    "MonkPolicy",
-    "POLICY_NAMES",
-    "make_policy",
-    "FleetBalancer",
-    "split_ops",
-    "AutoscalerConfig",
-    "ReactiveAutoscaler",
-    "ScaleEvent",
-    "FLEET_BENCHMARK",
-    "FleetStudyConfig",
-    "FleetStudyResult",
-    "PolicyOutcome",
-    "calibrate_collector",
-    "simulate_policy",
-    "run_fleet_study",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".traffic": ("DAY", "TrafficConfig", "DiurnalTraffic"),
+    ".node": ("GCCalibration", "NodeModelConfig", "FleetNode", "calibrate"),
+    ".policies": ("Policy", "RoundRobinPolicy", "LeastOutstandingPolicy",
+                  "PausePredictivePolicy", "MonkPolicy", "POLICY_NAMES",
+                  "make_policy"),
+    ".balancer": ("FleetBalancer", "split_ops"),
+    ".autoscaler": ("AutoscalerConfig", "ReactiveAutoscaler", "ScaleEvent"),
+    ".study": ("FLEET_BENCHMARK", "FleetStudyConfig", "FleetStudyResult",
+               "PolicyOutcome", "calibrate_collector", "simulate_policy",
+               "run_fleet_study"),
+})

@@ -13,7 +13,7 @@ traced study shows *why* the latency surface looks the way it does.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 

@@ -40,7 +40,6 @@ from ..errors import ConfigError
 from ..jvm import RunResult
 from ..seeding import rng_for
 from ..telemetry.hist import LogHistogram
-from ..telemetry.tracer import NULL_TRACER
 
 #: Histogram geometry shared with ``analysis.latency`` (ms values at
 #: 1 µs resolution) — merges are exact across nodes and policies.

@@ -23,10 +23,9 @@ study's own coordinates via :mod:`repro.seeding`).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
-
-import numpy as np
 
 from ..analysis.ascii_plot import scatter_plot
 from ..analysis.latency import LatencySummary
@@ -79,8 +78,9 @@ class FleetStudyConfig:
         normalise_axes(self, "a fleet study", (
             Axis("gcs", "collector", lambda g: resolve_gc(g).value),
             Axis("policies", "policy")))
-        if self.n_nodes < 1:
-            raise ConfigError("n_nodes must be >= 1")
+        if not isinstance(self.n_nodes, numbers.Integral) or self.n_nodes < 1:
+            raise ConfigError(
+                f"n_nodes must be an integer >= 1, got {self.n_nodes!r}")
         # Normalize numerics so to_json() is identical whether the
         # config came from Python literals (64 * GB is an int) or from
         # a parsed study JSON (floats). `not 0 < x < inf` also rejects

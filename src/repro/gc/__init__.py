@@ -31,49 +31,21 @@ Epsilon        free, instant reclamation    free, instant reclamation;
 =============  ===========================  =================================
 """
 
-from .base import Collector, Outcome, STWPause
-from .stats import GCLog, PauseRecord
-from .registry import (
-    ALL_GC_NAMES,
-    GC_NAMES,
-    GCType,
-    MODERN_GC_NAMES,
-    TABLE8_GC_NAMES,
-    collector_class,
-    create_collector,
-)
-from .serial import SerialGC
-from .parnew import ParNewGC
-from .parallel import ParallelGC
-from .parallel_old import ParallelOldGC
-from .cms import ConcurrentMarkSweepGC
-from .g1 import G1GC
-from .htm import HTMGC
-from .zgc import ZGC
-from .shenandoah import ShenandoahGC
-from .epsilon import EpsilonGC
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Collector",
-    "Outcome",
-    "STWPause",
-    "GCLog",
-    "PauseRecord",
-    "GCType",
-    "GC_NAMES",
-    "MODERN_GC_NAMES",
-    "ALL_GC_NAMES",
-    "TABLE8_GC_NAMES",
-    "collector_class",
-    "create_collector",
-    "SerialGC",
-    "ParNewGC",
-    "ParallelGC",
-    "ParallelOldGC",
-    "ConcurrentMarkSweepGC",
-    "G1GC",
-    "HTMGC",
-    "ZGC",
-    "ShenandoahGC",
-    "EpsilonGC",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".base": ("Collector", "Outcome", "STWPause"),
+    ".stats": ("GCLog", "PauseRecord"),
+    ".registry": ("GCType", "GC_NAMES", "MODERN_GC_NAMES", "ALL_GC_NAMES",
+                  "TABLE8_GC_NAMES", "collector_class", "create_collector"),
+    ".serial": ("SerialGC",),
+    ".parnew": ("ParNewGC",),
+    ".parallel": ("ParallelGC",),
+    ".parallel_old": ("ParallelOldGC",),
+    ".cms": ("ConcurrentMarkSweepGC",),
+    ".g1": ("G1GC",),
+    ".htm": ("HTMGC",),
+    ".zgc": ("ZGC",),
+    ".shenandoah": ("ShenandoahGC",),
+    ".epsilon": ("EpsilonGC",),
+})

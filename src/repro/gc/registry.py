@@ -1,22 +1,20 @@
-"""Collector registry: name -> factory, mirroring the JVM's GC flags."""
+"""Collector registry: name -> factory, mirroring the JVM's GC flags.
+
+The name table (:class:`GCType`, :func:`resolve_gc`, :data:`GC_HELP`)
+loads without the collectors, which pull in the heap, numpy and scipy:
+a collector's class is imported when one is first built.
+"""
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Type
+import importlib
+from typing import TYPE_CHECKING, Dict, Type
 
 from ..errors import ConfigError
-from .base import Collector
-from .cms import ConcurrentMarkSweepGC
-from .epsilon import EpsilonGC
-from .g1 import G1GC
-from .htm import HTMGC
-from .parallel import ParallelGC
-from .parallel_old import ParallelOldGC
-from .parnew import ParNewGC
-from .serial import SerialGC
-from .shenandoah import ShenandoahGC
-from .zgc import ZGC
+
+if TYPE_CHECKING:
+    from .base import Collector
 
 
 class GCType(enum.Enum):
@@ -37,17 +35,19 @@ class GCType(enum.Enum):
     EPSILON = "EpsilonGC"
 
 
-_REGISTRY: Dict[GCType, Type[Collector]] = {
-    GCType.SERIAL: SerialGC,
-    GCType.PARNEW: ParNewGC,
-    GCType.PARALLEL: ParallelGC,
-    GCType.PARALLEL_OLD: ParallelOldGC,
-    GCType.CMS: ConcurrentMarkSweepGC,
-    GCType.G1: G1GC,
-    GCType.HTM: HTMGC,
-    GCType.ZGC: ZGC,
-    GCType.SHENANDOAH: ShenandoahGC,
-    GCType.EPSILON: EpsilonGC,
+#: Each collector's class, by its name among the ``repro.gc`` package's
+#: exports (the package imports the defining module on first use).
+_CLASS_NAMES: Dict[GCType, str] = {
+    GCType.SERIAL: "SerialGC",
+    GCType.PARNEW: "ParNewGC",
+    GCType.PARALLEL: "ParallelGC",
+    GCType.PARALLEL_OLD: "ParallelOldGC",
+    GCType.CMS: "ConcurrentMarkSweepGC",
+    GCType.G1: "G1GC",
+    GCType.HTM: "HTMGC",
+    GCType.ZGC: "ZGC",
+    GCType.SHENANDOAH: "ShenandoahGC",
+    GCType.EPSILON: "EpsilonGC",
 }
 
 #: Collectors beyond the paper's measured six: the HTM future-work
@@ -123,7 +123,8 @@ def collector_class(gc_type) -> Type[Collector]:
     """The collector class for *gc_type* (for registry introspection —
     e.g. the energy model reads its ``parallel_young``/``parallel_full``
     flags without instantiating a heap)."""
-    return _REGISTRY[resolve_gc(gc_type)]
+    return getattr(importlib.import_module(__package__),
+                   _CLASS_NAMES[resolve_gc(gc_type)])
 
 
 def create_collector(gc_type, heap, costs, **kwargs) -> Collector:
@@ -133,7 +134,6 @@ def create_collector(gc_type, heap, costs, **kwargs) -> Collector:
     G1...) are forwarded to the collector constructor.
     """
     gc = resolve_gc(gc_type)
-    cls = _REGISTRY[gc]
     if gc is not GCType.G1:
         kwargs.pop("pause_target", None)
-    return cls(heap, costs, **kwargs)
+    return collector_class(gc)(heap, costs, **kwargs)

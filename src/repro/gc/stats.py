@@ -10,7 +10,7 @@ statistics (Figures 1 & 4, Table 3) are computed from these records by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from ..errors import ConfigError
 from ..gc.registry import GCType, resolve_gc
 from ..heap.tlab import TLABConfig
-from ..machine.topology import MachineTopology, PAPER_SERVER, resolve_topology
+from ..machine.topology import PAPER_SERVER, resolve_topology
 from ..units import GB, parse_size
 
 #: The paper's baseline young-generation fraction: ~5.6 GB of a ~16 GB heap.

@@ -14,7 +14,6 @@ Example line::
 from __future__ import annotations
 
 import re
-from typing import List
 
 from ..errors import ReproError
 from ..gc.stats import GCLog, PauseRecord

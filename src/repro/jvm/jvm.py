@@ -9,9 +9,7 @@ run statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
-
-import numpy as np
+from typing import Callable, Dict, List
 
 from ..errors import ReproError
 from ..gc.registry import create_collector

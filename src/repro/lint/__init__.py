@@ -20,66 +20,19 @@ Two halves, one discipline:
   :mod:`repro.lint.audit`.
 """
 
-from .audit import (
-    AuditError,
-    AuditViolation,
-    InvariantAuditor,
-    PAUSE_RECORD_SCHEMA,
-    validate_pause_record,
-)
-from .baseline import (
-    DEFAULT_BASELINE,
-    assign_keys,
-    finding_key,
-    load_baseline,
-    load_justifications,
-    write_baseline,
-)
-from .config import LintConfig
-from .core import (
-    FileContext,
-    Finding,
-    LintError,
-    LintResult,
-    ProjectRule,
-    Rule,
-    lint_file,
-    run_lint,
-)
-from .graph import ProjectContext
-from .rules import RULES_BY_ID, default_rules
-from .rules_wp import WP_RULES_BY_ID, default_wp_rules
-from .suppress import Directive, SuppressionTable
-from .taint import TaintAnalysis, TaintWitness
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AuditError",
-    "AuditViolation",
-    "DEFAULT_BASELINE",
-    "Directive",
-    "FileContext",
-    "Finding",
-    "InvariantAuditor",
-    "LintConfig",
-    "LintError",
-    "LintResult",
-    "PAUSE_RECORD_SCHEMA",
-    "ProjectContext",
-    "ProjectRule",
-    "Rule",
-    "RULES_BY_ID",
-    "SuppressionTable",
-    "TaintAnalysis",
-    "TaintWitness",
-    "WP_RULES_BY_ID",
-    "assign_keys",
-    "default_rules",
-    "default_wp_rules",
-    "finding_key",
-    "lint_file",
-    "load_baseline",
-    "load_justifications",
-    "run_lint",
-    "validate_pause_record",
-    "write_baseline",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".audit": ("AuditError", "AuditViolation", "InvariantAuditor",
+               "PAUSE_RECORD_SCHEMA", "validate_pause_record"),
+    ".baseline": ("DEFAULT_BASELINE", "assign_keys", "finding_key",
+                  "load_baseline", "load_justifications", "write_baseline"),
+    ".config": ("LintConfig",),
+    ".core": ("FileContext", "Finding", "LintError", "LintResult",
+              "ProjectRule", "Rule", "lint_file", "run_lint"),
+    ".graph": ("ProjectContext",),
+    ".rules": ("RULES_BY_ID", "default_rules"),
+    ".rules_wp": ("WP_RULES_BY_ID", "default_wp_rules"),
+    ".suppress": ("Directive", "SuppressionTable"),
+    ".taint": ("TaintAnalysis", "TaintWitness"),
+})

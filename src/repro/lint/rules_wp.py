@@ -30,7 +30,6 @@ whichever end is "wrong" depends on the fix.
 
 from __future__ import annotations
 
-import pathlib
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .core import Finding, FileContext, ProjectRule

@@ -23,7 +23,7 @@ conformance without a ``jsonschema`` dependency.
 from __future__ import annotations
 
 import pathlib
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from .core import Finding, LintResult, Rule
 

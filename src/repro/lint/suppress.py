@@ -31,7 +31,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
 
 _DIRECTIVE_RE = re.compile(

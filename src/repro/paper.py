@@ -9,7 +9,7 @@ PMAM'15 paper text; table and section numbers follow the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .units import GB, MB
 

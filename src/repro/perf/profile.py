@@ -17,7 +17,7 @@ from __future__ import annotations
 import cProfile
 import pstats
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..jvm import JVM, JVMConfig
 from ..telemetry.tracer import Tracer

@@ -18,13 +18,11 @@ quarantine :class:`~repro.campaign.executors.CellFailure` semantics.
 * :mod:`~repro.serve.cli` — the ``repro-serve`` command.
 """
 
-from .client import ServiceClient
-from .loadgen import LoadConfig, LoadReport, run_load
-from .protocol import MAX_LINE_BYTES, PROTOCOL_VERSION
-from .service import ExperimentService, ServiceConfig
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentService", "ServiceConfig", "ServiceClient",
-    "LoadConfig", "LoadReport", "run_load",
-    "MAX_LINE_BYTES", "PROTOCOL_VERSION",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".service": ("ExperimentService", "ServiceConfig"),
+    ".client": ("ServiceClient",),
+    ".loadgen": ("LoadConfig", "LoadReport", "run_load"),
+    ".protocol": ("MAX_LINE_BYTES", "PROTOCOL_VERSION"),
+})

@@ -13,7 +13,9 @@ The service listens on a Unix socket (``--socket``) or TCP
 (``--host``/``--port``); every client subcommand takes the same
 connection flags. ``repro-cluster`` reuses this module's connection
 flags (:func:`conn_args`), its one-connection client call (:func:`call`)
-and its mapping from errors to exit codes (:func:`run_cli`).
+and its mapping from errors to exit codes (:func:`run_cli`). Only
+``serve`` and ``load`` import the service and the load generator, so
+the other subcommands start without numpy or the simulator.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ from ..analysis.report import render_table
 from ..errors import ConfigError, ProtocolError
 from ..gc.registry import GC_HELP
 from .client import ServiceClient
-from .loadgen import LoadConfig, run_load
-from .service import ExperimentService, ServiceConfig
 
 
 T = TypeVar("T")
@@ -117,6 +117,8 @@ def _job_from_args(args, benchmark: str, seed: Optional[int] = None) -> dict:
 
 
 def serve_cmd(args) -> int:
+    from .service import ExperimentService, ServiceConfig
+
     config = ServiceConfig(
         store=args.store, socket_path=args.socket,
         host=args.host, port=args.port,
@@ -264,6 +266,8 @@ def events_cmd(args) -> int:
 
 
 def load_cmd(args) -> int:
+    from .loadgen import LoadConfig, run_load
+
     _check_conn(args)
     templates = [
         _job_from_args(args, benchmark, seed=args.seed + d)

@@ -31,10 +31,12 @@ live only in the sibling ``meta`` object and never inside ``run``.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from ..campaign.cells import CellSpec
 from ..errors import ConfigError, ProtocolError
+
+if TYPE_CHECKING:
+    from ..campaign.cells import CellSpec
 
 #: Bump on incompatible message-shape changes.
 PROTOCOL_VERSION = 1
@@ -122,6 +124,9 @@ def job_to_cell(job: object) -> CellSpec:
     digest — and therefore one cache slot. A job the simulator would
     refuse (bad JVM settings or benchmark, no iterations) is a 400 here.
     """
+    # Imported here, not at the top: every client imports this module,
+    # and the cell codec pulls in the simulator.
+    from ..campaign.cells import CellSpec
     from ..workloads.dacapo import get_benchmark
 
     if not isinstance(job, dict):

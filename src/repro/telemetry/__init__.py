@@ -15,18 +15,15 @@ The observability subsystem of the simulated JVM (DESIGN.md §11):
   behind the ``repro-serve`` status endpoint (DESIGN.md §13).
 """
 
-from .events import TraceEvent
-from .hist import LogHistogram, percentile_rows
-from .metrics import Counter, Gauge, MetricsRegistry
-from .ring import EventRing
-from .tracer import NULL_TRACER, NullTracer, Tracer
-from .export import (Trace, read_trace, render_diff, render_report,
-                     to_chrome, validate_chrome, write_chrome, write_trace)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "TraceEvent", "LogHistogram", "percentile_rows", "EventRing",
-    "NULL_TRACER", "NullTracer", "Tracer", "Trace", "read_trace",
-    "render_diff", "render_report", "to_chrome", "validate_chrome",
-    "write_chrome", "write_trace",
-    "Counter", "Gauge", "MetricsRegistry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".events": ("TraceEvent",),
+    ".hist": ("LogHistogram", "percentile_rows"),
+    ".ring": ("EventRing",),
+    ".tracer": ("NULL_TRACER", "NullTracer", "Tracer"),
+    ".export": ("Trace", "read_trace", "render_diff", "render_report",
+                "to_chrome", "validate_chrome", "write_chrome",
+                "write_trace"),
+    ".metrics": ("Counter", "Gauge", "MetricsRegistry"),
+})

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..errors import ReproError
 from .events import (ALLOC_STALL, CONCURRENT_PHASE, CONCURRENT_RELOCATION,

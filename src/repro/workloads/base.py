@@ -16,7 +16,7 @@ program it serves (DESIGN.md §2).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import ConfigError

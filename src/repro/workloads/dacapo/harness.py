@@ -27,7 +27,6 @@ from ...errors import BenchmarkCrash, ConfigError
 from ...jvm.threads import pieces
 from ...perf import fastpath
 from ...seeding import rng_for
-from ...units import GB
 from ..base import LiveSet, Workload
 from .profiles import DaCapoProfile, PROFILES
 

@@ -16,7 +16,7 @@ governs old-generation pressure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ...errors import ConfigError

@@ -22,8 +22,9 @@ Example::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import numbers
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigError
 from ..heap.lifetime import Exponential, LifetimeDistribution
@@ -64,8 +65,9 @@ class AllocationPhase:
                               "positive and finite")
         if not math.isfinite(self.pinned_growth):
             raise ConfigError(f"phase {self.name!r}: pinned_growth must be finite")
-        if self.quanta < 1:
-            raise ConfigError(f"phase {self.name!r}: quanta must be >= 1")
+        if not isinstance(self.quanta, numbers.Integral) or self.quanta < 1:
+            raise ConfigError(f"phase {self.name!r}: quanta must be an "
+                              f"integer >= 1, got {self.quanta!r}")
 
     def dist(self) -> LifetimeDistribution:
         """Lifetime distribution (short-lived garbage by default)."""
@@ -90,9 +92,10 @@ class SyntheticWorkload(Workload):
                  threads: Optional[int] = None, name: str = "synthetic"):
         if not phases:
             raise ConfigError("a synthetic workload needs at least one phase")
-        if threads is not None and not threads >= 1:
-            raise ConfigError(f"threads must be None (one per core) or >= 1: "
-                              f"{threads!r}")
+        if threads is not None and not (isinstance(threads, numbers.Integral)
+                                        and threads >= 1):
+            raise ConfigError(f"threads must be None (one per core) or an "
+                              f"integer >= 1: {threads!r}")
         self.phases = list(phases)
         self.threads = threads
         self.name = name

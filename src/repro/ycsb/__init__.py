@@ -9,17 +9,10 @@ which is exactly the mechanism behind the paper's observation that
 collection on the server" (Figure 5, Tables 5-7).
 """
 
-from .keys import UniformKeyChooser, ZipfianKeyChooser
-from .workload import CoreWorkload, WORKLOAD_A_LIKE, LOAD_PHASE
-from .client import YCSBClient, ClientResult, OperationSample
+from .._lazy import lazy_exports
 
-__all__ = [
-    "UniformKeyChooser",
-    "ZipfianKeyChooser",
-    "CoreWorkload",
-    "WORKLOAD_A_LIKE",
-    "LOAD_PHASE",
-    "YCSBClient",
-    "ClientResult",
-    "OperationSample",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".keys": ("UniformKeyChooser", "ZipfianKeyChooser"),
+    ".workload": ("CoreWorkload", "WORKLOAD_A_LIKE", "LOAD_PHASE"),
+    ".client": ("YCSBClient", "ClientResult", "OperationSample"),
+})

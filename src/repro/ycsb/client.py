@@ -26,7 +26,7 @@ arrays the synthesis allocates are the three the trace holds.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

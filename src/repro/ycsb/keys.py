@@ -8,8 +8,6 @@ code base (Gray et al.), vectorized over numpy.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import ConfigError

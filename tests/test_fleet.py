@@ -415,8 +415,10 @@ class TestFleetStudy:
             study_config(gcs=())
         with pytest.raises(ConfigError):
             study_config(policies=("bogus",))
-        with pytest.raises(ConfigError):
-            study_config(n_nodes=0)
+        # NaN passes an `n_nodes < 1` test; 2.5 nodes is no fleet.
+        for n_nodes in (0, -1, math.nan, 2.5):
+            with pytest.raises(ConfigError, match="n_nodes"):
+                study_config(n_nodes=n_nodes)
         with pytest.raises(ConfigError):
             study_config(duration=0.5)   # below one tick
         # NaN and inf pass a `<= 0` test: refuse them before any

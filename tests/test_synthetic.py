@@ -60,11 +60,22 @@ class TestValidation:
 
     def test_bad_thread_count_rejected(self):
         # Unrefused, -3 allocates nothing; None, not 0, means one per core.
+        # 2.5 would construct and then die in range() inside JVM.run.
         phases = [AllocationPhase("x", duration=1.0, alloc_rate=1.0)]
-        for threads in (-3, 0, math.nan):
+        for threads in (-3, 0, math.nan, 2.5):
             with pytest.raises(ConfigError):
                 SyntheticWorkload(phases, threads=threads)
         assert SyntheticWorkload(phases).threads is None
+        assert SyntheticWorkload(phases, threads=3).threads == 3
+
+    def test_fractional_or_nan_quanta_rejected(self):
+        # Unrefused, both construct and then die in range() inside JVM.run.
+        for quanta in (2.5, math.nan, 0, -1):
+            with pytest.raises(ConfigError, match="quanta"):
+                AllocationPhase("x", duration=1.0, alloc_rate=1.0,
+                                quanta=quanta)
+        assert AllocationPhase("x", duration=1.0, alloc_rate=1.0,
+                               quanta=3).quanta == 3
 
     def test_default_lifetime_short(self):
         phase = AllocationPhase("x", duration=1.0, alloc_rate=1.0)

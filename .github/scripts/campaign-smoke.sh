@@ -31,6 +31,21 @@ grep -q "simulated 0," rerun-untouched.txt
 cmp manifest.before /tmp/campaign-store/manifest.json
 cmp records.before /tmp/campaign-store/records.jsonl
 test "$(stat -c %i /tmp/campaign-store/manifest.json)" = "$INODE"
+# A cell the JVM would refuse exits 2 before anything runs, and the
+# store keeps both files, inode included.
+RC=0
+repro-campaign run --name smoke --store /tmp/campaign-store \
+  --benchmarks no-such-benchmark --gcs Serial --heaps 1g --seeds 0 \
+  --iterations 2 --executor process --workers 2 || RC=$?
+test "$RC" = 2
+cmp manifest.before /tmp/campaign-store/manifest.json
+cmp records.before /tmp/campaign-store/records.jsonl
+test "$(stat -c %i /tmp/campaign-store/manifest.json)" = "$INODE"
+# status reads a store that exists; a missing one exits 2, created by nothing.
+RC=0
+repro-campaign status --store /tmp/no-such-store || RC=$?
+test "$RC" = 2
+test ! -e /tmp/no-such-store
 # The store's own accounting is the real assertion: the
 # campaign must be complete — every cell ok, nothing missing,
 # failed or quarantined — without hard-coding the cell count.

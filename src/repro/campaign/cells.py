@@ -25,6 +25,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..gc.registry import resolve_gc
 from ..gc.stats import ConcurrentRecord, GCLog, PauseRecord
 from ..jvm import JVM, JVMConfig, RunResult
@@ -80,6 +81,21 @@ class CellSpec:
             tlab=TLABConfig(enabled=self.tlab_enabled),
             **dict(self.overrides),
         )
+
+    def check(self) -> None:
+        """Raise ``ConfigError`` when the simulator would refuse this cell:
+        JVM settings :class:`JVMConfig` rejects, an unknown benchmark, or
+        no iterations. The one check behind ``run_campaign`` (on the cells
+        its cache pass did not serve) and ``repro-serve``'s job intake."""
+        from ..workloads.dacapo import get_benchmark
+
+        try:
+            self.jvm_config()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
+        get_benchmark(self.benchmark)
+        if self.iterations < 1:
+            raise ConfigError(f"iterations must be >= 1: {self.iterations}")
 
     def key(self) -> CellKey:
         """The :class:`~repro.studies.CellKey` this cell produces, built

@@ -28,7 +28,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from ..analysis.report import render_campaign_summary, render_table
-from ..errors import ReproError
+from ..errors import ConfigError, ReproError
 from ..gc.registry import GC_HELP
 from .store import ResultStore, store_status
 
@@ -115,6 +115,15 @@ def _report(result: CampaignResult, csv_path: Optional[str] = None) -> None:
         print(f"results exported to {csv_path}")
 
 
+def _existing_store(path: str) -> ResultStore:
+    """The store at *path*: ``status``, ``clean`` and ``resume`` read or
+    change a store that exists, and never create one."""
+    if not os.path.isdir(path):
+        what = "is not a directory" if os.path.exists(path) else "does not exist"
+        raise ConfigError(f"store {path} {what}")
+    return ResultStore(path)
+
+
 def run_cmd(args) -> int:
     """``repro-campaign run``: execute (or resume) a campaign."""
     spec = _spec_from_args(args)
@@ -126,7 +135,7 @@ def resume_cmd(args) -> int:
     """``repro-campaign resume``: re-run the spec recorded in the store."""
     from .spec import CampaignSpec
 
-    store = ResultStore(args.store)
+    store = _existing_store(args.store)
     campaigns = store.read_manifest().get("campaigns", [])
     if not campaigns:
         print(f"no campaign recorded in {store.root}; run `repro-campaign run` first",
@@ -153,7 +162,7 @@ def status_cmd(args) -> int:
     ``repro-serve`` status endpoint shares, so CI and service tooling
     parse one format.
     """
-    status = store_status(ResultStore(args.store))
+    status = store_status(_existing_store(args.store))
     if getattr(args, "json", False):
         print(json.dumps(status, indent=2, sort_keys=True))
         return 0
@@ -172,7 +181,7 @@ def status_cmd(args) -> int:
 
 def clean_cmd(args) -> int:
     """``repro-campaign clean``: drop failure records, or everything."""
-    store = ResultStore(args.store)
+    store = _existing_store(args.store)
     if args.failures_only:
         n = store.drop_failures()
         print(f"dropped {n} failure record(s) from {store.root}")

@@ -3,9 +3,12 @@
 The runner turns a :class:`~repro.campaign.spec.CampaignSpec` into per-
 grid :class:`~repro.studies.GridResult`s:
 
-1. **Cache pass** — every cell's content digest is looked up in the
-   :class:`~repro.campaign.store.ResultStore`; hits are decoded and never
-   re-simulated.
+1. **Cache pass** — every distinct cell's content digest is looked up in
+   the :class:`~repro.campaign.store.ResultStore`; hits are decoded and
+   never re-simulated. The cells it did not serve are checked
+   (:meth:`~repro.campaign.cells.CellSpec.check`) before the campaign is
+   registered: one the JVM would refuse raises ``ConfigError`` and
+   nothing runs or is written.
 2. **Execute** — misses fan out through the chosen executor. Completed
    cells are flushed to the store *as they arrive* (fsync per record), so
    interruption loses at most in-flight cells.
@@ -30,7 +33,7 @@ from ..errors import ConfigError
 from ..jvm import RunResult
 from ..studies import GridResult
 from ..units import check_budget
-from .cells import CellSpec, run_cell
+from .cells import run_cell
 from .executors import CellFailure, get_executor
 from .progress import ProgressReporter
 from .spec import CampaignSpec
@@ -115,49 +118,41 @@ def run_campaign(spec: CampaignSpec, *,
     check_budget("timeout", timeout)
     if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
         store = ResultStore(store)
-    if isinstance(executor, str):
-        executor = get_executor(executor, workers=workers)
 
-    per_grid_cells = spec.cell_specs()
-    # Unique cells in first-appearance order: duplicated coordinates
-    # (across grids, or within one) simulate once and fan back out.
-    unique: Dict[str, CellSpec] = {}
-    for cells in per_grid_cells:
-        for cell in cells:
-            unique.setdefault(cell.digest(), cell)
+    # -- cache pass: one lookup per distinct cell ----------------------
+    unique = spec.unique_cells()
+    if store is not None:
+        runs: List[Optional[RunResult]] = [store.get_run(digest)
+                                           for digest, _cell in unique]
+    else:
+        runs = [None] * len(unique)
+    pending = [cell for (_digest, cell), run in zip(unique, runs)
+               if run is None]
+    # A cell the JVM would refuse is refused before the campaign is
+    # registered or any cell runs; a fully cached call checks nothing.
+    for cell in pending:
+        cell.check()
 
-    stats = CampaignStats(total=len(unique))
+    stats = CampaignStats(total=len(unique),
+                          cached=len(unique) - len(pending))
     if reporter is not None:
         reporter.total = stats.total
         reporter.start()
+        for _ in range(stats.cached):
+            reporter.advance(cached=True)
     if store is not None:
-        store.register_campaign({
-            "name": spec.name,
-            "digest": spec.digest(),
-            "spec": spec.to_dict(),
-            "cells": stats.total,
-        })
-
-    # -- cache pass -----------------------------------------------------
-    results: Dict[str, RunResult] = {}
-    pending: List[CellSpec] = []
-    for digest, cell in unique.items():
-        hit = store.get_run(digest) if store is not None else None
-        if hit is not None:
-            results[digest] = hit
-            stats.cached += 1
-            if reporter is not None:
-                reporter.advance(cached=True)
-        else:
-            pending.append(cell)
+        store.register_campaign(spec.registry_entry())
 
     # -- execute with bounded retries ----------------------------------
+    if pending and isinstance(executor, str):
+        executor = get_executor(executor, workers=workers)
     if trace_dir is not None:
         # functools.partial keeps the cell function picklable for the
         # process executor (a lambda would not ship to workers).
         cell_fn = functools.partial(run_cell, trace_dir=trace_dir)
     else:
         cell_fn = run_cell
+    simulated: Dict[str, RunResult] = {}
     quarantined: List[CellFailure] = []
     attempt = 0
     while pending:
@@ -166,8 +161,7 @@ def run_campaign(spec: CampaignSpec, *,
             if isinstance(outcome, CellFailure):
                 failures.append(outcome)
                 continue
-            digest = cell.digest()
-            results[digest] = outcome
+            simulated[cell.digest()] = outcome
             stats.simulated += 1
             if store is not None:
                 store.record_ok(cell, outcome)
@@ -189,15 +183,15 @@ def run_campaign(spec: CampaignSpec, *,
         attempt += 1
     if reporter is not None:
         reporter.finish()
+    if simulated:
+        runs = [run if run is not None else simulated.get(digest)
+                for (digest, _cell), run in zip(unique, runs)]
 
     # -- assemble per-grid results in spec order ------------------------
-    grids: List[GridResult] = []
-    for grid_spec, cells in zip(spec.grids, per_grid_cells):
-        grid = GridResult(spec=grid_spec)
-        for cell in cells:
-            run = results.get(cell.digest())
-            if run is not None:
-                grid.runs[cell.key()] = run
-        grids.append(grid)
+    grids = [
+        GridResult(spec=grid_spec, runs={key: runs[i] for key, i in slots
+                                         if runs[i] is not None})
+        for grid_spec, slots in zip(spec.grids, spec.grid_slots())
+    ]
     return CampaignResult(spec=spec, grids=grids, stats=stats,
                           quarantined=quarantined)

@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..gc.registry import resolve_gc
-from ..studies import GridSpec
+from ..studies import CellKey, GridSpec
 from .cells import CellSpec, _jsonable
 
 
@@ -56,6 +56,9 @@ class CampaignSpec:
         """Per-grid lists of canonical :class:`CellSpec`s, in grid order:
         expanded once per (immutable) instance and kept beside the fields
         like :meth:`CellSpec.digest`; every call returns fresh lists."""
+        return [list(cells) for cells in self._expanded()]
+
+    def _expanded(self) -> Tuple[Tuple[CellSpec, ...], ...]:
         expanded = self.__dict__.get("_cells")
         if expanded is None:
             overrides = dict(self.overrides)
@@ -71,7 +74,38 @@ class CampaignSpec:
                 for grid in self.grids
             )
             object.__setattr__(self, "_cells", expanded)
-        return [list(cells) for cells in expanded]
+        return expanded
+
+    def unique_cells(self) -> Tuple[Tuple[str, CellSpec], ...]:
+        """The distinct cells as ``(digest, cell)`` pairs in first-appearance
+        order: duplicated coordinates, across grids or within one, run
+        once and fan back out. Kept like :meth:`cell_specs`."""
+        return self._layout()[0]
+
+    def grid_slots(self) -> Tuple[Tuple[Tuple[CellKey, int], ...], ...]:
+        """Per grid, its distinct :class:`~repro.studies.CellKey`s in
+        first-appearance order, each with its cell's index in
+        :meth:`unique_cells`. Kept like :meth:`cell_specs`."""
+        return self._layout()[1]
+
+    def _layout(self) -> Tuple[tuple, tuple]:
+        layout = self.__dict__.get("_unique_and_slots")
+        if layout is None:
+            index: Dict[str, int] = {}
+            unique: List[Tuple[str, CellSpec]] = []
+            slots = []
+            for cells in self._expanded():
+                grid: Dict[CellKey, int] = {}
+                for cell in cells:
+                    digest = cell.digest()
+                    if digest not in index:
+                        index[digest] = len(unique)
+                        unique.append((digest, cell))
+                    grid.setdefault(cell.key(), index[digest])
+                slots.append(tuple(grid.items()))
+            layout = (tuple(unique), tuple(slots))
+            object.__setattr__(self, "_unique_and_slots", layout)
+        return layout
 
     # -- serialization --------------------------------------------------
 
@@ -101,6 +135,21 @@ class CampaignSpec:
             digest = hashlib.sha256(blob.encode()).hexdigest()
             object.__setattr__(self, "_digest", digest)
         return digest
+
+    def registry_entry(self) -> Dict[str, object]:
+        """This campaign's entry in a store's manifest, built once per
+        instance and kept: one shared dict, which callers treat as a
+        read-only value (as they do a store's runs)."""
+        entry = self.__dict__.get("_entry")
+        if entry is None:
+            entry = {
+                "name": self.name,
+                "digest": self.digest(),
+                "spec": self.to_dict(),
+                "cells": len(self.unique_cells()),
+            }
+            object.__setattr__(self, "_entry", entry)
+        return entry
 
 
 def grid_to_dict(grid: GridSpec) -> Dict[str, object]:

@@ -48,6 +48,9 @@ class ResultStore:
     def __init__(self, root):
         self.root = pathlib.Path(os.fsdecode(root))
         self.root.mkdir(parents=True, exist_ok=True)
+        #: :attr:`manifest_path` as a string, for the one ``stat`` a
+        #: cached :meth:`register_campaign` costs.
+        self._manifest_file = str(self.manifest_path)
         self._records: Dict[str, dict] = {}
         #: digest -> (the ``ok`` record, its decoded run), see :meth:`get_run`.
         self._runs: Dict[str, Tuple[dict, RunResult]] = {}
@@ -290,7 +293,7 @@ class ResultStore:
     def _manifest_signature(self) -> Optional[Tuple[int, int, int]]:
         """``(st_ino, st_mtime_ns, st_size)`` of the manifest, or None."""
         try:
-            st = os.stat(self.manifest_path)
+            st = os.stat(self._manifest_file)
         except FileNotFoundError:
             return None
         return st.st_ino, st.st_mtime_ns, st.st_size
@@ -298,16 +301,25 @@ class ResultStore:
     def register_campaign(self, entry: dict) -> None:
         """Idempotently add a campaign entry (keyed by its spec digest).
 
-        The read-modify-write runs under the store lock so concurrent
-        registrants (service + campaign CLI) cannot lose each other's
-        entries. The entry moves last (``resume`` takes the last entry as
-        the most recent); a manifest that would not change is left as it
-        is, file and all.
+        The entry moves last (``resume`` takes the last entry as the most
+        recent); a manifest that would not change is left as it is, file
+        and all. The manifest last read or written here is used again
+        while the file keeps that moment's signature (DESIGN.md §10.2):
+        writers replace the file, so another process's registration is
+        read.
 
-        The manifest last read or written here is used again while the
-        file keeps that moment's signature (DESIGN.md §10.2): writers
-        replace the file, so another process's registration is read.
+        A registration the kept manifest already holds, on a file whose
+        signature is unchanged, returns after one ``stat`` and no lock: it
+        writes nothing, and every writer renames a whole new file into
+        place, so it orders before any concurrent one. Every other
+        registration is a read-modify-write under the store lock, so
+        concurrent registrants (service + campaign CLI) cannot lose each
+        other's entries.
         """
+        kept = self._manifest
+        if (kept is not None and kept[0] == self._manifest_signature()
+                and _with_entry(kept[1], entry) == kept[1]):
+            return
         with self.locked():
             sig = self._manifest_signature()
             kept = self._manifest
@@ -316,10 +328,7 @@ class ResultStore:
             else:
                 manifest = self.read_manifest()
                 self._manifest = (sig, manifest)
-            campaigns = [c for c in manifest.get("campaigns", [])
-                         if c.get("digest") != entry.get("digest")]
-            campaigns.append(entry)
-            updated = dict(manifest, campaigns=campaigns, version=STORE_VERSION)
+            updated = _with_entry(manifest, entry)
             if updated == manifest:
                 return
             text = json.dumps(updated, indent=2, sort_keys=True) + "\n"
@@ -360,6 +369,15 @@ class ResultStore:
             writer = csv.writer(fh)
             writer.writerow(GRID_CSV_COLUMNS)
             writer.writerows(self.to_rows())
+
+
+def _with_entry(manifest: dict, entry: dict) -> dict:
+    """*manifest* with *entry* registered: its digest's entries dropped,
+    the entry appended last, the version current."""
+    campaigns = [c for c in manifest.get("campaigns", [])
+                 if c.get("digest") != entry.get("digest")]
+    campaigns.append(entry)
+    return dict(manifest, campaigns=campaigns, version=STORE_VERSION)
 
 
 @dataclass
@@ -451,7 +469,7 @@ def store_status(store: ResultStore) -> Dict[str, object]:
     campaigns: List[Dict[str, object]] = []
     for entry in store.read_manifest().get("campaigns", []):
         spec = CampaignSpec.from_dict(entry["spec"])
-        digests = {c.digest() for cells in spec.cell_specs() for c in cells}
+        digests = [digest for digest, _cell in spec.unique_cells()]
         ok = sum(1 for d in digests if (store.get(d) or {}).get("status") == "ok")
         failed = sum(1 for d in digests if (store.get(d) or {}).get("status") == "failed")
         campaigns.append({

@@ -127,7 +127,6 @@ def job_to_cell(job: object) -> CellSpec:
     # Imported here, not at the top: every client imports this module,
     # and the cell codec pulls in the simulator.
     from ..campaign.cells import CellSpec
-    from ..workloads.dacapo import get_benchmark
 
     if not isinstance(job, dict):
         raise ProtocolError(
@@ -156,10 +155,7 @@ def job_to_cell(job: object) -> CellSpec:
             tlab_enabled=job.get("tlab_enabled", True),
             overrides=overrides,
         )
-        cell.jvm_config()
-        get_benchmark(cell.benchmark)
-        if cell.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1: {cell.iterations}")
+        cell.check()
     except (ConfigError, TypeError, ValueError) as exc:
         raise ProtocolError(f"invalid job: {exc}", code=400) from None
     return cell

@@ -24,6 +24,7 @@ from repro.campaign import (
     run_campaign,
     run_cell,
 )
+from repro.campaign import runner
 from repro.campaign.cells import CELL_SCHEMA_VERSION
 from repro.studies import GridSpec, run_grid
 from repro.units import GB, MB
@@ -431,6 +432,37 @@ class TestCampaignSpec:
         assert spec.cell_specs() == oracle
         assert spec.digest() == CampaignSpec.from_dict(spec.to_dict()).digest()
 
+    def test_unique_cells_and_grid_slots_match_per_call_derivation(self):
+        spec = CampaignSpec("x", [
+            TINY,
+            GridSpec(benchmarks=["batik", "xalan", "batik"], gcs=["Serial"],
+                     heaps=["1g"], youngs=["256m"], seeds=[0, 0],
+                     iterations=2),
+            TINY,
+        ])
+        per_grid = cell_specs_by_axes(spec)
+        unique = {}
+        for cells in per_grid:
+            for cell in cells:
+                unique.setdefault(cell.digest(), cell)
+        assert spec.unique_cells() == tuple(unique.items())
+        digests = list(unique)
+        for cells, slots in zip(per_grid, spec.grid_slots()):
+            keyed = {}
+            for cell in cells:
+                keyed[cell.key()] = digests.index(cell.digest())
+            assert slots == tuple(keyed.items())
+        assert [len(slots) for slots in spec.grid_slots()] == [2, 2, 2]
+        assert spec.unique_cells() is spec.unique_cells()
+
+    def test_registry_entry_is_kept(self):
+        spec = CampaignSpec("x", [TINY, TINY], overrides={"gc_threads": 2})
+        entry = spec.registry_entry()
+        assert entry == {"name": "x", "digest": spec.digest(),
+                         "spec": spec.to_dict(), "cells": 2}
+        assert spec.registry_entry() is entry
+        assert CampaignSpec.from_dict(entry["spec"]).digest() == spec.digest()
+
     def test_spec_from_list_axes_is_hashable(self):
         spec = tiny_campaign("x")          # TINY's axes are lists
         assert {spec: 1}[tiny_campaign("x")] == 1
@@ -494,11 +526,15 @@ class TestRunCampaign:
         assert result.stats.total == 2 and result.stats.simulated == 2
         assert result.grids[0].runs == result.grids[1].runs
 
-    def test_worker_failures_quarantined_after_retries(self, tmp_path):
-        bad = GridSpec(benchmarks=["lusearch", "definitely-not-a-benchmark"],
-                       gcs=["Serial"], heaps=["1g"], youngs=["256m"],
-                       seeds=[0], iterations=2)
-        result = run_campaign(CampaignSpec("bad", [bad]),
+    def test_worker_failures_quarantined_after_retries(self, tmp_path,
+                                                        monkeypatch):
+        def run_or_raise(cell, trace_dir=None):
+            if cell.benchmark == "batik":
+                raise RuntimeError("worker lost")
+            return run_cell(cell)
+
+        monkeypatch.setattr(runner, "run_cell", run_or_raise)
+        result = run_campaign(tiny_campaign("bad"),
                               store=tmp_path / "s", executor="serial", retries=1)
         assert result.stats.quarantined == 1
         assert result.stats.retried == 1
@@ -541,6 +577,132 @@ class TestRunCampaign:
         result.to_csv(tmp_path / "c.csv")
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 and lines[0].startswith("benchmark,")
+
+
+class TestCachedRerun:
+    """A fully cached `run_campaign` costs its lookups and one `stat`."""
+
+    @pytest.fixture()
+    def warm(self, tmp_path, tiny_runs):
+        store = ResultStore(tmp_path / "s")
+        for cell, run in tiny_runs:
+            store.record_ok(cell, run)
+        # Two grids over the same two cells: four cells, two digests.
+        spec = CampaignSpec("warm", [TINY, TINY])
+        first = run_campaign(spec, store=store, executor="serial")
+        assert first.stats.cached == 2
+        return spec, store, first
+
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_warm_call_costs_lookups_and_one_stat(self, warm, monkeypatch,
+                                                  executor):
+        fcntl = pytest.importorskip("fcntl")
+        from repro.campaign import spec as spec_module
+
+        spec, store, first = warm
+        path = store.manifest_path
+        st = path.stat()
+        before = (path.read_bytes(), st.st_ino, st.st_mtime_ns)
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        from_axes = CellSpec.from_axes
+        monkeypatch.setattr(CellSpec, "from_axes", classmethod(
+            counted("from_axes", lambda cls, *a, **kw: from_axes(*a, **kw))))
+        for owner, name in [(fcntl, "flock"),
+                            (ResultStore, "read_manifest"),
+                            (ResultStore, "get_run"),
+                            (spec_module, "grid_to_dict"),
+                            (runner, "get_executor"),
+                            (CellSpec, "check")]:
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        stat, manifest = os.stat, os.fspath(path)
+
+        def counted_stat(target, *args, **kwargs):
+            if os.fspath(target) == manifest:
+                calls["stat"] = calls.get("stat", 0) + 1
+            return stat(target, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counted_stat)
+        result = run_campaign(spec, store=store, executor=executor, workers=2)
+        monkeypatch.undo()
+
+        assert calls == {"get_run": 2, "stat": 1}
+        assert result.stats.cached == 2 and result.stats.simulated == 0
+        assert [g.runs for g in result.grids] == [g.runs for g in first.grids]
+        st = path.stat()
+        assert (path.read_bytes(), st.st_ino, st.st_mtime_ns) == before
+
+    @pytest.mark.parametrize("change", ["replace-ok", "new-failure", "merge",
+                                        "compact", "drop-failures", "clear"])
+    def test_warm_call_sees_every_store_change(self, warm, tmp_path,
+                                               tiny_runs, change):
+        spec, store, _ = warm
+        [(cell, _run), (_, other)] = tiny_runs
+        assert run_campaign(spec, store=store).stats.cached == 2
+        if change == "replace-ok":
+            store.record_ok(cell, other)
+        elif change == "new-failure":
+            store.record_failure(cell, "timeout", "budget", attempts=1)
+        elif change == "merge":
+            store.record_failure(cell, "timeout", "budget", attempts=1)
+            src = ResultStore(tmp_path / "src")
+            src.record_ok(cell, other)
+            assert merge_stores([src], store).superseded == 1
+        elif change == "compact":
+            store.compact()
+        elif change == "drop-failures":
+            store.record_failure(cell, "timeout", "budget", attempts=1)
+            assert store.drop_failures() == 1
+        else:
+            assert store.clear() == 2
+        second = run_campaign(spec, store=store)
+        # The oracle: a cold decode of the same root by a fresh handle.
+        cold = ResultStore(store.root)
+        oracle = {c.key(): cold.get_run(c.digest()) for c in spec.cell_specs()[0]}
+        assert None not in oracle.values()
+        assert [g.runs for g in second.grids] == [oracle, oracle]
+        if change in ("replace-ok", "merge"):
+            assert second.grid(0).runs[cell.key()] == other
+
+    @pytest.mark.parametrize("axes", [
+        {"benchmarks": ["lusearch", "definitely-not-a-benchmark"]},
+        {"heaps": ["0g"]},
+        {"heaps": ["1g"], "youngs": ["2g"]},
+    ], ids=["unknown-benchmark", "zero-heap", "young-above-heap"])
+    @pytest.mark.parametrize("populated", [False, True],
+                             ids=["fresh-store", "populated-store"])
+    def test_refused_cell_runs_and_writes_nothing(self, tmp_path, tiny_runs,
+                                                  monkeypatch, axes,
+                                                  populated):
+        root = tmp_path / "s"
+        if populated:
+            store = ResultStore(root)
+            for cell, run in tiny_runs:
+                store.record_ok(cell, run)
+            run_campaign(tiny_campaign(), store=store)
+
+        def snapshot():
+            return {name: ((root / name).read_bytes(),
+                           (root / name).stat().st_ino)
+                    for name in ("records.jsonl", "manifest.json")
+                    if (root / name).exists()}
+
+        before = snapshot()
+        ran = []
+        monkeypatch.setattr(runner, "run_cell", lambda cell, trace_dir=None: (
+            ran.append(cell) or run_cell(cell)))
+        grid = dataclasses.replace(TINY, **axes)
+        with pytest.raises(ConfigError):
+            run_campaign(CampaignSpec("bad", [grid]), store=root)
+        assert ran == []
+        assert snapshot() == before
+        assert len(before) == (2 if populated else 0)
 
 
 # ----------------------------------------------------------------------

@@ -41,9 +41,15 @@ class TestRunCommand:
         assert campaign_main(args) == 0
         assert "cached 0/2" in capsys.readouterr().out
 
-    def test_quarantine_sets_exit_code(self, tmp_path, capsys):
+    def test_quarantine_sets_exit_code(self, tmp_path, capsys, monkeypatch):
+        from repro.campaign import runner
+
+        def raise_always(cell, trace_dir=None):
+            raise RuntimeError("worker lost")
+
+        monkeypatch.setattr(runner, "run_cell", raise_always)
         args = (["run", "--name", "bad", "--store", str(tmp_path / "s"),
-                 "--benchmarks", "definitely-not-a-benchmark",
+                 "--benchmarks", "lusearch",
                  "--gcs", "Serial", "--heaps", "1g", "--seeds", "0",
                  "--iterations", "1", "--executor", "serial",
                  "--retries", "0"])
@@ -126,6 +132,56 @@ class TestStatusResumeClean:
         assert "dropped all 2 record(s)" in capsys.readouterr().out
         campaign_main(run_args(populated_store))
         assert "cached 0/2" in capsys.readouterr().out
+
+
+def _store_files(store):
+    """Bytes and inode of each store file present."""
+    return {name: ((store / name).read_bytes(), (store / name).stat().st_ino)
+            for name in ("records.jsonl", "manifest.json")
+            if (store / name).exists()}
+
+
+class TestRefusals:
+    """Cells the JVM would refuse, and stores that are not there, exit 2
+    with one `error:` line and change nothing."""
+
+    @pytest.mark.parametrize("axes", [
+        ["--benchmarks", "definitely-not-a-benchmark"],
+        ["--benchmarks", "lusearch", "--heaps", "0g"],
+        ["--benchmarks", "lusearch", "--heaps", "1g", "--youngs", "2g"],
+    ], ids=["unknown-benchmark", "zero-heap", "young-above-heap"])
+    def test_refused_cell_writes_nothing(self, tmp_path, capsys, axes):
+        store = tmp_path / "store"
+        assert campaign_main(run_args(store)) == 0
+        before = _store_files(store)
+        capsys.readouterr()
+        args = (["run", "--name", "smoke", "--store", str(store)] + axes
+                + ["--iterations", "1", "--executor", "serial"])
+        assert campaign_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert _store_files(store) == before and len(before) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["status"], ["status", "--json"], ["clean"],
+        ["clean", "--failures-only"], ["resume", "--executor", "serial"]])
+    @pytest.mark.parametrize("kind", ["missing", "file"])
+    def test_store_must_exist(self, tmp_path, capsys, command, kind):
+        path = tmp_path / "no-such-store"
+        if kind == "file":
+            path.write_text("not a store\n")
+        assert campaign_main(command[:1] + ["--store", str(path)]
+                             + command[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: store ")
+        assert len(captured.err.splitlines()) == 1
+        if kind == "file":
+            assert path.read_text() == "not a store\n"
+        else:
+            assert not path.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["no-such-store"] if kind == "file" else [])
 
 
 class TestDaCapoProgress:

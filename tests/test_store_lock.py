@@ -9,6 +9,8 @@ lost, interleaved or resurrected.
 import json
 import multiprocessing
 
+import pytest
+
 from repro.campaign import CellSpec, ResultStore
 from repro.campaign.store import store_status
 
@@ -143,3 +145,39 @@ class TestKeptManifest:
         assert path.stat().st_ino == ino
         a.register_campaign(_entry("X"))
         assert _names(a) == ["Y", "X"]
+
+    def test_kept_registration_takes_no_lock(self, tmp_path, monkeypatch):
+        fcntl = pytest.importorskip("fcntl")
+        a = ResultStore(tmp_path / "store")
+        b = ResultStore(tmp_path / "store")
+        a.register_campaign(_entry("X"))
+        locks = []
+        flock = fcntl.flock
+        monkeypatch.setattr(fcntl, "flock", lambda fd, op: (
+            locks.append(op) or flock(fd, op)))
+        a.register_campaign(_entry("X"))      # kept and unchanged: no lock
+        assert locks == []
+        b.register_campaign(_entry("Y"))
+        a.register_campaign(_entry("X"))      # b replaced the file: locked
+        assert locks and _names(a) == ["Y", "X"]
+        del locks[:]
+        a.register_campaign(_entry("X"))
+        assert locks == []
+
+    def test_duplicate_digest_rewritten_as_before(self, tmp_path):
+        a = ResultStore(tmp_path / "store")
+        a.register_campaign(_entry("X"))      # a keeps [X]
+        path = a.manifest_path
+        tmp = path.with_suffix(".edit")
+        tmp.write_text(json.dumps(
+            {"version": 1, "campaigns": [_entry("X"), _entry("Y"), _entry("X")]},
+            indent=2, sort_keys=True) + "\n")
+        tmp.replace(path)                     # a hand edit, renamed in place
+        ino = path.stat().st_ino
+        a.register_campaign(_entry("X"))
+        # The duplicates collapse into one entry, moved last.
+        assert path.read_bytes() == (json.dumps(
+            {"version": 1, "campaigns": [_entry("Y"), _entry("X")]},
+            indent=2, sort_keys=True) + "\n").encode()
+        assert path.stat().st_ino != ino
+        assert _names(ResultStore(a.root)) == ["Y", "X"]

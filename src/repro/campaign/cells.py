@@ -226,9 +226,7 @@ def _encode_config(config: JVMConfig) -> Dict[str, object]:
         "misc_safepoint_interval": config.misc_safepoint_interval,
     }
     # Emitted only when set, so every record written before the field
-    # existed (and every legacy-collector record) keeps its exact bytes.
-    if config.remset_fidelity:
-        out["remset_fidelity"] = True
+    # existed keeps its exact bytes.
     if config.gc_placement:
         out["gc_placement"] = config.gc_placement
     return out
@@ -245,7 +243,6 @@ def _decode_config(d: Dict[str, object]) -> JVMConfig:
         n_threads=d["n_threads"], seed=d["seed"],
         misc_safepoints=d["misc_safepoints"],
         misc_safepoint_interval=d["misc_safepoint_interval"],
-        remset_fidelity=d.get("remset_fidelity", False),
         gc_placement=d.get("gc_placement", ""),
     )
     topology = _TOPOLOGIES.get(d["topology"])

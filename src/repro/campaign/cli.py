@@ -25,7 +25,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Union
 
 from ..analysis.report import render_campaign_summary, render_table
 from ..errors import ConfigError, ReproError
@@ -92,7 +92,8 @@ def _spec_from_args(args) -> CampaignSpec:
     return CampaignSpec(name=args.name, grids=[grid])
 
 
-def _execute(spec: CampaignSpec, args, store: Optional[ResultStore]) -> int:
+def _execute(spec: CampaignSpec, args,
+             store: Union[ResultStore, str, None]) -> int:
     from .progress import ProgressReporter
     from .runner import run_campaign
 
@@ -125,10 +126,9 @@ def _existing_store(path: str) -> ResultStore:
 
 
 def run_cmd(args) -> int:
-    """``repro-campaign run``: execute (or resume) a campaign."""
-    spec = _spec_from_args(args)
-    store = ResultStore(args.store) if args.store else None
-    return _execute(spec, args, store)
+    """``repro-campaign run``: execute (or resume) a campaign; the runner
+    makes a new ``--store`` only once the run has passed its checks."""
+    return _execute(_spec_from_args(args), args, args.store or None)
 
 
 def resume_cmd(args) -> int:

@@ -85,6 +85,29 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _raised(cell: CellSpec, exc: Exception) -> CellFailure:
+    """The failure of a cell whose function raised *exc*."""
+    return CellFailure(cell=cell, kind="exception",
+                       error=f"{type(exc).__name__}: {exc}", exc=exc)
+
+
+def _collect(cell: CellSpec, future, timeout: Optional[float]) -> Outcome:
+    """*cell*'s run from its worker's *future*, or the failure it ended
+    in: the deadline passed (the future is cancelled if it never
+    started), the pool broke, or the cell function raised."""
+    try:
+        return future.result(timeout=timeout)
+    except FutureTimeoutError:
+        future.cancel()
+        return CellFailure(cell=cell, kind="timeout",
+                           error=f"cell exceeded {timeout}s wall-clock budget")
+    except BrokenProcessPool as exc:
+        return CellFailure(cell=cell, kind="broken-pool",
+                           error=str(exc) or "worker process died", exc=exc)
+    except Exception as exc:
+        return _raised(cell, exc)
+
+
 class SerialExecutor:
     """Run cells one after another in this process (the reference
     executor: `run_grid`'s historical behaviour)."""
@@ -104,8 +127,7 @@ class SerialExecutor:
         try:
             return fn(cell)
         except Exception as exc:
-            return CellFailure(cell=cell, kind="exception",
-                               error=f"{type(exc).__name__}: {exc}", exc=exc)
+            return _raised(cell, exc)
 
     def run_cells(self, cells: Sequence[CellSpec], fn: CellFn, *,
                   timeout: Optional[float] = None,
@@ -118,12 +140,7 @@ class SerialExecutor:
         for cell in cells:
             if on_submit is not None:
                 on_submit(cell)
-            try:
-                yield cell, fn(cell)
-            except Exception as exc:
-                yield cell, CellFailure(cell=cell, kind="exception",
-                                        error=f"{type(exc).__name__}: {exc}",
-                                        exc=exc)
+            yield cell, self.run_one(cell, fn)
 
 
 class ProcessExecutor:
@@ -208,23 +225,11 @@ class ProcessExecutor:
             self._recycle_pool(pool)
             return CellFailure(cell=cell, kind="broken-pool",
                                error=str(exc) or "pool shut down", exc=exc)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
+        outcome = _collect(cell, future, timeout)
+        if (isinstance(outcome, CellFailure)
+                and outcome.kind in ("timeout", "broken-pool")):
             self._recycle_pool(pool)
-            return CellFailure(
-                cell=cell, kind="timeout",
-                error=f"cell exceeded {timeout}s wall-clock budget",
-            )
-        except BrokenProcessPool as exc:
-            self._recycle_pool(pool)
-            return CellFailure(cell=cell, kind="broken-pool",
-                               error=str(exc) or "worker process died",
-                               exc=exc)
-        except Exception as exc:
-            return CellFailure(cell=cell, kind="exception",
-                               error=f"{type(exc).__name__}: {exc}", exc=exc)
+        return outcome
 
     def run_cells(self, cells: Sequence[CellSpec], fn: CellFn, *,
                   timeout: Optional[float] = None,
@@ -239,25 +244,10 @@ class ProcessExecutor:
                 if on_submit is not None:
                     on_submit(cell)
                 futures.append(pool.submit(fn, cell))
+            # Once the pool breaks, every remaining future raises the
+            # same, so each remaining cell is reported broken too.
             for cell, future in zip(cells, futures):
-                try:
-                    yield cell, future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    future.cancel()
-                    yield cell, CellFailure(
-                        cell=cell, kind="timeout",
-                        error=f"cell exceeded {timeout}s wall-clock budget",
-                    )
-                except BrokenProcessPool as exc:
-                    # The pool is dead; report this and every remaining
-                    # cell as broken (their futures would raise the same).
-                    yield cell, CellFailure(cell=cell, kind="broken-pool",
-                                            error=str(exc) or "worker process died",
-                                            exc=exc)
-                except Exception as exc:
-                    yield cell, CellFailure(cell=cell, kind="exception",
-                                            error=f"{type(exc).__name__}: {exc}",
-                                            exc=exc)
+                yield cell, _collect(cell, future, timeout)
 
 
 _EXECUTORS = {

@@ -26,6 +26,7 @@ produce identical ``GridResult``s (asserted in ``tests/test_campaign.py``).
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
@@ -105,8 +106,9 @@ def run_campaign(spec: CampaignSpec, *,
                  trace_dir: Optional[str] = None) -> CampaignResult:
     """Run (or resume) *spec* and return its :class:`CampaignResult`.
 
-    *store* may be a :class:`ResultStore`, a directory path, or None for
-    a purely in-memory run (no caching, no resumability). *executor* is
+    *store* may be a :class:`ResultStore`, a directory path (made only
+    once the run has passed its checks), or None for a purely in-memory
+    run (no caching, no resumability). *executor* is
     an executor name (``serial``/``process``) or a ready instance;
     *workers* sizes the process pool (default: one per core). With
     *trace_dir*, every simulated cell also writes a telemetry trace to
@@ -116,8 +118,14 @@ def run_campaign(spec: CampaignSpec, *,
     if retries < 0:
         raise ConfigError("retries must be >= 0")
     check_budget("timeout", timeout)
+    new_root = None
     if isinstance(store, (str, bytes)) or hasattr(store, "__fspath__"):
-        store = ResultStore(store)
+        if os.path.isdir(store):
+            store = ResultStore(store)
+        else:
+            # A store not made yet serves no cell; it is made once every
+            # cell has passed its check.
+            new_root, store = store, None
 
     # -- cache pass: one lookup per distinct cell ----------------------
     unique = spec.unique_cells()
@@ -132,6 +140,8 @@ def run_campaign(spec: CampaignSpec, *,
     # registered or any cell runs; a fully cached call checks nothing.
     for cell in pending:
         cell.check()
+    if new_root is not None:
+        store = ResultStore(new_root)
 
     stats = CampaignStats(total=len(unique),
                           cached=len(unique) - len(pending))

@@ -47,7 +47,11 @@ class ResultStore:
 
     def __init__(self, root):
         self.root = pathlib.Path(os.fsdecode(root))
-        self.root.mkdir(parents=True, exist_ok=True)
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            # The path, or one of its parents, is a regular file.
+            raise ConfigError(f"store {self.root} is not a directory") from None
         #: :attr:`manifest_path` as a string, for the one ``stat`` a
         #: cached :meth:`register_campaign` costs.
         self._manifest_file = str(self.manifest_path)

@@ -93,6 +93,11 @@ class Collector(ABC):
     #: Weight of dirty-card scanning in young pauses (free-list old
     #: generations are more expensive to scan).
     card_scan_weight: float = 1.0
+    #: Price young scans off the heap's card table (card-quantised dirty
+    #: volume) rather than its scalar dirty volume. Off for the paper's
+    #: six collectors, which stay byte-identical to the committed
+    #: baselines; ZGC and Shenandoah set it.
+    card_fidelity: bool = False
     #: Multiplier applied to full-GC durations (structural overheads,
     #: e.g. G1's region bookkeeping in its serial full GC).
     full_overhead_factor: float = 1.0
@@ -128,18 +133,10 @@ class Collector(ABC):
         gc_threads: Optional[int] = None,
         rng: Optional[np.random.Generator] = None,
         noise: float = 0.03,
-        remset_fidelity: bool = False,
     ):
         self.heap = heap
         self.costs = costs
-        #: Card/remset fidelity: when enabled the heap reports real
-        #: card-quantised scan volumes (CMS/ParNew scan actual dirty
-        #: cards; G1 prices remark off remset cardinality). Off by
-        #: default so the paper's six collectors stay byte-identical to
-        #: the committed baselines; the fully-concurrent collectors
-        #: force it on.
-        self.remset_fidelity = bool(remset_fidelity)
-        if self.remset_fidelity:
+        if self.card_fidelity:
             heap.card_fidelity = True
         default = costs.default_gc_threads()
         self.gc_threads = int(gc_threads) if gc_threads is not None else default

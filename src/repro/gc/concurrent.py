@@ -29,9 +29,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..heap.cards import RememberedSet
 from ..heap.heap import CollectionVolumes, batch_live_bytes
-from ..heap.regions import RegionTable
 from .base import Collector, Outcome, STWPause
 from .stats import ConcurrentRecord, RELOCATION_PHASE
 
@@ -77,20 +75,11 @@ class ConcurrentCopyingCollector(Collector):
     young_floor: float = 0.002
     mark_floor: float = 0.005
     old_floor: float = 0.005
-    #: Force card fidelity and keep a per-region remembered set, whose
-    #: evacuated regions' cards move with their copies.
-    uses_remset: bool = True
+    #: Young scans are priced off the heap's card table.
+    card_fidelity = True
 
     def __init__(self, *args, **kwargs):
-        if self.uses_remset:
-            # Forced, not defaulted: the JVM passes the config flag
-            # explicitly, and these collectors have no coarse mode.
-            kwargs["remset_fidelity"] = True
         super().__init__(*args, **kwargs)
-        if self.uses_remset:
-            self.regions = RegionTable.for_heap(self.heap.config.heap_bytes)
-            if self.heap.remset is None:
-                self.heap.attach_remset(RememberedSet(self.regions))
         self.conc_threads = max(1, self.costs.default_gc_threads() // 2)
         self._copying = False          # young copy in flight
         self._copy_end = 0.0
@@ -202,11 +191,6 @@ class ConcurrentCopyingCollector(Collector):
         lives = batch_live_bytes(self.heap.old_cohorts, now)
         live = self.heap.old_live_bytes(now, lives)
         self.heap.sweep_old(now, fragmentation_increment=0.0, lives=lives)
-        remset = self.heap.remset
-        if remset is not None and remset.regions.total_regions > 1:
-            # Evacuating the most-fragmented region forwards its
-            # remembered cards to the relocation target.
-            remset.evacuate_region(0, remset.regions.total_regions - 1)
         duration = self._concurrent_seconds(live / self.conc_copy_factor,
                                             self.old_floor)
         self._old_gen += 1

@@ -21,11 +21,8 @@ Two structural properties drive the paper's findings:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
-from ..heap.cards import RememberedSet
 from ..heap.heap import CollectionVolumes, batch_live_bytes, collect_rows
 from ..heap.regions import RegionTable
 from .base import Collector, Outcome, STWPause
@@ -63,17 +60,10 @@ class G1GC(Collector):
         super().__init__(*args, **kwargs)
         self.pause_target = float(pause_target)
         self.regions = RegionTable.for_heap(self.heap.config.heap_bytes)
-        # G1 always maintains per-region remembered sets (kept in sync
-        # with the card table by the heap — pure integer bookkeeping);
-        # they *price* the remark scan only under remset fidelity.
-        if self.heap.remset is None:
-            self.heap.attach_remset(RememberedSet(self.regions))
         self.conc_threads = self.costs.default_concurrent_gc_threads()
         self._state = "idle"       # idle | marking
         self._cycle_gen = 0
         self._mixed_remaining = 0
-        #: Last observed evacuation pause, driving the young-size policy.
-        self._last_pause: Optional[float] = None
 
     # ------------------------------------------------------------------
 
@@ -125,7 +115,6 @@ class G1GC(Collector):
         volume independent of young size — G1 then settles at a large
         young generation instead of thrashing at the minimum.
         """
-        self._last_pause = observed_pause
         if observed_pause <= 0:
             return
         factor = (self.pause_target / observed_pause) ** 0.7
@@ -175,15 +164,7 @@ class G1GC(Collector):
         if gen != self._cycle_gen or self._state != "marking":
             return Outcome()
         outcome = Outcome()
-        if self.remset_fidelity and self.heap.remset is not None:
-            # Real remset cardinality: scan exactly the remembered cards
-            # plus the per-region "into-old" component.
-            remark_cards = (
-                self.heap.remset.total_bytes + 0.02 * self.heap.old.used
-            )
-        else:
-            # Legacy scalar approximation (byte-identical baseline path).
-            remark_cards = self.heap.dirty_card_bytes + 0.02 * self.heap.old.used
+        remark_cards = self.heap.dirty_card_bytes + 0.02 * self.heap.old.used
         remark = STWPause(
             "remark",
             "G1 Remark",

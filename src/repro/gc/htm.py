@@ -36,7 +36,8 @@ Model (the cycle in :mod:`repro.gc.concurrent`):
   failure.
 * A flip while an evacuation is still in flight neither stalls nor
   degenerates: the new evacuation simply overlaps the old one.
-* HTM keeps no remembered set and does not force card fidelity.
+* HTM prices young scans off the heap's scalar dirty volume, not its
+  card table (:attr:`card_fidelity` is off).
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class HTMGC(ConcurrentCopyingCollector):
     old_phase = "htm-old-compaction"
     young_floor = 0.005
     old_floor = 0.01
-    uses_remset = False
+    card_fidelity = False
 
     def _flip_seconds(self) -> float:
         return self.flip_pause + self.costs.reference_processing

@@ -20,8 +20,8 @@ points — with the differences the Distilling paper highlights:
   the old cycle (shared with CMS/G1 vocabulary) and a ``young`` flip
   for evacuation candidate selection.
 
-Runs with full card/remset fidelity like ZGC (explicit card table +
-per-region remembered set).
+Runs with card fidelity like ZGC: the heap's explicit card table prices
+young scans.
 """
 
 from __future__ import annotations

@@ -25,9 +25,8 @@ Garbage Collectors" paper measures for ZGC, on the cycle in
   degrades to a serial STW full collection, the worst case the real
   collector works very hard to avoid.
 
-Runs with full card/remset fidelity: the heap's explicit card table
-prices young scans and a per-region remembered set tracks into-region
-references (evacuation candidates' remembered cards move with them).
+Runs with card fidelity: the heap's explicit card table, not its scalar
+dirty volume, prices young scans.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@ from .lifetime import (
     Mixture,
     Weibull,
 )
-from .cards import CARD_SIZE, CardTable, RememberedSet, cards_for
+from .cards import CARD_SIZE, CardTable, cards_for
 from .cohort import Cohort
 from .spaces import Space, SpaceKind
 from .tlab import TLABConfig, TLABManager
@@ -29,7 +29,6 @@ __all__ = [
     "Mixture",
     "CARD_SIZE",
     "CardTable",
-    "RememberedSet",
     "cards_for",
     "Cohort",
     "Space",

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import AllocationFailure, ConfigError, HeapError, PromotionFailure
 from ..units import MB, fmt_bytes
-from .cards import CardTable, RememberedSet
+from .cards import CardTable
 from .cohort import TAIL_CUTOFF, Cohort, CohortColumns, CohortStore
 from .lifetime import LifetimeDistribution
 from .spaces import Space, SpaceKind
@@ -282,13 +282,9 @@ class GenerationalHeap:
         #: only for collectors that opt in via ``card_fidelity``.
         self.dirty_card_bytes = 0.0
         self.card_table = CardTable(config.heap_bytes)
-        #: Per-region remembered set; region collectors attach one via
-        #: :meth:`attach_remset` and it is kept in card-table sync.
-        self.remset: Optional[RememberedSet] = None
         #: When True, ``minor_collection`` reports the card-quantised
         #: scan volume instead of the scalar approximation.
         self.card_fidelity = False
-        self._last_minor_at = 0.0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -429,9 +425,7 @@ class GenerationalHeap:
 
         A repeated write leaves the state *repeat* single calls would:
         the scalar is clamped after every write and the card table
-        saturates write by write. Old occupancy cannot change between the
-        writes, so the remembered set deals all their new cards over one
-        region span, in one call.
+        saturates write by write.
         """
         if n_bytes < 0:
             raise ConfigError("dirty_cards takes non-negative bytes")
@@ -440,37 +434,7 @@ class GenerationalHeap:
         for _ in range(repeat):
             dirty = min(dirty + n_bytes, used)
         self.dirty_card_bytes = dirty
-        added = self.card_table.dirty(n_bytes, used, repeat)
-        if self.remset is not None and added:
-            self.remset.record(added, self._occupied_old_regions())
-
-    def attach_remset(self, remset: RememberedSet) -> None:
-        """Attach a per-region remembered set (region collectors only).
-
-        Must happen before any cards are dirtied so the remset starts in
-        sync with the card table; from then on every newly-dirtied card
-        is distributed into it and :meth:`check_invariants` enforces
-        ``remset.total_cards == card_table.dirty_cards_count``.
-        """
-        if self.card_table.dirty_cards_count != 0:
-            raise HeapError("attach_remset requires a clean card table")
-        self.remset = remset
-
-    def _occupied_old_regions(self) -> int:
-        """Old regions currently holding data (for remset distribution)."""
-        assert self.remset is not None
-        return max(1, self.remset.regions.regions_for(self.old.used))
-
-    def _reset_card_structures(self, redirty_bytes: float) -> None:
-        """Post-scan card reset: clean every card, then re-dirty the
-        cards covering *redirty_bytes* (freshly promoted data holds some
-        references into young)."""
-        self.card_table.clear()
-        added = self.card_table.dirty(redirty_bytes, self.old.used)
-        if self.remset is not None:
-            self.remset.clear()
-            if added:
-                self.remset.record(added, self._occupied_old_regions())
+        self.card_table.dirty(n_bytes, used, repeat)
 
     # ------------------------------------------------------------------
     # Collection mechanics
@@ -556,12 +520,13 @@ class GenerationalHeap:
         if promoted_bytes > 0:
             self.old.add(min(promoted_bytes, self.old.free))
 
-        # Promoted data starts out with some dirty references into young.
+        # The scan cleans every card, but promoted data starts out with
+        # some dirty references into young.
         redirty = 0.15 * promoted_bytes
         self.dirty_card_bytes = redirty
-        self._reset_card_structures(redirty)
+        self.card_table.clear()
+        self.card_table.dirty(redirty, self.old.used)
         vol.marked = vol.copied_to_survivor + vol.promoted
-        self._last_minor_at = now
         return vol
 
     def full_collection(self, now: float, *, compacting: bool = True) -> CollectionVolumes:
@@ -619,7 +584,7 @@ class GenerationalHeap:
         self._commit_survivor(stranded_bytes)
         self.old.used = min(float(sum(old.resident.tolist())), self.old.capacity)
         self.dirty_card_bytes = 0.0
-        self._reset_card_structures(0.0)
+        self.card_table.clear()
         return vol
 
     def _collect_young(self, now: float,
@@ -749,10 +714,4 @@ class GenerationalHeap:
             raise HeapError(
                 f"dirty card count {self.card_table.dirty_cards_count} "
                 f"outside [0, {self.card_table.total_cards}]"
-            )
-        if (self.remset is not None
-                and self.remset.total_cards != self.card_table.dirty_cards_count):
-            raise HeapError(
-                f"remset cards {self.remset.total_cards} out of sync with "
-                f"card table {self.card_table.dirty_cards_count}"
             )

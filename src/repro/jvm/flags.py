@@ -54,12 +54,6 @@ class JVMConfig:
     misc_safepoints: bool = False
     #: Mean interval between non-GC safepoints (seconds, exponential).
     misc_safepoint_interval: float = 1.0
-    #: Card/remset fidelity: price young scans off the explicit card
-    #: table and G1's remark off real remset cardinality (see
-    #: :mod:`repro.heap.cards`). Off by default — the paper's six
-    #: collectors stay byte-identical to the committed baselines; the
-    #: fully-concurrent collectors force it on regardless.
-    remset_fidelity: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "gc", resolve_gc(self.gc))

@@ -120,7 +120,6 @@ class JVM:
             gc_threads=gc_threads,
             rng=rng_for(config.seed, config.gc.value, "collector"),
             pause_target=config.pause_target,
-            remset_fidelity=config.remset_fidelity,
         )
         self.gc_log = GCLog()
         self.world = World(

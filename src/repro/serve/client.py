@@ -89,6 +89,9 @@ class ServiceClient:
             self._events.put_nowait({})
 
     async def _request(self, msg: dict, rid) -> "asyncio.Queue":
+        if self._read_error is not None:
+            # No reader is left to route a reply to this request.
+            raise ProtocolError("connection closed by the service", code=499)
         queue: "asyncio.Queue" = asyncio.Queue()
         self._pending[rid] = queue
         self._writer.write(protocol.encode(msg))

@@ -27,7 +27,8 @@ from ..gc.registry import GC_HELP
 from ..jvm import JVM, JVMConfig
 from ..units import parse_size
 from ..workloads.dacapo import ALL_BENCHMARKS, get_benchmark
-from .export import read_trace, render_diff, render_report, write_chrome, write_trace
+from .export import (read_trace, render_diff, render_report, write_chrome,
+                     write_jsonl, write_trace)
 from .ring import DEFAULT_CAPACITY
 from .tracer import Tracer
 
@@ -72,24 +73,9 @@ def export_cmd(args) -> int:
     if args.format == "chrome":
         write_chrome(trace, args.output)
     else:
-        # Re-canonicalize: rebuild the JSONL through a fresh tracer-less
-        # serialization (stable keys/separators), e.g. to normalize a
-        # hand-edited trace.
-        import json
-
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(
-                {"type": "meta", "v": 1, "meta": trace.meta},
-                sort_keys=True, separators=(",", ":")) + "\n")
-            for ev in trace.events:
-                line = {"type": "event"}
-                line.update(ev.to_dict())
-                fh.write(json.dumps(line, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-            summary = {"type": "summary"}
-            summary.update(trace.summary)
-            fh.write(json.dumps(summary, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+        # Re-canonicalize (stable keys and separators), e.g. to normalize
+        # a hand-edited trace.
+        write_jsonl(args.output, trace.meta, trace.events, trace.summary)
     print(f"exported {args.trace} -> {args.output} ({args.format})")
     return 0
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from ..errors import ReproError
 from .events import (ALLOC_STALL, CONCURRENT_PHASE, CONCURRENT_RELOCATION,
@@ -69,16 +69,24 @@ class Trace:
 
 def write_trace(tracer: Tracer, path: str) -> None:
     """Serialize *tracer*'s state to the JSONL trace file *path*."""
+    write_jsonl(path, tracer.meta, tracer.ring, tracer.summary())
+
+
+def write_jsonl(path: str, meta: Dict[str, object],
+                events: Iterable[TraceEvent],
+                summary: Dict[str, object]) -> None:
+    """Write the JSONL trace file *path*: the meta line, one line per
+    event, then the summary line."""
     with open(path, "w") as fh:
         fh.write(_dumps({"type": "meta", "v": TRACE_SCHEMA_VERSION,
-                         "meta": tracer.meta}) + "\n")
-        for ev in tracer.ring:
+                         "meta": meta}) + "\n")
+        for ev in events:
             line = {"type": "event"}
             line.update(ev.to_dict())
             fh.write(_dumps(line) + "\n")
-        summary = {"type": "summary"}
-        summary.update(tracer.summary())
-        fh.write(_dumps(summary) + "\n")
+        line = {"type": "summary"}
+        line.update(summary)
+        fh.write(_dumps(line) + "\n")
 
 
 def read_trace(path: str) -> Trace:

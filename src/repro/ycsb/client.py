@@ -20,7 +20,9 @@ of every operation, then every write's service time, then every read's
 cache miss, then every read's service time. A PCG64 stream of one
 distribution yields the same values drawn in one call or in slices, so
 the trace does not depend on the block size, and the only full-size
-arrays the synthesis allocates are the three the trace holds.
+arrays the synthesis allocates are the three the trace holds. Those, and
+a sub-trace's (:meth:`ClientResult.of_kind`), take their memory in
+blocks rounded up to whole MiB (:func:`_trace_array`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,21 @@ from .workload import CoreWorkload
 
 #: Operation kind codes in :class:`ClientResult` arrays.
 KIND_READ, KIND_UPDATE, KIND_INSERT = 0, 1, 2
+
+#: Trace arrays take their memory in whole multiples of this many bytes.
+_TRACE_QUANTUM = 1 << 20
+
+
+def _trace_array(n: int, dtype=float) -> np.ndarray:
+    """An uninitialised length-*n* array in a memory block rounded up to
+    a whole multiple of :data:`_TRACE_QUANTUM` bytes. Traces of one
+    duration differ by a few hundred operations, so an exact-size block
+    one trace frees is often too small for the next trace's array; the C
+    allocator then extends its heap by an amount that depends on where
+    earlier blocks landed, and peak resident memory varied by process."""
+    dtype = np.dtype(dtype)
+    per_block = _TRACE_QUANTUM // dtype.itemsize
+    return np.empty(-(-n // per_block) * per_block, dtype)[:n]
 
 
 @dataclass
@@ -66,11 +83,17 @@ class ClientResult:
     def of_kind(self, kind: int) -> "ClientResult":
         """Sub-trace of one operation kind."""
         rows = np.flatnonzero(self.kinds == kind)
+        n = len(rows)
+        kinds = _trace_array(n, self.kinds.dtype)
+        kinds.fill(kind)
+        # Every row is in range; mode "raise" would copy ``out`` first.
         return ClientResult(
             self.gc,
-            self.op_times[rows],
-            self.latencies_ms[rows],
-            np.full(len(rows), kind, dtype=self.kinds.dtype),
+            np.take(self.op_times, rows, mode="clip",
+                    out=_trace_array(n, self.op_times.dtype)),
+            np.take(self.latencies_ms, rows, mode="clip",
+                    out=_trace_array(n, self.latencies_ms.dtype)),
+            kinds,
             self.pause_intervals,
             self.server_result,
         )
@@ -154,11 +177,14 @@ class YCSBClient:
         if t1 <= t0:
             raise ConfigError("server run has an empty serving window")
         n = max(1, int((t1 - t0) * samples_per_second))
-        times = rng.uniform(t0, t1, size=n)
-        times.sort()
-        kinds = np.empty(n, dtype=np.int8)
-        lat = np.empty(n, dtype=float)
         step = hist.BLOCK
+        times = _trace_array(n)
+        for a in range(0, n, step):
+            block = times[a:a + step]
+            block[:] = rng.uniform(t0, t1, size=len(block))
+        times.sort()
+        kinds = _trace_array(n, np.int8)
+        lat = _trace_array(n)
         blocks = [(kinds[a:a + step], lat[a:a + step], times[a:a + step])
                   for a in range(0, n, step)]
         buf = np.empty(min(step, n))

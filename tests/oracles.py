@@ -16,8 +16,6 @@ agree with them exactly, float for float and byte for byte.
 * :func:`weibull_integrated_survival` and :func:`mixture_by_zeros` —
   survival with the Weibull's constant factor worked out per call, and
   a mixture's terms added to a zeroed array;
-* :class:`LoopRememberedSet` — the per-card round-robin ``record`` loop
-  that ``RememberedSet.record``'s closed form replaces;
 * :func:`evacuate_old_by_tuples` — G1's garbage-first selection as a sort
   over ``(score, cohort, live)`` tuples;
 * :func:`synthesize_whole`, :func:`synthesize_by_masks`,
@@ -169,33 +167,6 @@ def mixture_by_zeros(dist, age, method: str):
     for w, component in dist.components:
         out += w * getattr(component, method)(age)
     return out
-
-
-class LoopRememberedSet:
-    """Per-region remembered cards, dealt one card at a time."""
-
-    def __init__(self, total_regions: int) -> None:
-        self.per_region = [0] * total_regions
-        self.cursor = 0
-
-    def record(self, n_cards: int, occupied_regions: int) -> None:
-        if n_cards <= 0:
-            return
-        span = max(1, min(occupied_regions, len(self.per_region)))
-        for _ in range(n_cards):
-            self.per_region[self.cursor % span] += 1
-            self.cursor += 1
-
-    def evacuate_region(self, src: int, dst: int) -> int:
-        moved = self.per_region[src]
-        if src != dst:
-            self.per_region[src] = 0
-            self.per_region[dst] += moved
-        return moved
-
-    def clear(self) -> None:
-        self.per_region = [0] * len(self.per_region)
-        self.cursor = 0
 
 
 def evacuate_old_by_tuples(cohorts: List[ScalarCohort], now: float,

@@ -670,16 +670,19 @@ class TestCachedRerun:
         if change in ("replace-ok", "merge"):
             assert second.grid(0).runs[cell.key()] == other
 
-    @pytest.mark.parametrize("axes", [
-        {"benchmarks": ["lusearch", "definitely-not-a-benchmark"]},
-        {"heaps": ["0g"]},
-        {"heaps": ["1g"], "youngs": ["2g"]},
-    ], ids=["unknown-benchmark", "zero-heap", "young-above-heap"])
+    @pytest.mark.parametrize("axes,overrides", [
+        ({"benchmarks": ["lusearch", "definitely-not-a-benchmark"]}, None),
+        ({"heaps": ["0g"]}, None),
+        ({"heaps": ["1g"], "youngs": ["2g"]}, None),
+        # A deleted setting is refused like any unknown one.
+        ({}, {"remset_fidelity": True}),
+    ], ids=["unknown-benchmark", "zero-heap", "young-above-heap",
+            "deleted-setting"])
     @pytest.mark.parametrize("populated", [False, True],
                              ids=["fresh-store", "populated-store"])
     def test_refused_cell_runs_and_writes_nothing(self, tmp_path, tiny_runs,
                                                   monkeypatch, axes,
-                                                  populated):
+                                                  overrides, populated):
         root = tmp_path / "s"
         if populated:
             store = ResultStore(root)
@@ -699,10 +702,11 @@ class TestCachedRerun:
             ran.append(cell) or run_cell(cell)))
         grid = dataclasses.replace(TINY, **axes)
         with pytest.raises(ConfigError):
-            run_campaign(CampaignSpec("bad", [grid]), store=root)
+            run_campaign(CampaignSpec("bad", [grid], overrides), store=root)
         assert ran == []
         assert snapshot() == before
         assert len(before) == (2 if populated else 0)
+        assert root.exists() == populated
 
 
 # ----------------------------------------------------------------------

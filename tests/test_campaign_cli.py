@@ -141,15 +141,19 @@ def _store_files(store):
             if (store / name).exists()}
 
 
+#: Grid axes naming cells the JVM would refuse.
+REFUSED_AXES = pytest.mark.parametrize("axes", [
+    ["--benchmarks", "definitely-not-a-benchmark"],
+    ["--benchmarks", "lusearch", "--heaps", "0g"],
+    ["--benchmarks", "lusearch", "--heaps", "1g", "--youngs", "2g"],
+], ids=["unknown-benchmark", "zero-heap", "young-above-heap"])
+
+
 class TestRefusals:
     """Cells the JVM would refuse, and stores that are not there, exit 2
     with one `error:` line and change nothing."""
 
-    @pytest.mark.parametrize("axes", [
-        ["--benchmarks", "definitely-not-a-benchmark"],
-        ["--benchmarks", "lusearch", "--heaps", "0g"],
-        ["--benchmarks", "lusearch", "--heaps", "1g", "--youngs", "2g"],
-    ], ids=["unknown-benchmark", "zero-heap", "young-above-heap"])
+    @REFUSED_AXES
     def test_refused_cell_writes_nothing(self, tmp_path, capsys, axes):
         store = tmp_path / "store"
         assert campaign_main(run_args(store)) == 0
@@ -162,6 +166,29 @@ class TestRefusals:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert len(captured.err.splitlines()) == 1
         assert _store_files(store) == before and len(before) == 2
+
+    @REFUSED_AXES
+    def test_refused_run_makes_no_store(self, tmp_path, capsys, axes):
+        store = tmp_path / "new" / "store"
+        args = (["run", "--name", "smoke", "--store", str(store)] + axes
+                + ["--iterations", "1", "--executor", "serial"])
+        assert campaign_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert len(captured.err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("under", ["", "store"], ids=["file", "under-file"])
+    def test_run_store_must_be_a_directory(self, tmp_path, capsys, under):
+        file = tmp_path / "a-file"
+        file.write_text("not a store\n")
+        path = file / under if under else file
+        assert campaign_main(run_args(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: store {path} is not a directory\n"
+        assert file.read_text() == "not a store\n"
+        assert list(tmp_path.iterdir()) == [file]
 
     @pytest.mark.parametrize("command", [
         ["status"], ["status", "--json"], ["clean"],

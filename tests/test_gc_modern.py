@@ -68,14 +68,14 @@ class TestRegistry:
     def test_modern_collectors_force_fidelity(self):
         for gc in (GCType.ZGC, GCType.SHENANDOAH):
             jvm = JVM(JVMConfig(gc=gc, heap=4 * GB, seed=0))
-            assert jvm.collector.remset_fidelity
+            assert jvm.collector.card_fidelity
             assert jvm.heap.card_fidelity
-            assert jvm.heap.remset is not None
 
     def test_legacy_default_is_coarse(self):
-        jvm = JVM(JVMConfig(gc="ParallelOld", heap=4 * GB, seed=0))
-        assert not jvm.collector.remset_fidelity
-        assert not jvm.heap.card_fidelity
+        for gc in ("ParallelOld", "G1", "HTMGC"):
+            jvm = JVM(JVMConfig(gc=gc, heap=4 * GB, seed=0))
+            assert not jvm.collector.card_fidelity
+            assert not jvm.heap.card_fidelity
 
 
 class TestAuditedRuns:

@@ -1,30 +1,25 @@
-"""Card-table / remembered-set structures and their heap invariants.
+"""The card table and its heap invariants.
 
-The hypothesis properties here are the mechanical form of the ISSUE 9
-remset-fidelity contract: the dirty-card count never exceeds the heap's
-card capacity, remembered-set cards are conserved across region
-evacuation, and a young scan resets the card structures consistently.
+The hypothesis properties here are the mechanical form of the card
+table's contract: the dirty-card count never exceeds the heap's card
+capacity, and a young scan resets the table and the scalar dirty volume
+consistently.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigError, HeapError
+from repro.errors import ConfigError
 from repro.heap import (CARD_SIZE, CardTable, GenerationalHeap, HeapConfig,
-                        RememberedSet, cards_for)
+                        cards_for)
 from repro.heap.lifetime import Exponential
-from repro.heap.regions import RegionTable
 from repro.units import GB, MB
 
 
 def make_heap(heap_bytes=1 * GB, young=None):
     return GenerationalHeap(HeapConfig(heap_bytes=heap_bytes,
                                        young_bytes=young or heap_bytes * 0.35))
-
-
-def make_remset(heap_bytes=1 * GB):
-    return RememberedSet(RegionTable.for_heap(heap_bytes))
 
 
 class TestCardsFor:
@@ -93,76 +88,15 @@ class TestCardTable:
         assert total == table.dirty_cards_count
 
 
-class TestRememberedSet:
-    def test_record_spreads_over_occupied_prefix(self):
-        rs = make_remset()
-        rs.record(6, 3)
-        assert sum(rs.per_region[:3]) == 6
-        assert rs.total_cards == 6
-
-    def test_occupied(self):
-        rs = make_remset()
-        rs.record(4, 2)
-        assert rs.occupied() == 2
-
-    def test_clear_resets_cursor(self):
-        rs = make_remset()
-        rs.record(5, 3)
-        rs.clear()
-        assert rs.total_cards == 0
-        rs.record(1, 3)
-        assert rs.per_region[0] == 1  # cursor restarted at region 0
-
-    @given(st.lists(st.tuples(st.integers(0, 500), st.integers(1, 64)),
-                    min_size=1, max_size=25),
-           st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),
-                    min_size=1, max_size=10))
-    @settings(max_examples=80, deadline=None)
-    def test_bytes_conserved_across_evacuation(self, records, moves):
-        """Evacuating a region moves its remembered cards to the target
-        without creating or destroying any."""
-        rs = make_remset()
-        for n_cards, occupied in records:
-            rs.record(n_cards, occupied)
-        before = rs.total_cards
-        n = rs.regions.total_regions
-        for src, dst in moves:
-            src %= n
-            dst %= n
-            moved = rs.evacuate_region(src, dst)
-            assert moved >= 0
-            if src != dst:
-                assert rs.per_region[src] == 0
-        assert rs.total_cards == before
-        assert rs.total_bytes == before * CARD_SIZE
-
-
 class TestHeapCardIntegration:
     def test_heap_builds_card_table(self):
         heap = make_heap()
         assert heap.card_table.total_cards == cards_for(1 * GB)
-        assert heap.remset is None
-
-    def test_attach_remset_requires_clean_table(self):
-        heap = make_heap()
-        heap.allocate_old(0.0, 10 * MB, pinned=True)
-        heap.dirty_cards(5 * MB)
-        with pytest.raises(HeapError):
-            heap.attach_remset(make_remset())
-
-    def test_remset_tracks_card_table(self):
-        heap = make_heap()
-        heap.attach_remset(make_remset())
-        heap.allocate_old(0.0, 50 * MB, pinned=True)
-        heap.dirty_cards(5 * MB)
-        assert heap.remset.total_cards == heap.card_table.dirty_cards_count
-        heap.check_invariants(0.0)
 
     def test_minor_collection_resets_card_structures(self):
         """After a young scan the scalar and structural card models agree:
         both carry only the re-dirtied (promotion-driven) write traffic."""
         heap = make_heap()
-        heap.attach_remset(make_remset())
         heap.allocate_old(0.0, 100 * MB, pinned=True)
         heap.dirty_cards(32 * MB)
         assert heap.card_table.dirty_cards_count > 0
@@ -170,17 +104,14 @@ class TestHeapCardIntegration:
         heap.minor_collection(1.0, tenuring_threshold=4)
         assert heap.card_table.dirty_bytes == pytest.approx(
             cards_for(heap.dirty_card_bytes) * CARD_SIZE)
-        assert heap.remset.total_cards == heap.card_table.dirty_cards_count
         heap.check_invariants(1.0)
 
     def test_full_collection_clears_cards(self):
         heap = make_heap()
-        heap.attach_remset(make_remset())
         heap.allocate_old(0.0, 100 * MB, pinned=True)
         heap.dirty_cards(32 * MB)
         heap.full_collection(1.0, compacting=True)
         assert heap.card_table.dirty_cards_count == 0
-        assert heap.remset.total_cards == 0
         assert heap.dirty_card_bytes == 0.0
         heap.check_invariants(1.0)
 
@@ -189,10 +120,9 @@ class TestHeapCardIntegration:
                     min_size=1, max_size=8))
     @settings(max_examples=30, deadline=None)
     def test_invariants_hold_through_alloc_dirty_collect(self, steps):
-        """Random alloc/dirty/minor sequences keep remset and card table
-        in lockstep (check_invariants enforces the sync)."""
+        """Random alloc/dirty/minor sequences keep the card table within
+        its bounds (check_invariants enforces them)."""
         heap = make_heap()
-        heap.attach_remset(make_remset())
         heap.allocate_old(0.0, 20 * MB, pinned=True)
         t = 0.0
         for alloc, dirty in steps:
@@ -208,19 +138,15 @@ class TestHeapCardIntegration:
 
 
     @given(st.floats(0.0, 2 * MB), st.integers(1, 40),
-           st.floats(0.0, 8 * MB), st.floats(4 * MB, 64 * MB),
-           st.booleans())
+           st.floats(0.0, 8 * MB), st.floats(4 * MB, 64 * MB))
     @settings(max_examples=60, deadline=None)
     def test_repeated_write_equals_single_writes(self, n_bytes, repeat,
-                                                 prior, old_used, remset):
-        """One write repeated k times leaves the scalar, the card table and
-        the remembered set (counts and cursor) where k calls leave them,
-        saturated or not."""
+                                                 prior, old_used):
+        """One write repeated k times leaves the scalar and the card table
+        where k calls leave them, saturated or not."""
         heaps = []
         for _ in range(2):
             heap = make_heap()
-            if remset:
-                heap.attach_remset(make_remset())
             heap.allocate_old(0.0, old_used, pinned=True)
             heap.dirty_cards(prior)
             heaps.append(heap)
@@ -231,11 +157,7 @@ class TestHeapCardIntegration:
         assert repeated.dirty_card_bytes == single.dirty_card_bytes
         assert (repeated.card_table.dirty_cards_count
                 == single.card_table.dirty_cards_count)
-        if remset:
-            assert (repeated.remset.per_region.tolist()
-                    == single.remset.per_region.tolist())
-            assert repeated.remset._cursor == single.remset._cursor
-            repeated.check_invariants(0.0)
+        repeated.check_invariants(0.0)
 
 
 class TestFidelityPricing:

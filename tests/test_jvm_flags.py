@@ -114,6 +114,10 @@ class TestJVMConfig:
         assert other.gc is GCType.G1
         assert cfg.gc is GCType.PARALLEL_OLD
 
+    def test_deleted_settings_refused(self):
+        with pytest.raises(TypeError, match="remset_fidelity"):
+            JVMConfig(remset_fidelity=True)
+
     def test_gc_accepts_aliases(self):
         assert JVMConfig(gc="cms").gc is GCType.CMS
 

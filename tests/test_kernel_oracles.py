@@ -5,8 +5,6 @@ properties here drive both with the same random inputs and require
 equal results, float for float (``==``, not approx): the simulator's
 golden outputs depend on every rounding.
 
-* ``RememberedSet.record`` (closed form) against the per-card loop,
-  across span changes, clears and region evacuations;
 * ``batch_live_bytes`` and ``collect_space`` against scalar cohorts, for
   pinned, released, zero-allocated and zero-width cohorts under mixed
   distributions in one space;
@@ -48,13 +46,11 @@ from repro.cassandra.server import CassandraServer
 from repro.errors import SimulationError
 from repro.gc import create_collector
 from repro.gc.g1 import MIXED_BATCH
-from repro.heap.cards import RememberedSet
 from repro.heap.cohort import COLUMNS, Cohort, CohortColumns
 from repro.heap.heap import (CollectionVolumes, GenerationalHeap, HeapConfig,
                              _running_total, batch_live_bytes, collect_space)
 from repro.heap.lifetime import (Exponential, Fixed, Immortal, LogNormal,
                                  Mixture, Weibull)
-from repro.heap.regions import RegionTable
 from repro.jvm import JVM, JVMConfig
 from repro.machine.costs import CostModel
 from repro.telemetry import hist
@@ -64,12 +60,12 @@ from repro.ycsb import WORKLOAD_A_LIKE, CoreWorkload, YCSBClient
 from repro.ycsb.client import (KIND_INSERT, KIND_READ, KIND_UPDATE,
                                add_pause_overlap)
 
-from tests.oracles import (LoopRememberedSet, ScalarCohort,
-                           add_pause_overlap_per_op, collect_all,
-                           collect_young_per_space, evacuate_old_by_tuples,
-                           latency_band_stats_by_mean, mixture_by_zeros,
-                           of_kind_by_mask, record_whole, synthesize_by_masks,
-                           synthesize_whole, weibull_integrated_survival)
+from tests.oracles import (ScalarCohort, add_pause_overlap_per_op,
+                           collect_all, collect_young_per_space,
+                           evacuate_old_by_tuples, latency_band_stats_by_mean,
+                           mixture_by_zeros, of_kind_by_mask, record_whole,
+                           synthesize_by_masks, synthesize_whole,
+                           weibull_integrated_survival)
 
 #: One space mixes all of these.
 DISTS = (
@@ -136,38 +132,6 @@ def make_pair(specs, cols=None):
             cols.append(handle)
             scalar.append(oracle)
     return cols, scalar
-
-
-class TestRememberedSetRecord:
-    ops = st.lists(
-        st.one_of(
-            st.tuples(st.just("record"), st.integers(0, 3000),
-                      st.integers(0, 80)),
-            st.tuples(st.just("clear")),
-            st.tuples(st.just("evacuate"), st.integers(0, 63),
-                      st.integers(0, 63)),
-        ),
-        min_size=1, max_size=30,
-    )
-
-    @given(ops)
-    @settings(max_examples=150, deadline=None)
-    def test_closed_form_matches_card_loop(self, ops):
-        fast = RememberedSet(RegionTable(heap_bytes=64 * MB, region_size=1 * MB))
-        slow = LoopRememberedSet(fast.regions.total_regions)
-        for op in ops:
-            if op[0] == "record":
-                fast.record(op[1], op[2])
-                slow.record(op[1], op[2])
-            elif op[0] == "clear":
-                fast.clear()
-                slow.clear()
-            else:
-                assert fast.evacuate_region(op[1], op[2]) == \
-                    slow.evacuate_region(op[1], op[2])
-            assert fast.per_region.tolist() == slow.per_region
-            assert fast._cursor == slow.cursor
-            assert fast.total_cards == sum(slow.per_region)
 
 
 def check_live_bytes(specs, now):

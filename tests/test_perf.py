@@ -216,13 +216,10 @@ def _server_jvm(gc: str, tracer=None) -> JVM:
 
 def _card_state(jvm: JVM):
     """The write barrier's end state, which no GC log or trace shows:
-    a span's held-back card writes must reach the remembered set while
-    old occupancy is what the plain loop saw."""
+    a span's held-back card writes must reach the card table while old
+    occupancy is what the plain loop saw."""
     heap = jvm.heap
-    remset = heap.remset
-    return (heap.dirty_card_bytes, heap.card_table.dirty_cards_count,
-            None if remset is None
-            else (remset.per_region.tolist(), remset._cursor))
+    return heap.dirty_card_bytes, heap.card_table.dirty_cards_count
 
 
 def _hidden_state(jvm: JVM, result, server: CassandraServer) -> str:

@@ -8,6 +8,7 @@ worker-killing — without faking simulator output.
 
 import asyncio
 import contextlib
+import functools
 import json
 import os
 import pathlib
@@ -24,7 +25,7 @@ from repro.campaign import (CellSpec, ResultStore, encode_run, merge_stores,
 from repro.campaign.spec import CampaignSpec
 from repro.cluster import ClusterConfig, ClusterCoordinator
 from repro.energy.model import ENERGY_COUNTERS, EnergyModel
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProtocolError
 from repro.serve import ExperimentService, ServiceConfig, ServiceClient
 from repro.serve import protocol, service as service_module
 from repro.serve.server import Connection
@@ -702,6 +703,38 @@ class TestCoordinatorWireRobustness(TestWireRobustness):
 # ----------------------------------------------------------------------
 # Event streaming
 # ----------------------------------------------------------------------
+
+
+class TestClientReader:
+    def test_request_after_reader_died_fails_fast(self, tmp_path):
+        """A reply the client cannot decode ends its reader; every later
+        request raises the 499 at once, where it used to wait out its
+        timeout (or forever) for a reply nothing would route."""
+        sock = str(tmp_path / "peer.sock")
+
+        async def peer(reader, writer):
+            await reader.readline()
+            writer.write(b"not json\n")
+            writer.write(protocol.encode({"type": "pong", "id": 1}))
+            await writer.drain()
+            await reader.read()                  # until the client leaves
+
+        async def main():
+            async with await asyncio.start_unix_server(peer, path=sock):
+                client = await ServiceClient.connect(sock)
+                codes = []
+                try:
+                    for request in (client.ping, client.ping,
+                                    functools.partial(client.submit, JOB)):
+                        # A request left waiting times out instead.
+                        with pytest.raises(ProtocolError) as err:
+                            await request(timeout=3)
+                        codes.append(err.value.code)
+                finally:
+                    await client.close()
+            return codes
+
+        assert asyncio.run(asyncio.wait_for(main(), 30)) == [499, 499, 499]
 
 
 class TestEvents:

@@ -103,13 +103,15 @@ class TestJobValidation:
         ({"overrides": {"gc_threads": True}}, "gc_threads must be >= 1"),
         ({"overrides": {"gc_threads": "", "gc_placement": "adaptive"}},
          "gc_threads must be >= 1"),
+        # A deleted setting is refused like any unknown one.
+        ({"overrides": {"remset_fidelity": True}}, "remset_fidelity"),
     ], ids=["nan-pause-target", "unknown-override", "young-over-heap",
             "unknown-benchmark", "no-iterations", "negative-n-threads",
             "gc-threads-not-a-number", "no-gc-threads",
             "survivor-ratio-not-a-number", "no-survivor-ratio",
             "n-threads-empty-string", "n-threads-bool",
             "gc-threads-numeric-string", "gc-threads-bool",
-            "gc-threads-empty-string-placed"])
+            "gc-threads-empty-string-placed", "deleted-remset-fidelity"])
     def test_jobs_the_simulator_refuses_are_400(self, fields, fragment):
         """Each of these passed admission once, and only its run failed:
         the harness crashed the run, or the worker raised and the

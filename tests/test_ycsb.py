@@ -148,6 +148,16 @@ class TestClientSynthesis:
         )
         assert np.all(r.kinds == KIND_READ)
 
+    def test_trace_arrays_take_whole_mib_blocks(self, small_client_run):
+        # The blocks a freed trace leaves then fit the next trace's arrays.
+        sub = small_client_run.reads
+        for a in (small_client_run.op_times, small_client_run.latencies_ms,
+                  small_client_run.kinds, sub.op_times, sub.latencies_ms,
+                  sub.kinds):
+            assert a.base is not None
+            assert a.base.nbytes % (1 << 20) == 0
+            assert a.base.nbytes - a.nbytes < 1 << 20
+
     def test_update_baseline_tighter_than_read(self, small_client_run):
         r = small_client_run.reads.latencies_ms
         u = small_client_run.updates.latencies_ms

@@ -25,6 +25,7 @@ Accounting invariants (checked by tests):
 from __future__ import annotations
 
 import itertools
+import weakref
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -77,14 +78,15 @@ class CohortStore:
     distinct lifetime distribution is registered once, at the first
     allocation that uses it, so the kernels can evaluate survival once
     per distribution. ``spaces`` lists the spaces a handle searches when
-    a collection has moved its row.
+    a collection has moved its row, as weak references: each space holds
+    the store, and a cycle would outlive the heap.
     """
 
     __slots__ = ("dists", "spaces", "groups")
 
     def __init__(self) -> None:
         self.dists: List[LifetimeDistribution] = []
-        self.spaces: List["CohortColumns"] = []
+        self.spaces: List["weakref.ref[CohortColumns]"] = []
         #: dist -> its index in ``dists``.
         self.groups: Dict[LifetimeDistribution, int] = {}
 
@@ -114,7 +116,7 @@ class CohortColumns:
     arrays, which is several times cheaper than NumPy scalar assignment.
     """
 
-    __slots__ = ("store", "n", "_arrays", "_views")
+    __slots__ = ("store", "n", "_arrays", "_views", "__weakref__")
 
     t0 = _column("t0")
     t1 = _column("t1")
@@ -129,7 +131,7 @@ class CohortColumns:
 
     def __init__(self, store: Optional[CohortStore] = None) -> None:
         self.store = CohortStore() if store is None else store
-        self.store.spaces.append(self)
+        self.store.spaces.append(weakref.ref(self))
         self.n = 0
         self._install({name: np.zeros(16, dtype=dtype) for name, dtype in COLUMNS})
 
@@ -384,8 +386,9 @@ class Cohort:
         if row < cols.n and cols._arrays["cid"][row] == self.cid:
             return cols, row
         # A collection moved the row: find it by id.
-        for space in cols.store.spaces:
-            row = space.find(self.cid)
+        for ref in cols.store.spaces:
+            space = ref()
+            row = -1 if space is None else space.find(self.cid)
             if row >= 0:
                 self._cols, self._row = space, row
                 return space, row

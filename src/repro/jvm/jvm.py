@@ -245,11 +245,12 @@ class JVM:
         driver = self.engine.process(workload.drive(self, result, **kwargs))
         if self.config.misc_safepoints:
             self.engine.process(self._misc_safepoint_loop())
-        error: List[BaseException] = []
+        crash = ""
         try:
             self.engine.run()
         except ReproError as exc:
-            error.append(exc)
+            # Keep the reason only: the traceback holds this frame.
+            crash = f"{type(exc).__name__}: {exc}"
         result.execution_time = self.engine.now
         result.allocated_bytes = sum(c.allocated_bytes for c in self._contexts)
         result.alloc_overhead_time = sum(c.alloc_overhead_time for c in self._contexts)
@@ -258,9 +259,9 @@ class JVM:
             # extras (and their cached encodings) are untouched.
             result.extras["alloc_stall_seconds"] = self.world.total_stall_time
             result.extras["alloc_stall_count"] = self.world.stall_count
-        if error:
+        if crash:
             result.crashed = True
-            result.crash_reason = f"{type(error[0]).__name__}: {error[0]}"
+            result.crash_reason = crash
         elif driver.is_alive:
             result.crashed = True
             result.crash_reason = "driver did not finish (deadlock?)"
@@ -273,4 +274,6 @@ class JVM:
             for phase, core_class, uj in account.items():
                 self.tracer.energy_phase(result.execution_time, phase,
                                          core_class, uj)
+        # A JVM runs once: let go of what a crash left waiting.
+        self.engine.close()
         return result

@@ -79,6 +79,8 @@ class World:
         self.stw = False
         self.gc_in_progress = False
         self._resume_event = None
+        #: Live contexts in registration order; a context leaves when it
+        #: dies, as it points back at the world.
         self.mutators: List["MutatorContext"] = []
         # O(1) mirrors of "how many contexts are alive / alive-and-running".
         # Maintained by register() and the MutatorContext.alive/parked
@@ -490,6 +492,10 @@ class MutatorContext:
             if not self._parked:
                 self.world._n_running += delta
             self.world._recompute_threads()
+            if value:
+                self.world.mutators.append(self)
+            else:
+                self.world.mutators.remove(self)
 
     @property
     def parked(self) -> bool:

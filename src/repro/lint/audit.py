@@ -29,6 +29,7 @@ the instrumented objects bit-for-bit.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
@@ -172,20 +173,14 @@ class InvariantAuditor:
         self._originals.clear()
         self._jvm = None
 
+    @contextlib.contextmanager
     def attached(self, jvm):
         """Context-manager form of :meth:`attach`/:meth:`detach`."""
-        auditor = self
-
-        class _Ctx:
-            def __enter__(self):
-                auditor.attach(jvm)
-                return auditor
-
-            def __exit__(self, exc_type, exc, tb):
-                auditor.detach()
-                return False
-
-        return _Ctx()
+        self.attach(jvm)
+        try:
+            yield self
+        finally:
+            self.detach()
 
     # ------------------------------------------------------------------
     # Reporting

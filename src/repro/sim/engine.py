@@ -42,7 +42,7 @@ class Engine:
 
     __slots__ = ("now", "_queue", "_seq", "_running", "_run_until",
                  "_run_max_events", "_credit", "_waking", "tracer",
-                 "step_hook")
+                 "step_hook", "_processes")
 
     def __init__(self, start_time: float = 0.0):
         if not math.isfinite(start_time):
@@ -71,6 +71,9 @@ class Engine:
         #: (the runtime :class:`~repro.lint.audit.InvariantAuditor`) hook
         #: here instead of monkey-patching :meth:`step`.
         self.step_hook: Optional[Callable[[float, float], None]] = None
+        #: Every process started and not yet finished (a dict for its
+        #: order), for :meth:`close`.
+        self._processes: dict = {}
 
     # -- scheduling ---------------------------------------------------
 
@@ -248,6 +251,16 @@ class Engine:
             self._run_max_events = None
         self.tracer.engine_run(self.now, n + self._credit - credit0)
         return self.now
+
+    def close(self) -> None:
+        """Close every unfinished process and drop every queued event, for
+        an engine that will run no more: a run that stopped early leaves
+        both in reference cycles (DESIGN.md §12.4)."""
+        for process in list(self._processes):
+            process._generator.close()
+            process._target = None
+        self._processes.clear()
+        self._queue.clear()
 
 
 class _Callback:

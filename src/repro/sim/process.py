@@ -12,8 +12,15 @@ engine's queue instead of going through :meth:`Engine.schedule` — the
 delay there is a constant ``0.0`` (or a :class:`Timeout` delay validated
 in its constructor), so the extra finiteness re-checks bought nothing.
 State tests read ``_state``/``_ok`` directly rather than through the
-public properties, and each process caches its bound ``_resume`` callback
-instead of materializing a new bound method per wait.
+public properties.
+
+Lifetimes: nothing here points back at itself, so a finished process is
+freed by reference counting at its last reference. A wait passes a fresh
+bound ``_resume`` rather than one cached on the process, which would be
+a reference cycle (process -> bound method -> process). The engine keeps
+each unfinished process until it finishes, so that
+:meth:`~repro.sim.engine.Engine.close` can close whatever a crashed run
+left waiting (DESIGN.md §12.4).
 """
 
 from __future__ import annotations
@@ -165,7 +172,7 @@ class Process(Event):
     each other: ``yield other_process``.
     """
 
-    __slots__ = ("_generator", "_target", "_resume_cb")
+    __slots__ = ("_generator", "_target", "__weakref__")
 
     def __init__(self, engine: Engine, generator):
         super().__init__(engine)
@@ -173,12 +180,10 @@ class Process(Event):
             raise TypeError(f"Process needs a generator, got {generator!r}")
         self._generator = generator
         self._target: Optional[Event] = None
-        # One bound method for the lifetime of the process; creating a
-        # fresh one per wait showed up in event-chain profiles.
-        self._resume_cb = self._resume
+        engine._processes[self] = None
         # Kick off at the current time (urgent so spawning is immediate).
         bootstrap = Event(engine)
-        bootstrap.callbacks.append(self._resume_cb)
+        bootstrap.callbacks.append(self._resume)
         bootstrap.succeed(priority=URGENT)
 
     @property
@@ -198,7 +203,7 @@ class Process(Event):
         event._ok = False
         event._defused = True
         event.value = Interrupt(cause)
-        event.callbacks.append(self._resume_cb)
+        event.callbacks.append(self._resume)
         event._state = TRIGGERED
         engine = self.engine
         engine._seq += 1
@@ -218,7 +223,7 @@ class Process(Event):
         target = self._target
         if target is not None and target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume_cb)
+                target.callbacks.remove(self._resume)
             except ValueError:
                 pass
         self._target = None
@@ -228,6 +233,7 @@ class Process(Event):
             else:
                 result = self._generator.throw(event.value)
         except StopIteration as stop:
+            del self.engine._processes[self]
             self._state = PENDING  # allow succeed() below
             self.succeed(stop.value)
             return
@@ -244,7 +250,7 @@ class Process(Event):
             immediate = Event(self.engine)
             immediate.value = result.value
             immediate._ok = result._ok
-            immediate.callbacks.append(self._resume_cb)
+            immediate.callbacks.append(self._resume)
             immediate._state = TRIGGERED
             engine = self.engine
             engine._seq += 1
@@ -252,7 +258,7 @@ class Process(Event):
                            (engine.now, URGENT, engine._seq, immediate))
             self._target = immediate
         else:
-            result.callbacks.append(self._resume_cb)
+            result.callbacks.append(self._resume)
             self._target = result
 
 

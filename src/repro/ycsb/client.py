@@ -81,22 +81,27 @@ class ClientResult:
     server_result: Optional[RunResult] = None
 
     def of_kind(self, kind: int) -> "ClientResult":
-        """Sub-trace of one operation kind."""
-        rows = np.flatnonzero(self.kinds == kind)
-        n = len(rows)
+        """Sub-trace of one operation kind, counted and then gathered
+        ``hist.BLOCK`` operations at a time: no index spans the trace."""
+        block = hist.BLOCK
+        starts = range(0, len(self.kinds), block)
+        n = sum(int(np.count_nonzero(self.kinds[a:a + block] == kind))
+                for a in starts)
+        times = _trace_array(n, self.op_times.dtype)
+        latencies = _trace_array(n, self.latencies_ms.dtype)
+        end = 0
+        for a in starts:
+            rows = np.flatnonzero(self.kinds[a:a + block] == kind)
+            start, end = end, end + len(rows)
+            # Every row is in range; mode "raise" would copy ``out`` first.
+            np.take(self.op_times[a:a + block], rows, mode="clip",
+                    out=times[start:end])
+            np.take(self.latencies_ms[a:a + block], rows, mode="clip",
+                    out=latencies[start:end])
         kinds = _trace_array(n, self.kinds.dtype)
         kinds.fill(kind)
-        # Every row is in range; mode "raise" would copy ``out`` first.
-        return ClientResult(
-            self.gc,
-            np.take(self.op_times, rows, mode="clip",
-                    out=_trace_array(n, self.op_times.dtype)),
-            np.take(self.latencies_ms, rows, mode="clip",
-                    out=_trace_array(n, self.latencies_ms.dtype)),
-            kinds,
-            self.pause_intervals,
-            self.server_result,
-        )
+        return ClientResult(self.gc, times, latencies, kinds,
+                            self.pause_intervals, self.server_result)
 
     @property
     def reads(self) -> "ClientResult":

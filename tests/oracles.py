@@ -19,11 +19,12 @@ agree with them exactly, float for float and byte for byte.
 * :func:`evacuate_old_by_tuples` — G1's garbage-first selection as a sort
   over ``(score, cohort, live)`` tuples;
 * :func:`synthesize_whole`, :func:`synthesize_by_masks`,
-  :func:`add_pause_overlap_per_op` and :func:`of_kind_by_mask` — the YCSB
-  client's latency synthesis over whole arrays (each stream drawn in one
-  call) and before that with mask-built kinds, every operation placed
-  among the pauses with ``searchsorted``, and sub-traces gathered by
-  boolean mask;
+  :func:`add_pause_overlap_per_op`, :func:`of_kind_whole` and
+  :func:`of_kind_by_mask` — the YCSB client's latency synthesis over
+  whole arrays (each stream drawn in one call) and before that with
+  mask-built kinds, every operation placed among the pauses with
+  ``searchsorted``, and sub-traces gathered through one index of the
+  whole trace and before that by boolean mask;
 * :func:`record_whole`, :func:`record_by_unique` and
   :func:`latency_band_stats_by_mean` — histogram recording over a whole
   1-D array of values below 2**63 units, and before that counting
@@ -309,6 +310,16 @@ def synthesize_by_masks(client, jvm_config, server_result, server, *,
         intervals = np.zeros((0, 2))
     return ClientResult(jvm_config.gc.value, times, lat, kinds, intervals,
                         server_result)
+
+
+def of_kind_whole(trace: ClientResult, kind: int) -> ClientResult:
+    """``ClientResult.of_kind`` gathering each array through one index
+    of every operation of the kind."""
+    rows = np.flatnonzero(trace.kinds == kind)
+    return ClientResult(trace.gc, np.take(trace.op_times, rows),
+                        np.take(trace.latencies_ms, rows),
+                        np.full(len(rows), kind, trace.kinds.dtype),
+                        trace.pause_intervals, trace.server_result)
 
 
 def of_kind_by_mask(trace: ClientResult, kind: int) -> ClientResult:

@@ -63,7 +63,8 @@ from repro.ycsb.client import (KIND_INSERT, KIND_READ, KIND_UPDATE,
 from tests.oracles import (ScalarCohort, add_pause_overlap_per_op,
                            collect_all, collect_young_per_space,
                            evacuate_old_by_tuples, latency_band_stats_by_mean,
-                           mixture_by_zeros, of_kind_by_mask, record_whole,
+                           mixture_by_zeros, of_kind_by_mask,
+                           of_kind_whole, record_whole,
                            synthesize_by_masks, synthesize_whole,
                            weibull_integrated_survival)
 
@@ -639,7 +640,7 @@ def check_blocked_trace(client, config, result, server, rate):
                             samples_per_second=rate)
     assert_same_trace(fast, slow)
     for kind in (KIND_READ, KIND_UPDATE, KIND_INSERT):
-        part, oracle = fast.of_kind(kind), slow.of_kind(kind)
+        part, oracle = fast.of_kind(kind), of_kind_whole(slow, kind)
         assert_same_trace(part, oracle)
         if len(part.latencies_ms):
             a = latency_band_stats(part.op_times, part.latencies_ms,
@@ -706,8 +707,8 @@ class TestBlockedClient:
 
     def test_million_op_trace_stays_in_block_buffers(self):
         """A 600 s CMS server run sampled at 1,700 ops/s: 1.02M ops, whose
-        synthesis and bucketing need a few blocks beyond what they return
-        (whole arrays took 44 and 51 MiB)."""
+        synthesis, bucketing and read sub-trace need a few blocks beyond
+        what they return (whole arrays took 44, 51 and 4 MiB)."""
         w = WORKLOAD_A_LIKE
         config = JVMConfig(gc="CMS", heap=64 * GB, young=12 * GB)
         server = CassandraServer(default_config(64 * GB))
@@ -727,7 +728,16 @@ class TestBlockedClient:
             before = tracemalloc.get_traced_memory()[0]
             LogHistogram(unit=1e-3).record_array(trace.latencies_ms)
             record_peak = tracemalloc.get_traced_memory()[1] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            reads = trace.reads
+            kind_peak = (tracemalloc.get_traced_memory()[1] - before
+                         - sum(a.base.nbytes for a in (reads.op_times,
+                                                       reads.latencies_ms,
+                                                       reads.kinds)))
         finally:
             tracemalloc.stop()
         assert len(trace.kinds) == 1_020_000
         assert synth_peak < 4 * MB and record_peak < 4 * MB, (synth_peak, record_peak)
+        # A sub-trace gathers a block at a time: no index of every read.
+        assert kind_peak < 1 * MB, kind_peak
